@@ -9,9 +9,10 @@ code 1) when any throughput metric fell more than ``--tolerance``
     PYTHONPATH=src python -m benchmarks.check_regression --tolerance 0.3
     PYTHONPATH=src python -m benchmarks.check_regression --update
 
-``--update`` rewrites the baseline from the fresh run instead of
-comparing — use it after an intentional perf change (and commit the
-new numbers with the PR that earned them).
+``--update`` merges the fresh run into the baseline instead of
+comparing (sections the run skips, such as ``profile``, stay) — use it
+after an intentional perf change (and commit the new numbers with the
+PR that earned them).
 
 Baselines are machine-relative: comparing a laptop run against a CI
 baseline measures the machines, not the code. Regenerate with
@@ -45,7 +46,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="allowed fractional slowdown per metric "
                              "(default 0.2 = 20%%)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from the fresh run "
+                        help="merge the fresh run into the baseline "
                              "instead of comparing")
     args = parser.parse_args(argv)
 
@@ -62,7 +63,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     fresh = perf.run_all(**params)
 
     if args.update or baseline is None:
-        perf.write_baseline(fresh, args.baseline)
+        perf.write_baseline(
+            fresh if baseline is None
+            else perf.merge_baseline(baseline, fresh), args.baseline)
         print(f"updated {args.baseline}")
         return 0
 

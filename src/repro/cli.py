@@ -30,9 +30,7 @@ Commands:
   JSON report or OpenMetrics series, plus the SLO burn-rate verdict
   (see ``docs/observability.md``).
 - ``scale``                     — run a city-scale churn+chaos overlay
-  on the space-partitioned sharded kernel (default: the 10k-node
-  ROADMAP scenario); ``--digest`` adds the event-order digest that
-  witnesses byte-identity across shard/worker layouts (see
+  on the single-heap simulator (default: the 10k-node scenario; see
   ``docs/performance.md``).
 
 Examples::
@@ -54,8 +52,8 @@ Examples::
     python -m repro monitor --json
     python -m repro monitor --format openmetrics
     python -m repro scale
-    python -m repro scale --nodes 100000 --shards 16 --duration 5
-    python -m repro scale --shards 4 --workers 2 --digest --json
+    python -m repro scale --nodes 100000 --duration 5
+    python -m repro scale --json
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ EXPERIMENTS: Dict[str, tuple] = {
     "fullstack": ("repro.experiments.fullstack_privacy",
                   "Validation — SimAttack vs the real network stack"),
     "scale": ("repro.experiments.shard_scale",
-              "Extension — 10k-node churn+chaos on the sharded kernel"),
+              "Extension — 10k-node churn+chaos overlay"),
 }
 
 #: 'all' runs the cheap analytic experiments; the network-heavy
@@ -256,7 +254,8 @@ def _cmd_obs(query: str, num_nodes: int, seed: int, fmt: str,
 
 
 def _cmd_perf(args) -> int:
-    """Run the pipeline perf benches; write the trajectory baseline."""
+    """Run the pipeline perf benches; merge them into the trajectory
+    baseline."""
     import os
 
     from repro import perf
@@ -265,32 +264,32 @@ def _cmd_perf(args) -> int:
     if args.only:
         only = [name for entry in args.only
                 for name in entry.split(",") if name]
+    overrides = dict(
+        history_size=args.history, probes=args.probes,
+        num_events=args.events, num_nodes=args.nodes,
+        searches=args.searches, monitor_windows=args.monitor_windows,
+        engine_queries=args.engine_queries,
+        engine_docs_per_topic=args.engine_docs_per_topic,
+        scale_nodes=args.scale_nodes, scale_duration=args.scale_duration,
+        seed=args.seed)
+    existing = None
+    if not args.no_write and os.path.exists(args.output):
+        existing = perf.load_baseline(args.output)
     try:
-        results = perf.run_all(
-            only=only, profile=args.profile,
-            history_size=args.history, probes=args.probes,
-            num_events=args.events, num_nodes=args.nodes,
-            searches=args.searches, monitor_windows=args.monitor_windows,
-            engine_queries=args.engine_queries,
-            engine_docs_per_topic=args.engine_docs_per_topic,
-            shard_nodes=args.shard_nodes, shard_workers=args.shard_workers,
-            shard_count=args.shard_count,
-            shard_duration=args.shard_duration,
-            seed=args.seed)
+        if existing is not None:
+            # Fail before measuring: the merge below would refuse.
+            perf.merge_params(existing, perf.resolve_params(**overrides))
+        results = perf.run_all(only=only, profile=args.profile, **overrides)
     except ValueError as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
     print(perf.format_report(results))
     if not args.no_write:
-        if only is not None and os.path.exists(args.output):
-            # Partial run: refresh only the measured sections, keep the
-            # rest of the committed baseline untouched.
-            merged = perf.load_baseline(args.output)
-            merged.update(results)
-            results_to_write = merged
-        else:
-            results_to_write = results
-        perf.write_baseline(results_to_write, args.output)
+        # Skipped sections (e.g. `profile`, or everything outside
+        # --only) keep their committed numbers.
+        perf.write_baseline(
+            results if existing is None
+            else perf.merge_baseline(existing, results), args.output)
         print(f"\nwrote {args.output}")
     sens = results.get("sensitivity")
     if sens is not None and not sens["scores_bit_identical"]:
@@ -500,13 +499,12 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    """Run the sharded-kernel churn+chaos scenario."""
+    """Run the churn+chaos scale scenario."""
     from repro.experiments import shard_scale
 
     try:
         report = shard_scale.run(
-            num_nodes=args.nodes, shards=args.shards, workers=args.workers,
-            duration=args.duration, seed=args.seed, digest=args.digest,
+            num_nodes=args.nodes, duration=args.duration, seed=args.seed,
             fanout=args.fanout, query_interval=args.interval,
             response_drop=args.drop, churn_fraction=args.churn)
     except ValueError as error:
@@ -608,36 +606,29 @@ def build_parser() -> argparse.ArgumentParser:
                              default=None,
                              help="corpus size knob for the engine "
                                   "scale-out bench (default 6000)")
-    perf_parser.add_argument("--shard-nodes", type=int, nargs="+",
-                             default=None, metavar="N",
-                             help="overlay sizes of the sharded-kernel "
-                                  "node curve (default 1000 2500 5000)")
-    perf_parser.add_argument("--shard-workers", type=int, nargs="+",
-                             default=None, metavar="W",
-                             help="worker counts of the sharded-kernel "
-                                  "worker curve (default 1 2 4 8)")
-    perf_parser.add_argument("--shard-count", type=int, default=None,
-                             help="shards in the sharded-kernel bench "
-                                  "(default 8)")
-    perf_parser.add_argument("--shard-duration", type=float, default=None,
-                             help="simulated seconds per sharded-kernel "
-                                  "run (default 5)")
+    perf_parser.add_argument("--scale-nodes", type=int, default=None,
+                             help="overlay size of the churn+chaos scale "
+                                  "run (default 5000)")
+    perf_parser.add_argument("--scale-duration", type=float, default=None,
+                             help="simulated seconds of the scale run "
+                                  "(default 5)")
     perf_parser.add_argument("--seed", type=int, default=None)
     perf_parser.add_argument(
         "--only", action="append", default=None, metavar="SECTION",
         help="run only these bench sections (repeatable or "
              "comma-separated; known: sensitivity, simulator, search, "
-             "engine_scaling, shard_scaling, monitor, lint, profile). "
-             "With --output, the "
-             "measured sections are merged into an existing baseline "
-             "file")
+             "engine_scaling, scale, monitor, lint, profile)")
     perf_parser.add_argument(
         "--profile", action="store_true",
         help="include the deterministic-profiler attribution section "
              "(excluded from default runs; implies nothing about the "
              "other sections)")
     perf_parser.add_argument("--output", default="BENCH_pipeline.json",
-                             help="baseline path (default ./BENCH_pipeline.json)")
+                             help="baseline path (default "
+                                  "./BENCH_pipeline.json); an existing "
+                                  "file is merged into: sections this "
+                                  "run skips stay, and a param both "
+                                  "hold with different values exits 2")
     perf_parser.add_argument("--no-write", action="store_true",
                              help="print the report without writing the file")
 
@@ -778,18 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
              "json report gains a 'profile' section)")
 
     scale_parser = subparsers.add_parser(
-        "scale", help="run a city-scale churn+chaos overlay on the "
-                      "space-partitioned sharded kernel "
+        "scale", help="run a city-scale churn+chaos overlay "
                       "(docs/performance.md)")
     scale_parser.add_argument("--nodes", type=int, default=10_000,
                               help="overlay size (default 10000)")
-    scale_parser.add_argument("--shards", type=int, default=8,
-                              help="space partitions of the node space "
-                                   "(default 8)")
-    scale_parser.add_argument("--workers", type=int, default=1,
-                              help="worker processes running the shards "
-                                   "(1..shards; default 1 — results are "
-                                   "byte-identical at any worker count)")
     scale_parser.add_argument("--duration", type=float, default=20.0,
                               help="simulated seconds (default 20)")
     scale_parser.add_argument("--seed", type=int, default=0,
@@ -805,10 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale_parser.add_argument("--churn", type=float, default=0.10,
                               help="fraction of nodes that crash "
                                    "mid-run (default 0.10)")
-    scale_parser.add_argument(
-        "--digest", action="store_true",
-        help="compute the event-order digest (byte-identity witness "
-             "across shard/worker layouts; costs some throughput)")
     scale_parser.add_argument(
         "--json", action="store_true",
         help="emit the deterministic report JSON (wall-clock fields "

@@ -185,8 +185,7 @@ class CyclosaNetwork:
             simulator, rng,
             default_latency=LogNormalLatency(
                 median=config.peer_link_median,
-                sigma=config.peer_link_sigma),
-            num_shards=config.sim_shards)
+                sigma=config.peer_link_sigma))
 
         corpus_obj = corpus if corpus is not None else build_corpus(seed=seed)
         num_replicas = config.engine_replicas
@@ -306,14 +305,6 @@ class CyclosaNetwork:
     def run(self, seconds: float) -> None:
         """Advance the whole deployment by *seconds* of simulated time."""
         self.simulator.advance(seconds)
-
-    @property
-    def shard_assignment(self) -> Dict[str, int]:
-        """Address → shard under ``config.sim_shards`` (all zeros on
-        unsharded deployments); with ``sim_shards > 1`` the transport
-        additionally counts cross-shard traffic in
-        ``network.stats.cross_shard``."""
-        return self.network.shard_assignment()
 
     def assembled_trace(self, trace_id: str):
         """Merge every node's span sink into the one causal trace of

@@ -115,16 +115,6 @@ class CyclosaConfig:
     #: interconnect, far below the peer links).
     engine_interlink_median: float = 0.002
 
-    # -- simulation sharding --------------------------------------------
-    #: Space-partition granularity of the deployment's node space
-    #: (see :mod:`repro.net.shards`). 1 — the default — is the
-    #: single-heap kernel, byte-identical to every seeded figure.
-    #: Values > 1 make the transport classify local vs cross-shard
-    #: traffic under :func:`repro.net.shards.shard_of` (the numbers
-    #: that size ShardedSimulator barrier windows); the partition is
-    #: exposed as ``deployment.shard_assignment``.
-    sim_shards: int = 1
-
     def __post_init__(self) -> None:
         if self.kmax < 0:
             raise ValueError("kmax must be >= 0")
@@ -143,8 +133,6 @@ class CyclosaConfig:
             raise ValueError("engine_batch_window must be >= 0")
         if self.engine_shard_timeout <= 0:
             raise ValueError("engine_shard_timeout must be > 0")
-        if self.sim_shards < 1:
-            raise ValueError("sim_shards must be >= 1")
         unknown = set(self.sensitive_topics) - set(SENSITIVE_TOPICS)
         # Users may define custom topics by importing dictionaries
         # (§V-A1); unknown names are allowed but must be non-empty.

@@ -7,13 +7,7 @@ reproducible. Simulated time is the *only* clock in the repository —
 `time.time()` never appears in measured paths.
 
 - :mod:`repro.net.simulator` — the event loop (binary-heap scheduler,
-  deterministic FIFO tie-breaking), plus the space-partitioned
-  :class:`ShardedSimulator` kernel that runs shards of the node space
-  in worker processes behind deterministic time barriers.
-- :mod:`repro.net.shards`    — the sharded kernel's building blocks:
-  :func:`shard_of` address partitioning, the per-shard
-  :class:`ShardRuntime` heap, and the :class:`ShardActor` node API
-  whose runs are byte-identical at any shard/worker count.
+  deterministic FIFO tie-breaking).
 - :mod:`repro.net.latency`   — pluggable link/server latency models
   (constant, uniform, log-normal WAN, heavy-tailed TOR-like).
 - :mod:`repro.net.transport` — addressable nodes, messages with byte
@@ -38,14 +32,7 @@ from repro.net.latency import (
     LogNormalLatency,
     UniformLatency,
 )
-from repro.net.shards import (
-    ShardActor,
-    ShardRuntime,
-    ShardSpec,
-    ShardStats,
-    shard_of,
-)
-from repro.net.simulator import ShardedSimulator, ShardRunReport, Simulator
+from repro.net.simulator import Simulator
 from repro.net.trace import MessageTrace, TracedMessage
 from repro.net.transport import Message, NetworkError, Network, NetNode
 from repro.net.tls import SecureChannel, SecureChannelManager, TlsError
@@ -58,13 +45,6 @@ __all__ = [
     "LogNormalLatency",
     "UniformLatency",
     "Simulator",
-    "ShardedSimulator",
-    "ShardRunReport",
-    "ShardActor",
-    "ShardRuntime",
-    "ShardSpec",
-    "ShardStats",
-    "shard_of",
     "MessageTrace",
     "TracedMessage",
     "Message",

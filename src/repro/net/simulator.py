@@ -35,12 +35,9 @@ boundary, not a rounding error to either side.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
-import time as _time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 #: Heap entry layout: [time, seq, callback]; a dead entry (cancelled,
 #: or already executed) has its callback slot set to None (the heapq
@@ -221,328 +218,3 @@ class Simulator:
     def advance(self, seconds: float) -> None:
         """Run all events within the next *seconds* of simulated time."""
         self.run(until=self._now + seconds)
-
-
-# ---------------------------------------------------------------------------
-# The sharded kernel: space-partitioned heaps behind time barriers.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardRunReport:
-    """What one :meth:`ShardedSimulator.run` produced."""
-
-    num_nodes: int
-    shards: int
-    workers: int
-    until: float
-    windows: int
-    #: Executed events, summed over every shard.
-    events: int
-    messages_sent: int
-    cross_shard_messages: int
-    timers_set: int
-    dropped_to_departed: int
-    departed: int
-    #: Coordinator wall-clock seconds for the whole run.
-    wall_seconds: float
-    #: sha256 over the merged ``(time, key)`` executed-event stream
-    #: (``digest=True`` runs only) — byte-identical across shard and
-    #: worker counts for one seed.
-    event_order_digest: Optional[str] = None
-    #: Per-address model stats (``collect_node_stats=True`` runs only).
-    node_stats: Optional[Dict[str, Dict[str, Any]]] = None
-    #: Numeric model stats summed over every node (always present when
-    #: node stats were collected).
-    aggregate: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_seconds if self.wall_seconds else 0.0
-
-
-def _aggregate_node_stats(node_stats: Dict[str, Dict[str, Any]]) -> Dict[str, float]:
-    """Sum every numeric per-node counter (bools count as 0/1)."""
-    totals: Dict[str, float] = {}
-    for stats in node_stats.values():
-        for key, value in stats.items():
-            if isinstance(value, (int, float)):
-                totals[key] = totals.get(key, 0) + value
-    return totals
-
-
-def _shard_worker_main(conn, spec, shard_ids, actor_class,
-                       actor_config) -> None:
-    """Body of one forked shard worker (the DoubleX-style pool unit of
-    work: build your partition once, then serve barrier rounds over
-    the pipe until told to finish)."""
-    from repro.net.shards import ShardRuntime
-
-    try:
-        runtimes = {shard_id: ShardRuntime(shard_id, spec, actor_class,
-                                           actor_config)
-                    for shard_id in shard_ids}
-        while True:
-            command = conn.recv()
-            if command[0] == "advance":
-                _, t_end, inbox = command
-                outbox: List[tuple] = []
-                records: List[List[tuple]] = []
-                for shard_id in sorted(runtimes):
-                    runtime = runtimes[shard_id]
-                    routed = inbox.get(shard_id)
-                    if routed:
-                        runtime.inject(routed)
-                    outbox.extend(runtime.run_window(t_end))
-                    if spec.digest:
-                        records.append(runtime.take_records())
-                conn.send(("window", outbox, records))
-            elif command[0] == "finish":
-                stats = [runtimes[shard_id].stats
-                         for shard_id in sorted(runtimes)]
-                node_stats = None
-                if spec.collect_node_stats:
-                    node_stats = {}
-                    for shard_id in sorted(runtimes):
-                        node_stats.update(runtimes[shard_id].node_stats())
-                conn.send(("done", stats, node_stats))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown command {command[0]!r}")
-    except Exception:  # surface the real traceback in the parent
-        import traceback
-
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-class ShardedSimulator:
-    """Space-partitioned discrete-event kernel over worker processes.
-
-    Nodes (:class:`repro.net.shards.ShardActor` subclasses) are
-    assigned to ``shards`` partitions by
-    :func:`repro.net.shards.shard_of`; each shard runs its own event
-    heap. Shards synchronise with a conservative **time-barrier
-    protocol**: simulated time advances in windows of
-    ``spec.barrier_window`` seconds, every message delay is at least
-    the ``lookahead`` (== the widest allowed window), and cross-shard
-    messages produced inside a window are routed to their destination
-    shard at the window edge — provably before their arrival instant
-    can execute. Within a window each shard executes its events in
-    ``(time, key)`` order, where the key is a pure function of the
-    causing actor's history; the merged stream is therefore
-    byte-identical for any shard count and any worker count (the
-    ``event_order_digest`` of a ``digest=True`` run pins exactly
-    that, and ``benchmarks/check_shard_determinism.py`` gates on it).
-
-    ``workers=1`` runs every shard in-process; ``workers>1`` forks
-    persistent worker processes (round-robin shard ownership), each
-    serving barrier rounds over a pipe. Requires the ``fork`` start
-    method (POSIX); the in-process path is the portable fallback.
-    """
-
-    def __init__(self, actor_class, actor_config: Optional[dict] = None, *,
-                 num_nodes: int, shards: int = 1, workers: int = 1,
-                 seed: int = 0, lookahead: float = 0.05,
-                 window: Optional[float] = None,
-                 latency_jitter: float = 0.05, digest: bool = False,
-                 collect_node_stats: bool = False) -> None:
-        from repro.net.shards import ShardSpec
-
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if workers > shards:
-            raise ValueError(
-                f"workers ({workers}) cannot exceed shards ({shards}): "
-                "a worker without a shard would idle forever")
-        self.actor_class = actor_class
-        self.actor_config = dict(actor_config or {})
-        self.spec = ShardSpec(
-            num_nodes=num_nodes, num_shards=shards, seed=seed,
-            lookahead=lookahead, window=window,
-            latency_jitter=latency_jitter, digest=digest,
-            collect_node_stats=collect_node_stats)
-        self.workers = workers
-        self._ran = False
-
-    # -- driving -------------------------------------------------------
-
-    def run(self, until: float) -> ShardRunReport:
-        """Simulate the horizon ``[0, until)`` and return the report.
-
-        One-shot: a second call raises (worker processes and actor
-        state are not reusable across runs — build a fresh kernel)."""
-        if self._ran:
-            raise RuntimeError("ShardedSimulator.run is one-shot; "
-                               "build a fresh instance for a new run")
-        self._ran = True
-        if until <= 0:
-            raise ValueError("until must be > 0")
-        begin = _time.perf_counter()
-        if self.workers == 1:
-            result = self._run_inprocess(until)
-        else:
-            result = self._run_forked(until)
-        stats_list, node_stats, digest, windows = result
-        report = ShardRunReport(
-            num_nodes=self.spec.num_nodes, shards=self.spec.num_shards,
-            workers=self.workers, until=until, windows=windows,
-            events=sum(s.events for s in stats_list),
-            messages_sent=sum(s.messages_sent for s in stats_list),
-            cross_shard_messages=sum(s.cross_shard_messages
-                                     for s in stats_list),
-            timers_set=sum(s.timers_set for s in stats_list),
-            dropped_to_departed=sum(s.dropped_to_departed
-                                    for s in stats_list),
-            departed=sum(s.departed for s in stats_list),
-            wall_seconds=_time.perf_counter() - begin,
-            event_order_digest=digest,
-            node_stats=node_stats,
-            aggregate=(_aggregate_node_stats(node_stats)
-                       if node_stats is not None else {}))
-        return report
-
-    def _boundaries(self, until: float) -> List[float]:
-        """The barrier instants: ``k * window`` clipped to *until*.
-
-        Computed once, by multiplication (never by accumulating
-        additions, whose rounding would depend on the loop count) —
-        the exact same floats drive the in-process and forked paths.
-        """
-        window = self.spec.barrier_window
-        edges: List[float] = []
-        k = 1
-        while True:
-            edge = k * window
-            if edge >= until:
-                edges.append(until)
-                return edges
-            edges.append(edge)
-            k += 1
-
-    @staticmethod
-    def _route(outbox, num_shards: int) -> Dict[int, List[tuple]]:
-        """Group one window's cross-shard events by destination shard.
-
-        Events are routed in deterministic order: sorted by ``(time,
-        key)``, so a destination heap receives identical push sequences
-        regardless of which worker produced each event."""
-        outbox.sort(key=lambda event: (event[1], event[2]))
-        routed: Dict[int, List[tuple]] = {}
-        for event in outbox:
-            routed.setdefault(event[0], []).append(event)
-        return routed
-
-    def _run_inprocess(self, until: float):
-        from repro.net.shards import ShardRuntime
-
-        spec = self.spec
-        runtimes = {shard_id: ShardRuntime(shard_id, spec,
-                                           self.actor_class,
-                                           self.actor_config)
-                    for shard_id in range(spec.num_shards)}
-        hasher = hashlib.sha256() if spec.digest else None
-        boundaries = self._boundaries(until)
-        inbox: Dict[int, List[tuple]] = {}
-        for t_end in boundaries:
-            outbox: List[tuple] = []
-            records: List[List[tuple]] = []
-            for shard_id in sorted(runtimes):
-                runtime = runtimes[shard_id]
-                routed = inbox.get(shard_id)
-                if routed:
-                    runtime.inject(routed)
-                outbox.extend(runtime.run_window(t_end))
-                if spec.digest:
-                    records.append(runtime.take_records())
-            if hasher is not None:
-                for record in heapq.merge(*records):
-                    hasher.update(repr(record).encode("ascii"))
-            inbox = self._route(outbox, spec.num_shards)
-        stats_list = [runtimes[shard_id].stats
-                      for shard_id in sorted(runtimes)]
-        node_stats = None
-        if spec.collect_node_stats:
-            node_stats = {}
-            for shard_id in sorted(runtimes):
-                node_stats.update(runtimes[shard_id].node_stats())
-        digest = hasher.hexdigest() if hasher is not None else None
-        return stats_list, node_stats, digest, len(boundaries)
-
-    def _run_forked(self, until: float):
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as error:  # pragma: no cover - non-POSIX
-            raise RuntimeError(
-                "ShardedSimulator workers>1 needs the 'fork' start "
-                "method; run with workers=1 on this platform") from error
-        spec = self.spec
-        #: worker index -> the shards it owns (round-robin, so a curve
-        #: over worker counts re-balances without moving the partition)
-        ownership = {worker: [shard for shard in range(spec.num_shards)
-                              if shard % self.workers == worker]
-                     for worker in range(self.workers)}
-        pipes = []
-        processes = []
-        for worker in range(self.workers):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_shard_worker_main,
-                args=(child_conn, spec, ownership[worker],
-                      self.actor_class, self.actor_config),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            processes.append(process)
-        try:
-            hasher = hashlib.sha256() if spec.digest else None
-            boundaries = self._boundaries(until)
-            inbox: Dict[int, List[tuple]] = {}
-            for t_end in boundaries:
-                for worker, conn in enumerate(pipes):
-                    try:
-                        conn.send(("advance", t_end,
-                                   {shard: inbox[shard]
-                                    for shard in ownership[worker]
-                                    if shard in inbox}))
-                    except BrokenPipeError:
-                        # The worker died (its buffered "error" reply,
-                        # if any, is still readable below).
-                        pass
-                outbox: List[tuple] = []
-                records: List[List[tuple]] = []
-                for conn in pipes:
-                    reply = conn.recv()
-                    if reply[0] == "error":
-                        raise RuntimeError(
-                            f"shard worker failed:\n{reply[1]}")
-                    outbox.extend(reply[1])
-                    records.extend(reply[2])
-                if hasher is not None:
-                    for record in heapq.merge(*records):
-                        hasher.update(repr(record).encode("ascii"))
-                inbox = self._route(outbox, spec.num_shards)
-            stats_list = []
-            node_stats = {} if spec.collect_node_stats else None
-            for conn in pipes:
-                conn.send(("finish",))
-                reply = conn.recv()
-                if reply[0] == "error":
-                    raise RuntimeError(f"shard worker failed:\n{reply[1]}")
-                stats_list.extend(reply[1])
-                if node_stats is not None and reply[2] is not None:
-                    node_stats.update(reply[2])
-            digest = hasher.hexdigest() if hasher is not None else None
-            return stats_list, node_stats, digest, len(boundaries)
-        finally:
-            for conn in pipes:
-                conn.close()
-            for process in processes:
-                process.join(timeout=10.0)
-                if process.is_alive():  # pragma: no cover - hard hang
-                    process.terminate()
-

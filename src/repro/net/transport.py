@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.shards import shard_of
 from repro.net.simulator import EventHandle, Simulator
 from repro.obs import OBS
 
@@ -59,11 +58,6 @@ class LinkStats:
     messages: int = 0
     bytes: int = 0
     dropped: int = 0
-    #: Messages whose endpoints live on different simulation shards
-    #: (``Network(num_shards=...)``): the traffic that would cross a
-    #: barrier under the sharded kernel. The cross-shard fraction is
-    #: what sizes the barrier windows — see docs/performance.md.
-    cross_shard: int = 0
 
 
 class Network:
@@ -84,28 +78,14 @@ class Network:
         slower to ship).
     loss_probability:
         Uniform per-message drop probability (Byzantine/lossy links).
-    num_shards:
-        Space-partition granularity for shard-aware routing
-        accounting: with ``num_shards > 1`` every message is
-        classified local/cross-shard via :func:`repro.net.shards
-        .shard_of` (``stats.cross_shard``, plus the
-        ``cyclosa_net_cross_shard_total`` counter when observability
-        is on). Delivery itself is unchanged — this measures, on the
-        real single-heap deployment, how much traffic a
-        :class:`~repro.net.simulator.ShardedSimulator` partition of
-        the same node space would push through the barriers.
     """
 
     def __init__(self, simulator: Simulator, rng,
                  default_latency: Optional[LatencyModel] = None,
                  bandwidth_bytes_per_s: Optional[float] = None,
-                 loss_probability: float = 0.0,
-                 num_shards: int = 1) -> None:
+                 loss_probability: float = 0.0) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise NetworkError("loss_probability must be in [0, 1)")
-        if num_shards < 1:
-            raise NetworkError("num_shards must be >= 1")
-        self.num_shards = num_shards
         self.simulator = simulator
         self.rng = rng
         self.default_latency = default_latency or ConstantLatency(0.02)
@@ -143,14 +123,6 @@ class Network:
 
     def addresses(self):
         return list(self._nodes)
-
-    def shard_assignment(self) -> Dict[str, int]:
-        """Every registered address's shard under ``num_shards``
-        (all zeros on unsharded networks) — the partition a
-        :class:`~repro.net.simulator.ShardedSimulator` run of this
-        node space would use."""
-        return {address: shard_of(address, self.num_shards)
-                for address in self._nodes}
 
     def set_link_latency(self, src: str, dst: str, model: LatencyModel,
                          symmetric: bool = True) -> None:
@@ -196,22 +168,12 @@ class Network:
             payload=payload, size_bytes=size, sent_at=self.simulator.now)
         self.stats.messages += 1
         self.stats.bytes += size
-        crossing = (self.num_shards > 1
-                    and shard_of(src, self.num_shards)
-                    != shard_of(dst, self.num_shards))
-        if crossing:
-            self.stats.cross_shard += 1
         if OBS.enabled:
             registry = OBS.registry
             registry.counter("cyclosa_net_messages_total",
                              "messages offered to the network").inc()
             registry.counter("cyclosa_net_bytes_total",
                              "payload bytes offered to the network").inc(size)
-            if crossing:
-                registry.counter(
-                    "cyclosa_net_cross_shard_total",
-                    "messages whose endpoints live on different "
-                    "simulation shards").inc()
         if self.loss_probability and self.rng.random() < self.loss_probability:
             self.stats.dropped += 1
             if OBS.enabled:

@@ -12,10 +12,9 @@ guards:
   inverted index both speeds scoring up and changes no score.
 - **simulator events/sec** — the discrete-event loop on a synthetic
   self-rescheduling workload with a cancellation component.
-- **sharded-kernel events/sec** — the space-partitioned
-  :class:`~repro.net.simulator.ShardedSimulator` on the churn+chaos
-  workload: a nodes-vs-events/sec curve and a worker-count curve
-  (see ``docs/performance.md``).
+- **scale events/sec** — the churn+chaos overlay of
+  :mod:`repro.experiments.shard_scale` (5k nodes by default) on the
+  same event loop (see ``docs/performance.md``).
 - **protected searches/sec** — end-to-end wall-clock throughput of
   ``CyclosaUser.search`` on a demo overlay, plus the per-stage
   *simulated* latency breakdown from one traced search
@@ -28,6 +27,7 @@ wall clock itself. Keep workload parameters in the JSON (under
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import random
@@ -52,8 +52,7 @@ THROUGHPUT_KEYS = (
     ("monitor", "disabled_events_per_sec"),
     ("lint", "files_per_sec_jobs1"),
     ("lint", "files_per_sec_pool"),
-    ("shard_scaling", "events_per_sec_workers1"),
-    ("shard_scaling", "best_events_per_sec"),
+    ("scale", "events_per_sec"),
 )
 
 #: Default workload parameters (overridable via CLI flags / kwargs).
@@ -72,10 +71,8 @@ DEFAULT_PARAMS: Dict[str, Any] = {
     "replica_counts": [2, 4],
     "monitor_windows": 400,
     "lint_jobs": 2,
-    "shard_nodes": [1000, 2500, 5000],
-    "shard_workers": [1, 2, 4, 8],
-    "shard_count": 8,
-    "shard_duration": 5.0,
+    "scale_nodes": 5000,
+    "scale_duration": 5.0,
     "profile_nodes": 8,
     "profile_searches": 6,
     "profile_sample_interval": 256,
@@ -309,11 +306,14 @@ def bench_engine_scaling(engine_queries: int = 400, engine_unique: int = 24,
     over a corpus large enough that ranking dominates. The *baseline*
     is one replica with no cache and no batching; each *scaled*
     configuration runs sharded replicas with the response/partial
-    caches and a batch window on. Each configuration is sampled
-    best-of-``min(repeats, 3)`` (the indexes are built once and
-    shared; only nodes, caches and the transport are fresh per pass).
-    The report also pins ``sharded_identical``: every scaled
-    configuration's result pages byte-equal the baseline's.
+    caches and a batch window on; its ``searches_per_sec_cache_off``
+    reruns the same replicas and batch window with both caches off, so
+    the speedup splits into what sharding and what caching bought.
+    Each configuration is sampled best-of-``min(repeats, 3)`` (the
+    indexes are built once and shared; only nodes, caches and the
+    transport are fresh per pass). The report also pins
+    ``sharded_identical``: every scaled configuration's result pages
+    byte-equal the baseline's.
     """
     from repro.net.latency import LogNormalLatency
     from repro.net.simulator import Simulator
@@ -413,10 +413,13 @@ def bench_engine_scaling(engine_queries: int = 400, engine_unique: int = 24,
     identical = True
     for replicas in replica_counts:
         row = best_of(replicas, cached=True, batch_window=0.2)
-        identical = identical and row["pages"] == baseline["pages"]
+        cache_off = best_of(replicas, cached=False, batch_window=0.2)
+        identical = (identical and row["pages"] == baseline["pages"]
+                     and cache_off["pages"] == baseline["pages"])
         scaled_rows.append({
             "replicas": replicas,
             "searches_per_sec": row["searches_per_sec"],
+            "searches_per_sec_cache_off": cache_off["searches_per_sec"],
             "cache_hit_rate": row["cache_hit_rate"],
         })
     best = max(scaled_rows, key=lambda row: row["searches_per_sec"])
@@ -434,74 +437,23 @@ def bench_engine_scaling(engine_queries: int = 400, engine_unique: int = 24,
     }
 
 
-# -- 4b. the sharded kernel under scale-out ------------------------------
+# -- 4b. the churn+chaos overlay at scale --------------------------------
 
 
-def bench_shard_scaling(shard_nodes=(1000, 2500, 5000),
-                        shard_workers=(1, 2, 4, 8), shard_count: int = 8,
-                        shard_duration: float = 5.0, seed: int = 0,
-                        **_ignored: Any) -> Dict[str, Any]:
-    """Events/sec of the space-partitioned kernel as the node space and
-    the worker pool grow.
-
-    Two curves over the churn+chaos workload of
-    :mod:`repro.experiments.shard_scale`:
-
-    - **node curve** — overlay size vs events/sec at ``workers=1``
-      (the in-process path), showing the kernel holds its throughput
-      as the node space grows past what one heap tracks comfortably.
-    - **worker curve** — at the largest overlay, events/sec as shards
-      spread over forked workers. The report pins ``cpu_count``:
-      speedup is bounded by the cores actually available, so on a
-      single-core box the extra workers only measure barrier/IPC
-      overhead — exactly the number that should not creep up.
-
-    Byte-identity across the layouts is *not* re-proved here (digest
-    off — hashing every event would measure the hash); that is the
-    ``shard`` test suite's and ``benchmarks/check_shard_determinism``'s
-    job. Only wall clocks differ between layouts.
-    """
-    import os
-
+def bench_scale(scale_nodes: int = 5000, scale_duration: float = 5.0,
+                seed: int = 0, **_ignored: Any) -> Dict[str, Any]:
+    """Events/sec of the event loop driving the churn+chaos overlay of
+    :mod:`repro.experiments.shard_scale` — thousands of nodes, far
+    more than the search benches build."""
     from repro.experiments import shard_scale
 
-    def one(num_nodes: int, workers: int) -> Dict[str, Any]:
-        report = shard_scale.run(
-            num_nodes=num_nodes, shards=shard_count, workers=workers,
-            duration=shard_duration, seed=seed)
-        return {
-            "num_nodes": num_nodes,
-            "workers": workers,
-            "events": report["events"],
-            "cross_shard_fraction":
-                round(report["cross_shard_fraction"], 4),
-            "events_per_sec": report["events_per_sec"],
-        }
-
-    node_curve = [one(num_nodes, 1) for num_nodes in shard_nodes]
-    largest = max(shard_nodes)
-    worker_curve = []
-    for workers in shard_workers:
-        if workers > shard_count:
-            continue
-        if workers == 1:
-            row = dict(node_curve[-1])
-        else:
-            row = one(largest, workers)
-        base = node_curve[-1]["events_per_sec"]
-        row["speedup"] = row["events_per_sec"] / base if base else 0.0
-        worker_curve.append(row)
-    best = max(worker_curve, key=lambda row: row["events_per_sec"])
+    report = shard_scale.run(num_nodes=scale_nodes, duration=scale_duration,
+                             seed=seed)
     return {
-        "shards": shard_count,
-        "duration": shard_duration,
-        "cpu_count": os.cpu_count() or 1,
-        "node_curve": node_curve,
-        "worker_curve": worker_curve,
-        "events_per_sec_workers1": node_curve[-1]["events_per_sec"],
-        "best_workers": best["workers"],
-        "best_events_per_sec": best["events_per_sec"],
-        "best_speedup": best["speedup"],
+        "num_nodes": scale_nodes,
+        "duration": scale_duration,
+        "events": report["events"],
+        "events_per_sec": report["events_per_sec"],
     }
 
 
@@ -674,11 +626,22 @@ BENCH_SECTIONS = {
     "simulator": bench_simulator,
     "search": bench_search,
     "engine_scaling": bench_engine_scaling,
-    "shard_scaling": bench_shard_scaling,
+    "scale": bench_scale,
     "monitor": bench_monitor,
     "lint": bench_lint,
     "profile": bench_profile,
 }
+
+
+def resolve_params(**overrides: Any) -> Dict[str, Any]:
+    """:data:`DEFAULT_PARAMS` patched by the non-``None`` *overrides*;
+    an unknown name raises ``TypeError``."""
+    params = dict(DEFAULT_PARAMS)
+    unknown = set(overrides) - set(params)
+    if unknown:
+        raise TypeError(f"unknown perf parameters: {sorted(unknown)}")
+    params.update({k: v for k, v in overrides.items() if v is not None})
+    return params
 
 
 def run_all(only: Optional[List[str]] = None, profile: bool = False,
@@ -691,11 +654,7 @@ def run_all(only: Optional[List[str]] = None, profile: bool = False,
     The ``profile`` section only runs when asked for — ``profile=True``
     (the ``--profile`` flag) or an explicit ``--only profile``.
     """
-    params = dict(DEFAULT_PARAMS)
-    unknown = set(overrides) - set(params)
-    if unknown:
-        raise TypeError(f"unknown perf parameters: {sorted(unknown)}")
-    params.update({k: v for k, v in overrides.items() if v is not None})
+    params = resolve_params(**overrides)
     sections = list(BENCH_SECTIONS)
     if only is not None:
         bad = [name for name in only if name not in BENCH_SECTIONS]
@@ -711,8 +670,6 @@ def run_all(only: Optional[List[str]] = None, profile: bool = False,
         sections = [name for name in sections if name in wanted]
     elif not profile:
         sections = [name for name in sections if name != "profile"]
-    from repro.text.cache import cache_stats
-
     results: Dict[str, Any] = {
         "meta": {
             "schema": 1,
@@ -723,8 +680,10 @@ def run_all(only: Optional[List[str]] = None, profile: bool = False,
         },
     }
     for name in sections:
+        # Collect the previous section's cyclic garbage (the engine
+        # corpus leaves ~0.4 s of it) now, not inside the next timing.
+        gc.collect()
         results[name] = BENCH_SECTIONS[name](**params)
-    results["text_caches"] = cache_stats()
     return results
 
 
@@ -737,6 +696,31 @@ def write_baseline(results: Dict[str, Any], path: str) -> None:
 def load_baseline(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def merge_params(existing: Dict[str, Any],
+                 params: Dict[str, Any]) -> Dict[str, Any]:
+    """The workload params of *existing* plus *params*. A param both
+    hold with different values raises ``ValueError`` naming it: the
+    sections of one baseline must share one workload."""
+    old = existing.get("meta", {}).get("params", {})
+    for key in sorted(set(old) & set(params)):
+        if old[key] != params[key]:
+            raise ValueError(
+                f"param {key!r} is {params[key]!r} but the existing "
+                f"baseline recorded {old[key]!r}")
+    return {**old, **params}
+
+
+def merge_baseline(existing: Dict[str, Any],
+                   results: Dict[str, Any]) -> Dict[str, Any]:
+    """*results* written over *existing*: measured sections replace
+    theirs, skipped sections stay, params merge (see
+    :func:`merge_params`)."""
+    params = merge_params(existing, results["meta"]["params"])
+    merged = {**existing, **results}
+    merged["meta"] = {**results["meta"], "params": params}
+    return merged
 
 
 def format_report(results: Dict[str, Any]) -> str:
@@ -807,34 +791,24 @@ def format_report(results: Dict[str, Any]) -> str:
             "(1 replica, no cache/batch)",
         ]
         for row in scaling["scaled"]:
-            hit = row["cache_hit_rate"]
-            hit_text = f"{hit * 100:.0f}% cache hits" if hit is not None \
-                else "no cache"
             lines.append(
                 f"  {row['replicas']} replica(s) searches/sec : "
-                f"{row['searches_per_sec']:>12.1f}  ({hit_text})")
+                f"{row['searches_per_sec']:>12.1f}  "
+                f"({row['cache_hit_rate'] * 100:.0f}% cache hits; "
+                f"{row['searches_per_sec_cache_off']:.1f} caches off)")
         lines.append(
             f"  best speedup              : "
             f"{scaling['speedup']:>11.1f}x  "
             f"(sharded identical: {scaling['sharded_identical']})")
-    sharding = results.get("shard_scaling")
-    if sharding is not None:
+    scale = results.get("scale")
+    if scale is not None:
         lines += [
             "",
-            f"sharded kernel ({sharding['shards']} shards, "
-            f"{sharding['duration']}s simulated, "
-            f"{sharding['cpu_count']} cpu core(s))",
+            f"churn+chaos overlay ({scale['num_nodes']} nodes, "
+            f"{scale['duration']}s simulated, {scale['events']} events)",
+            f"  events/sec                : "
+            f"{scale['events_per_sec']:>12.0f}",
         ]
-        for row in sharding["node_curve"]:
-            lines.append(
-                f"  {row['num_nodes']:>6} nodes events/sec    : "
-                f"{row['events_per_sec']:>12.0f}  "
-                f"({row['cross_shard_fraction'] * 100:.0f}% cross-shard)")
-        for row in sharding["worker_curve"]:
-            lines.append(
-                f"  {row['workers']:>2} worker(s) events/sec   : "
-                f"{row['events_per_sec']:>12.0f}  "
-                f"({row['speedup']:.2f}x vs workers=1)")
     if mon is not None:
         lines += [
             "",

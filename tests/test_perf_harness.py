@@ -20,8 +20,7 @@ TINY = dict(history_size=120, probes=10, linear_probes=4,
             num_events=1500, chains=8, num_nodes=4, searches=2,
             engine_queries=10, engine_unique=3, engine_docs_per_topic=6,
             replica_counts=[2], monitor_windows=40,
-            shard_nodes=[30, 60], shard_workers=[1, 2], shard_count=4,
-            shard_duration=1.5, seed=0, repeats=1)
+            scale_nodes=40, scale_duration=1.5, seed=0, repeats=1)
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +32,10 @@ class TestRunAll:
     def test_sections_and_meta(self, tiny_results):
         assert set(tiny_results) >= {"meta", "sensitivity", "simulator",
                                      "search", "engine_scaling",
-                                     "shard_scaling", "monitor",
-                                     "text_caches"}
+                                     "scale", "monitor"}
+        # A process-wide cache snapshot is no measurement of any one
+        # section, so no section of that kind is written.
+        assert "text_caches" not in tiny_results
         meta = tiny_results["meta"]
         assert meta["schema"] == 1
         assert meta["params"]["history_size"] == 120
@@ -71,32 +72,20 @@ class TestRunAll:
             perf.workload_queries(30, seed=5)
         assert len(perf.workload_queries(30, seed=5)) == 30
 
-    def test_shard_scaling_section_shape(self, tiny_results):
-        sharding = tiny_results["shard_scaling"]
-        assert sharding["shards"] == 4
-        assert sharding["cpu_count"] >= 1
-        assert [row["num_nodes"] for row in sharding["node_curve"]] \
-            == [30, 60]
-        assert [row["workers"] for row in sharding["worker_curve"]] \
-            == [1, 2]
-        # The worker curve reuses the largest node point at workers=1.
-        assert sharding["worker_curve"][0]["num_nodes"] == 60
-        assert sharding["worker_curve"][0]["speedup"] == 1.0
-        assert sharding["events_per_sec_workers1"] > 0
-        assert sharding["best_events_per_sec"] > 0
-        assert sharding["best_workers"] in (1, 2)
-
-    def test_shard_scaling_worker_counts_capped_at_shards(self):
-        section = perf.bench_shard_scaling(
-            shard_nodes=[20], shard_workers=[1, 2, 16], shard_count=2,
-            shard_duration=1.0)
-        assert [row["workers"] for row in section["worker_curve"]] \
-            == [1, 2]
+    def test_scale_section_shape(self, tiny_results):
+        scale = tiny_results["scale"]
+        assert set(scale) == {"num_nodes", "duration", "events",
+                              "events_per_sec"}
+        assert scale["num_nodes"] == 40
+        assert scale["duration"] == 1.5
+        assert scale["events"] > 0
+        assert scale["events_per_sec"] > 0
 
     def test_engine_scaling_section_shape(self, tiny_results):
         scaling = tiny_results["engine_scaling"]
         assert scaling["sharded_identical"] is True
         assert [row["replicas"] for row in scaling["scaled"]] == [2]
+        assert scaling["scaled"][0]["searches_per_sec_cache_off"] > 0
         assert scaling["best_replicas"] == 2
         assert scaling["baseline_searches_per_sec"] > 0
         assert scaling["best_searches_per_sec"] > 0
@@ -109,7 +98,7 @@ class TestOnly:
         assert "simulator" in results
         assert "search" not in results
         assert "engine_scaling" not in results
-        assert "meta" in results and "text_caches" in results
+        assert "meta" in results
 
     def test_only_preserves_section_order(self):
         results = perf.run_all(only=["simulator", "sensitivity"], **TINY)
@@ -238,8 +227,7 @@ class TestCheckRegression:
 TINY_FLAGS = ["--history", "100", "--probes", "6", "--events", "1000",
               "--nodes", "4", "--searches", "2", "--monitor-windows", "40",
               "--engine-queries", "8", "--engine-docs-per-topic", "6",
-              "--shard-nodes", "30", "60", "--shard-workers", "1", "2",
-              "--shard-count", "4", "--shard-duration", "1.5"]
+              "--scale-nodes", "40", "--scale-duration", "1.5"]
 
 
 class TestCli:
@@ -273,6 +261,30 @@ class TestCli:
         # section from the committed baseline.
         assert set(merged) == set(full)
         assert merged["search"] == full["search"]
+
+    def test_perf_full_run_keeps_sections_it_skips(self, tmp_path,
+                                                   capsys):
+        # A default run skips `profile`; writing it must not drop the
+        # profile section (or the params) an existing file holds.
+        out = tmp_path / "bench.json"
+        profile = {"scenario": "search", "samples": 344}
+        out.write_text(json.dumps({"meta": {"params": {"legacy": 1}},
+                                   "profile": profile}))
+        assert cli_main(["perf", *TINY_FLAGS, "--output", str(out)]) == 0
+        written = perf.load_baseline(str(out))
+        assert written["profile"] == profile
+        assert written["meta"]["params"]["legacy"] == 1
+        assert written["meta"]["params"]["history_size"] == 100
+        assert "simulator" in written
+
+    def test_perf_param_conflict_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        original = json.dumps({"meta": {"params": {"history_size": 999}}})
+        out.write_text(original)
+        code = cli_main(["perf", *TINY_FLAGS, "--output", str(out)])
+        assert code == 2
+        assert "history_size" in capsys.readouterr().err
+        assert out.read_text() == original
 
     def test_perf_only_accepts_comma_separated_sections(self, tmp_path,
                                                         capsys):
