@@ -1,9 +1,8 @@
 """Static-analysis gate: the trust-boundary linter must stay clean.
 
-Runs :mod:`repro.lint` — taint, enclave-boundary, determinism and
-layering checkers plus the whole-program PDG pass
-(``taint-interprocedural`` / ``taint-field-flow``) — over
-``src/repro`` and fails on any finding that is not recorded (with a
+Runs :mod:`repro.lint` — the whole-program PDG taint analysis plus
+the span-key, enclave-boundary, determinism and layering checkers —
+over ``src/repro`` and fails on any finding that is not recorded (with a
 reviewed justification) in the repo-root ``lint-baseline.txt``.
 
 This is the static sibling of ``check_obs_leak.py``: that gate proves
@@ -13,8 +12,9 @@ wire payload, log line, exception message or span attribute outside
 the sanctioned enclave scope — and that the simulation stays
 deterministic and the layering DAG acyclic.
 
-Exit code 0 on a clean run, 1 on any non-baselined finding — wire it
-into CI next to ``check_regression.py``::
+Exit code 0 on a clean run, 1 on any non-baselined finding, 2 when
+the root is not a directory — wire it into CI next to
+``check_regression.py``::
 
     PYTHONPATH=src python -m benchmarks.check_lint
     PYTHONPATH=src python -m benchmarks.check_lint --root /tmp/tree --no-baseline
@@ -40,16 +40,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "next to this repo's benchmarks/)")
     parser.add_argument("--no-baseline", action="store_true",
                         help="ignore the baseline; fail on every finding")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for per-file analysis "
-                             "(findings are identical for any N)")
     args = parser.parse_args(argv)
 
     from repro.lint import (default_root, format_text, load_baseline,
                             run_lint)
 
     root = Path(args.root).resolve() if args.root else default_root()
-    findings = run_lint(root=root, jobs=args.jobs)
+    if not root.is_dir():
+        print(f"check_lint: root is not a directory: {root}",
+              file=sys.stderr)
+        return 2
+    findings = run_lint(root=root)
 
     grandfathered = []
     if not args.no_baseline:

@@ -10,9 +10,11 @@ code 1) when any throughput metric fell more than ``--tolerance``
     PYTHONPATH=src python -m benchmarks.check_regression --update
 
 ``--update`` merges the fresh run into the baseline instead of
-comparing (sections the run skips, such as ``profile``, stay) — use it
-after an intentional perf change (and commit the new numbers with the
-PR that earned them).
+comparing (sections the run skips, such as ``profile``, stay; params
+the harness no longer defines go) — use it after an intentional perf
+change (and commit the new numbers with the PR that earned them). A
+baseline recording such a retired param makes a comparing run exit 2
+naming it.
 
 Baselines are machine-relative: comparing a laptop run against a CI
 baseline measures the machines, not the code. Regenerate with
@@ -60,6 +62,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         baseline = perf.load_baseline(args.baseline)
 
     params = dict(baseline["meta"]["params"]) if baseline else {}
+    retired = sorted(set(params) - set(perf.DEFAULT_PARAMS))
+    if retired and not args.update:
+        print(f"{args.baseline} records perf parameter(s) this harness "
+              f"no longer defines: {', '.join(retired)} (--update drops "
+              "them)", file=sys.stderr)
+        return 2
+    for key in retired:
+        del params[key]
     fresh = perf.run_all(**params)
 
     if args.update or baseline is None:

@@ -19,9 +19,8 @@ Commands:
   flamegraph files and a chrome-trace view with the sample track
   merged in (see docs/observability.md).
 - ``lint [paths...]``           — run the trust-boundary / taint /
-  determinism / layering analyzer over ``src/``, incl. the
-  whole-program PDG taint pass (``--jobs N`` parallelises per-file
-  analysis; see ``docs/static-analysis.md``).
+  determinism / layering analyzer over ``src/``; taint is one
+  whole-program PDG pass (see ``docs/static-analysis.md``).
 - ``chaos``                     — run the seeded fault-matrix sweep
   over the protected-search pipeline and report success rate /
   retries / latency per cell (see ``docs/robustness.md``).
@@ -387,8 +386,21 @@ def _cmd_lint(args) -> int:
     from repro.lint.baseline import DEFAULT_BASELINE_NAME
 
     root = Path(args.root).resolve() if args.root else default_root()
+    if not root.is_dir():
+        print(f"repro lint: root is not a directory: {root}",
+              file=sys.stderr)
+        return 2
     paths = [Path(p) for p in args.paths] or None
-    findings = run_lint(root=root, paths=paths, jobs=args.jobs)
+    for path in paths or ():
+        if not path.exists():
+            print(f"repro lint: no such file or directory: {path}",
+                  file=sys.stderr)
+            return 2
+        if not path.resolve().is_relative_to(root):
+            print(f"repro lint: {path} is outside the analysis root "
+                  f"{root}", file=sys.stderr)
+            return 2
+    findings = run_lint(root=root, paths=paths)
 
     if args.write_baseline:
         target = Path(args.baseline or DEFAULT_BASELINE_NAME)
@@ -696,10 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--root", default=None,
         help="source root to lint instead of the installed src/ tree")
-    lint_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-file analysis out over N worker processes "
-             "(findings are byte-identical for any N)")
 
     chaos_parser = subparsers.add_parser(
         "chaos", help="run the seeded fault-matrix sweep over the "

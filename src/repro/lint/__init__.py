@@ -4,16 +4,29 @@ PR 3 added a *dynamic* privacy audit (:mod:`repro.obs.audit`): wiretap
 a live deployment, scan what the adversary sees. Dynamic checks only
 cover executed paths; this package is the static complement, in the
 spirit of DoubleX's data-flow analysis for browser-extension privacy
-(Fass et al., CCS 2021). Four checkers run over the AST of every
-module under ``src/repro`` — no imports, no execution, no
-dependencies beyond the standard library:
+(Fass et al., CCS 2021). Everything runs over the AST of every module
+under ``src/repro`` — no imports, no execution, no dependencies beyond
+the standard library.
 
-- :mod:`repro.lint.taint` — query-text source→sink flow tracking.
-  Sources are query-text bindings (``.text``/``.query`` attribute
-  reads, ``query``-named parameters); sinks are the shared registry
-  :mod:`repro.obs.sinks` (wire egress, print/logging, exception
-  messages, span/metric attributes). Enclave-trusted scope and
-  adversary-model packages are sanctioned.
+One taint analysis tracks query text from source to sink across the
+whole program: a program-dependence graph per module
+(:mod:`repro.lint.pdg`), linked through the import table
+(:mod:`repro.lint.linking`) and walked by one path query
+(:mod:`repro.lint.paths`). Sources are query-text bindings
+(``.text``/``.query`` attribute reads, ``query``-named parameters);
+sinks are the shared registry :mod:`repro.obs.sinks` (wire egress,
+print/logging, exception messages, span/metric attributes);
+enclave-trusted scope and adversary-model packages are sanctioned
+(the tables live in :mod:`repro.lint.taint`). A direct flow reports
+under its sink's rule (``taint-wire``, ``taint-print``, ``taint-log``,
+``taint-exception``, ``taint-telemetry``); a flow through calls or
+object fields reports as ``taint-interprocedural`` or
+``taint-field-flow`` with a full source→sink witness path.
+
+Four per-module checkers run next to it:
+
+- :mod:`repro.lint.taint` — ``span-forbidden-key``: literal span and
+  metric attribute keys the telemetry audit forbids.
 - :mod:`repro.lint.enclave` — the ecall/ocall discipline of
   :mod:`repro.sgx`: enclave-private state (``self.trusted``) only
   inside ``@ecall`` gates, no imports of enclave-internal symbols, no
@@ -25,15 +38,6 @@ dependencies beyond the standard library:
 - :mod:`repro.lint.layering` — the import DAG (protected packages
   never import ``cli``/``experiments``/``baselines``/``perf``; the
   observability subsystem is only reachable through its facade).
-
-On top of the per-module checkers, a *whole-program* pass builds a
-program-dependence graph per file (:mod:`repro.lint.pdg`), links the
-modules through the import table (:mod:`repro.lint.linking`) and
-walks taint across function, method and module boundaries
-(:mod:`repro.lint.paths`) — rules ``taint-interprocedural`` and
-``taint-field-flow``, each carrying a full source→sink witness path.
-Per-file analysis fans out over a process pool (``repro lint
---jobs N``); findings are byte-identical for any ``N``.
 
 Run it with ``python -m repro lint`` (see ``docs/static-analysis.md``)
 or via the CI gate ``benchmarks/check_lint.py``. Grandfathered

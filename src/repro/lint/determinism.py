@@ -50,10 +50,10 @@ _WALL_CLOCK_DATE_ATTRS = frozenset({"now", "utcnow", "today"})
 _RANDOM_MODULE_OK = frozenset({"Random", "SystemRandom"})
 
 
-def _from_imports(tree: ast.Module, source: str) -> Set[str]:
+def _from_imports(module: SourceModule, source: str) -> Set[str]:
     """Local names bound by ``from <source> import ...``."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.ImportFrom) and node.module == source:
             for alias in node.names:
                 names.add(alias.asname or alias.name)
@@ -74,11 +74,11 @@ def check_determinism(module: SourceModule) -> List[Finding]:
     in_crypto = module.module.startswith(CRYPTO_PREFIX)
     in_rng_helper = module.module == CRYPTO_RNG_MODULE
 
-    time_names = _from_imports(module.tree, "time")
-    os_names = _from_imports(module.tree, "os")
-    random_names = _from_imports(module.tree, "random")
+    time_names = _from_imports(module, "time")
+    os_names = _from_imports(module, "os")
+    random_names = _from_imports(module, "random")
 
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func

@@ -110,7 +110,7 @@ def check_enclave_boundary(module: SourceModule) -> List[Finding]:
     out: List[Finding] = []
     inside_sgx = module.module.startswith("repro.sgx")
 
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         # -- internal imports ------------------------------------------
         if (not inside_sgx and isinstance(node, ast.ImportFrom)
                 and (node.module or "").startswith("repro.sgx")):

@@ -3,28 +3,26 @@
 The unit of analysis is a :class:`SourceModule`: one parsed file plus
 its dotted module name, derived from its path relative to the analysis
 *root* (the directory containing the top-level ``repro`` package —
-``<repo>/src`` for the real tree, a fixture directory in tests). Every
-checker is a pure function ``SourceModule -> Iterable[Finding]``; the
-driver parses each file exactly once and fans the tree out to all of
-them, then filters ``# lint: allow(...)`` pragma'd lines.
+``<repo>/src`` for the real tree, a fixture directory in tests).
+:func:`run_lint` parses each file exactly once and hands the tree to
+two passes, then filters ``# lint: allow(...)`` pragma'd lines:
 
-Two phases, one pool. The *per-file* phase — parse, the four
-per-module checkers, and per-module PDG construction
-(:mod:`repro.lint.pdg`) — is embarrassingly parallel and fans out
-over a ``multiprocessing`` pool when ``jobs > 1`` (the unit of work
-is one file; results come back as plain data). The *whole-program*
-phase — PDG linking (:mod:`repro.lint.linking`) and source→sink path
-queries (:mod:`repro.lint.paths`) — runs in the parent. Results are
-assembled in file order and sorted, so the findings are byte-
-identical for any ``jobs`` value.
+- the *per-module* checkers, pure functions
+  ``SourceModule -> Iterable[Finding]`` (span-key hygiene, enclave
+  boundary, determinism, layering);
+- the *whole-program* taint analysis: a program-dependence graph per
+  module (:mod:`repro.lint.pdg`), linked through the import table
+  (:mod:`repro.lint.linking`) and queried for source→sink paths
+  (:mod:`repro.lint.paths`).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.baseline import pragma_allows, scan_pragmas
 from repro.lint.findings import Finding
@@ -39,6 +37,13 @@ class SourceModule:
     module: str          # dotted module name ("repro.core.node")
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
+    error: Optional[str] = None  # why the file failed to parse
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once
+        and shared by the checkers."""
+        return list(ast.walk(self.tree))
 
     @property
     def package(self) -> str:
@@ -67,9 +72,9 @@ def collect_modules(root: Path,
                     ) -> List[SourceModule]:
     """Parse every ``*.py`` under *root* (or just *paths*).
 
-    Files that fail to parse yield a module with an empty tree; the
-    driver reports those as ``parse-error`` findings rather than
-    aborting the run.
+    Files that fail to parse yield a module with an empty tree and an
+    ``error``; :func:`run_lint` reports those as ``parse-error``
+    findings rather than aborting the run.
     """
     root = Path(root).resolve()
     if paths:
@@ -86,148 +91,57 @@ def collect_modules(root: Path,
             continue
         relpath = file.relative_to(root)
         source = file.read_text(encoding="utf-8")
+        error = None
         try:
             tree = ast.parse(source, filename=str(file))
         except SyntaxError as exc:
             tree = ast.Module(body=[], type_ignores=[])
-            modules.append(SourceModule(
-                path=file, relpath=relpath.as_posix(),
-                module=_module_name(relpath), tree=tree,
-                lines=[f"__parse_error__: {exc.msg} (line {exc.lineno})"]))
-            continue
+            error = f"{exc.msg} (line {exc.lineno})"
         modules.append(SourceModule(
             path=file, relpath=relpath.as_posix(),
             module=_module_name(relpath), tree=tree,
-            lines=source.splitlines()))
+            lines=source.splitlines(), error=error))
     return modules
 
 
-Checker = Callable[[SourceModule], Iterable[Finding]]
-
-
-def default_checkers() -> List[Checker]:
+def _checkers() -> List[Callable[[SourceModule], Iterable[Finding]]]:
     from repro.lint.determinism import check_determinism
     from repro.lint.enclave import check_enclave_boundary
     from repro.lint.layering import check_layering
-    from repro.lint.taint import check_taint
+    from repro.lint.taint import check_span_keys
 
-    return [check_taint, check_enclave_boundary, check_determinism,
+    return [check_span_keys, check_enclave_boundary, check_determinism,
             check_layering]
 
 
-#: One pool worker's result for one file: the pragma-filtered
-#: per-module findings, the pragma table (the parent re-applies it to
-#: interprocedural findings anchored in this file) and the module PDG
-#: (None for parse errors).
-_FileResult = Tuple[str, List[Finding], dict, Optional[object]]
-
-
-def _analyze_file(work: Tuple[str, str]) -> _FileResult:
-    """Pool unit of work: parse one file, run the per-module checkers,
-    build its PDG. Top-level (picklable) by design; returns only plain
-    data and Finding dataclasses."""
-    from repro.lint.pdg import build_module_pdg
-
-    root_str, file_str = work
-    modules = collect_modules(Path(root_str), paths=[Path(file_str)])
-    module = modules[0]
-    if module.lines and module.lines[0].startswith("__parse_error__"):
-        finding = Finding(
-            path=module.relpath, line=0, rule="parse-error",
-            message=module.lines[0].split(": ", 1)[1])
-        return (module.relpath, [finding], {}, None)
-    collected: List[Finding] = []
-    for checker in default_checkers():
-        collected.extend(checker(module))
-    pragmas = scan_pragmas(module.lines)
-    if pragmas:
-        collected = [finding for finding in collected
-                     if not pragma_allows(pragmas, finding)]
-    return (module.relpath, collected, pragmas, build_module_pdg(module))
-
-
-def _file_list(root: Path,
-               paths: Optional[Sequence[Path]] = None) -> List[Path]:
-    root = Path(root).resolve()
-    if paths:
-        files = []
-        for path in (Path(p).resolve() for p in paths):
-            files.extend(sorted(path.rglob("*.py"))
-                         if path.is_dir() else [path])
-        files.sort()
-    else:
-        files = sorted(root.rglob("*.py"))
-    return [file for file in files if "__pycache__" not in file.parts]
-
-
 def run_lint(root: Path,
-             paths: Optional[Sequence[Path]] = None,
-             checkers: Optional[Sequence[Checker]] = None,
-             jobs: int = 1) -> List[Finding]:
-    """Run all checkers over *root*; returns pragma-filtered findings.
-
-    The default run (no explicit *checkers*) also builds the
-    whole-program PDG and reports interprocedural and field-mediated
-    source→sink flows (``taint-interprocedural``/``taint-field-flow``)
-    with witness paths; passing *checkers* runs exactly those, with no
-    interprocedural pass (the fixture tests rely on this to pin the
-    per-function checker's blind spots). ``jobs > 1`` fans per-file
-    analysis out over a process pool; output is byte-identical for
-    any value.
+             paths: Optional[Sequence[Path]] = None) -> List[Finding]:
+    """Lint *root* (or just *paths* under it); returns the sorted,
+    pragma-filtered findings of the per-module checkers and of the
+    whole-program taint analysis.
 
     Baseline application is the caller's concern (the CLI and the CI
     gate both want to report grandfathered counts differently).
     """
-    if checkers is not None:
-        modules = collect_modules(root, paths=paths)
-        findings: List[Finding] = []
-        for module in modules:
-            if module.lines and \
-                    module.lines[0].startswith("__parse_error__"):
-                findings.append(Finding(
-                    path=module.relpath, line=0, rule="parse-error",
-                    message=module.lines[0].split(": ", 1)[1]))
-                continue
-            collected = []
-            for checker in checkers:
-                collected.extend(checker(module))
-            pragmas = scan_pragmas(module.lines)
-            if pragmas:
-                collected = [finding for finding in collected
-                             if not pragma_allows(pragmas, finding)]
-            findings.extend(collected)
-        return sorted(set(findings))
-
-    root = Path(root).resolve()
-    work = [(str(root), str(file))
-            for file in _file_list(root, paths=paths)]
-    if jobs > 1 and len(work) > 1:
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context()
-        with context.Pool(processes=jobs) as pool:
-            results = pool.map(_analyze_file, work)
-    else:
-        results = [_analyze_file(item) for item in work]
-
-    findings = []
-    pragma_tables = {}
-    pdgs = []
-    for relpath, collected, pragmas, pdg in results:
-        findings.extend(collected)
-        pragma_tables[relpath] = pragmas
-        if pdg is not None:
-            pdgs.append(pdg)
-
     from repro.lint.linking import link_program
     from repro.lint.paths import query_paths
+    from repro.lint.pdg import build_module_pdg
 
-    for finding in query_paths(link_program(pdgs)):
-        pragmas = pragma_tables.get(finding.path, {})
-        if pragmas and pragma_allows(pragmas, finding):
+    checkers = _checkers()
+    findings: List[Finding] = []
+    pragma_tables: Dict[str, Dict[int, Set[str]]] = {}
+    pdgs = []
+    for module in collect_modules(root, paths=paths):
+        if module.error is not None:
+            findings.append(Finding(path=module.relpath, line=0,
+                                    rule="parse-error",
+                                    message=module.error))
             continue
-        findings.append(finding)
-    return sorted(set(findings))
+        pragma_tables[module.relpath] = scan_pragmas(module.lines)
+        for checker in checkers:
+            findings.extend(checker(module))
+        pdgs.append(build_module_pdg(module))
+    findings.extend(query_paths(link_program(pdgs)))
+    return sorted({finding for finding in findings
+                   if not pragma_allows(pragma_tables.get(finding.path, {}),
+                                        finding)})

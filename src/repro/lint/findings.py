@@ -16,9 +16,10 @@ from typing import Iterable, List, Tuple
 
 #: rule id -> (one-line description, fix hint). The catalogue is the
 #: contract between checkers, docs and tests: every finding's ``rule``
-#: must be a key here (asserted by ``tests/lint/test_findings.py``).
+#: must be a key here, and every rule has exactly one known-bad
+#: fixture (asserted by ``tests/lint/test_fixtures.py``).
 RULES = {
-    # -- taint (repro.lint.taint) ------------------------------------
+    # -- direct taint flows (repro.lint.paths) -----------------------
     "taint-wire": (
         "query text flows into a wire egress call outside the enclave",
         "seal the payload inside an @ecall before it reaches "
@@ -37,7 +38,7 @@ RULES = {
     "taint-telemetry": (
         "query text flows into a span or metric attribute",
         "attach repro.obs.query_hash_bucket(text), never the text"),
-    # -- interprocedural taint (repro.lint.pdg / linking / paths) ----
+    # -- flows across calls or fields (repro.lint.paths) -------------
     "taint-interprocedural": (
         "query text reaches an adversary-visible sink across function "
         "or module boundaries",
@@ -49,6 +50,7 @@ RULES = {
         "object field",
         "don't park plaintext on long-lived fields; hash or seal it "
         "at the write (docs/static-analysis.md#pdg)"),
+    # -- attribute-key hygiene (repro.lint.taint) --------------------
     "span-forbidden-key": (
         "span/metric attribute uses a key the telemetry audit forbids",
         "pick a key outside repro.obs.sinks.FORBIDDEN_ATTRIBUTE_KEYS "

@@ -61,7 +61,7 @@ def check_layering(module: SourceModule) -> List[Finding]:
     source_package = module.package
     inside_obs = module.module.startswith(_OBS_FACADE)
 
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         for target in _imported_modules(node):
             target_package = _top_package(target)
 

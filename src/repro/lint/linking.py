@@ -1,6 +1,6 @@
 """Whole-program linking: per-module PDGs → one dependence graph.
 
-The parent process (or the single-process path) collects every
+:func:`~repro.lint.engine.run_lint` collects every
 :class:`~repro.lint.pdg.ModulePDG` and resolves each recorded call
 site against the program-wide symbol table:
 
@@ -19,7 +19,7 @@ labels → callee parameter nodes; ``*args``/``**kwargs`` labels
 over-approximate to *every* parameter) and a **return edge**
 (callee return node → the call-site value node). Resolution is
 deliberately partial: unresolvable calls stay sanitizer boundaries
-(the intra contract), calls into declassifiers
+(:mod:`repro.lint.taint`), calls into declassifiers
 (:data:`~repro.lint.pdg.DECLASSIFIER_FUNCS`, e.g. the salted
 ``query_hash_bucket``) and into exempt modules (the trusted enclave
 closure, adversary packages) are dropped — those are exactly the
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.lint.pdg import (DECLASSIFIER_FUNCS, CallSite, FunctionInfo,
-                            Hop, ModulePDG, Node, node_key)
+                            Hop, Labels, ModulePDG, Node, SinkInfo,
+                            node_key)
 
 #: Re-export chains longer than this are cut (cycles, pathology).
 _MAX_CHAIN = 16
@@ -45,7 +46,7 @@ class ProgramGraph:
     adjacency: Dict[Node, List[Tuple[Node, str, Hop]]] = field(
         default_factory=dict)
     sources: Dict[Node, Hop] = field(default_factory=dict)
-    sink_info: Dict[Node, Tuple[str, Hop]] = field(default_factory=dict)
+    sink_info: Dict[Node, SinkInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
 
     def add_edge(self, src: Node, dst: Node, kind: str, hop: Hop) -> None:
@@ -53,7 +54,7 @@ class ProgramGraph:
 
     def finish(self) -> "ProgramGraph":
         """Sort adjacency lists so traversal order is deterministic
-        regardless of build (or pool) order."""
+        regardless of build order."""
         for src in self.adjacency:
             self.adjacency[src] = sorted(
                 set(self.adjacency[src]),
@@ -176,7 +177,7 @@ def _link_call(graph: ProgramGraph, site: CallSite, caller: ModulePDG,
     def param_node(name: str) -> Node:
         return ("param", callee.qual, name)
 
-    def arg_edge(labels: List[Node], pname: str) -> None:
+    def arg_edge(labels: Labels, pname: str) -> None:
         hop: Hop = (caller.relpath, site.line, f"{short}({pname})")
         for label in labels:
             graph.add_edge(label, param_node(pname), "call", hop)

@@ -1,15 +1,17 @@
 """Source→sink path queries over the linked program graph.
 
-A multi-source BFS walks taint from every source node (query-text
-parameters and ``.text``/``.query`` attribute reads) toward the sink
-nodes the per-module builders recorded. Each reachable sink yields at
-most one finding, carried by its *shortest* witness path (ties break
+This is ``repro lint``'s one taint analysis. A multi-source BFS walks
+taint from every source node (query-text parameters and
+``.text``/``.query`` attribute reads) toward the sink nodes recorded
+per module (:mod:`repro.lint.pdg`). Each reachable sink yields at most
+one finding, carried by its *shortest* path (ties break
 deterministically via sorted adjacency and source enqueue order), and
 the path's shape picks the rule:
 
-- a **single edge** is a flow the per-function checker already covers
-  (the source expression feeds the sink directly) — skipped here, the
-  intra pass stays the fast pre-filter;
+- a **single edge** — the source expression feeds the sink directly
+  (``print(query)``) — reports under the sink's own rule
+  (``taint-wire``, ``taint-print``, ``taint-log``,
+  ``taint-exception`` or ``taint-telemetry``) with no witness;
 - a path through a **field node** (``self._q = query`` …
   ``print(self._q)``) → ``taint-field-flow``;
 - any other multi-edge path crosses a call/return boundary →
@@ -17,8 +19,8 @@ the path's shape picks the rule:
 
 Findings are anchored at the sink (``path:line``) with a line-free
 message (function and sink names only, so baseline fingerprints
-survive unrelated edits) and carry the full witness as
-``(file, line, symbol)`` hops for the text and JSON reports.
+survive unrelated edits); multi-edge findings carry the full witness
+as ``(file, line, symbol)`` hops for the text and JSON reports.
 """
 
 from __future__ import annotations
@@ -72,18 +74,6 @@ def _walk_back(parents, node: Node) -> List[Tuple[Node, str, Optional[Hop]]]:
     return path
 
 
-def _classify(path) -> Optional[str]:
-    """Rule id for a path, or None when the intra pass covers it."""
-    edges = [kind for _node, kind, _hop in path[1:]]
-    if len(edges) <= 1:
-        return None  # direct source→sink: the per-function rule fires
-    if "field-write" in edges:
-        return "taint-field-flow"
-    if "call" in edges or "ret" in edges:
-        return "taint-interprocedural"
-    return None
-
-
 def _chain(graph: ProgramGraph, path) -> List[str]:
     """The function names a path crosses, in order, deduped."""
     names: List[str] = []
@@ -125,32 +115,34 @@ def _field_label(path) -> Optional[str]:
 
 
 def query_paths(graph: ProgramGraph) -> List[Finding]:
-    """Every interprocedural / field-mediated source→sink flow."""
+    """Every source→sink flow, one finding per reachable sink."""
     parents = _bfs(graph)
     findings: List[Finding] = []
     for sink in sorted(graph.sink_info, key=node_key):
         if sink not in parents:
             continue
         path = _walk_back(parents, sink)
-        rule = _classify(path)
-        if rule is None:
+        descr, rule, sink_hop = graph.sink_info[sink]
+        if len(path) == 2:
+            findings.append(Finding(
+                path=sink_hop[0], line=sink_hop[1], rule=rule,
+                message=f"query text flows into {descr}"))
             continue
-        descr, sink_hop = graph.sink_info[sink]
-        source = path[0][0]
-        source_hop = graph.sources.get(source)
+        source_hop = graph.sources.get(path[0][0])
         source_desc = source_hop[2] if source_hop is not None \
             else "a query-text source"
-        names = _chain(graph, path)
-        shown = names[:_CHAIN_LIMIT]
-        chain = " -> ".join(shown) + \
-            (" -> ..." if len(names) > _CHAIN_LIMIT else "")
-        if rule == "taint-field-flow":
-            field = _field_label(path)
-            message = (f"query text from {source_desc} flows into "
-                       f"{descr} through field {field}")
+        flow = f"query text from {source_desc} flows into {descr}"
+        # past its first edge a path continues only through a field
+        # write or a call/return boundary
+        if any(kind == "field-write" for _node, kind, _hop in path):
+            rule = "taint-field-flow"
+            message = f"{flow} through field {_field_label(path)}"
         else:
-            message = (f"query text from {source_desc} flows into "
-                       f"{descr} via {chain}")
+            names = _chain(graph, path)
+            chain = " -> ".join(names[:_CHAIN_LIMIT]) + \
+                (" -> ..." if len(names) > _CHAIN_LIMIT else "")
+            rule = "taint-interprocedural"
+            message = f"{flow} via {chain}"
         findings.append(Finding(
             path=sink_hop[0], line=sink_hop[1], rule=rule,
             message=message, witness=_witness(graph, path)))

@@ -1,9 +1,10 @@
 """Per-module program-dependence-graph construction.
 
-The per-function checker (:mod:`repro.lint.taint`) stops at every
-call boundary; this module builds the structure that lets the linter
-walk *through* them, in the spirit of DoubleX's PDG for browser
-extensions (Fass et al., CCS 2021). For one module it records:
+The first stage of ``repro lint``'s taint analysis, in the spirit of
+DoubleX's PDG for browser extensions (Fass et al., CCS 2021). For one
+module it records the structure that lets the path query
+(:mod:`repro.lint.paths`) follow query text within a function and
+*through* call boundaries:
 
 - **def-use chains** — which *taint labels* each local name carries,
   through assignments, augmented assigns, tuple unpacking, loops,
@@ -17,21 +18,18 @@ extensions (Fass et al., CCS 2021). For one module it records:
   argument, so the linker can add caller-argument → callee-parameter
   and callee-return → call-site-value edges;
 - **sources** — ``SOURCE_ATTRS`` attribute reads and
-  ``SOURCE_PARAMS``-named parameters, exactly the per-function
-  checker's definition;
+  ``SOURCE_PARAMS``-named parameters (:mod:`repro.lint.taint`);
 - **sinks** — label flows into the shared :mod:`repro.obs.sinks`
   registry (wire egress, print/logging, raised exception messages,
-  span/metric attribute values).
+  span/metric attribute values), each with a description and the
+  rule a direct source→sink flow into it reports under.
 
 Labels are *nodes* of the eventual whole-program graph; an expression
-evaluates to a frozenset of them. Everything in a :class:`ModulePDG`
-is plain data (tuples, strings, ints) so per-file construction can
-fan out over a ``multiprocessing`` pool and the results pickle back
-to the linking parent.
+evaluates to a frozenset of them.
 
-Sanitizer contract (same as the per-function pass): calls propagate
-labels only through known string operations; every other unresolved
-call is a sanitizer boundary, and the linker additionally drops edges
+Sanitizer contract: calls propagate labels only through known string
+operations; every other unresolved call is a sanitizer boundary, and
+the linker additionally drops edges
 into declassifier functions (``query_hash_bucket``) and the trusted
 enclave closure (``repro.sgx``/``repro.core.enclave``). Exempt
 modules (trusted + adversary packages) contribute no sources, sinks
@@ -57,6 +55,10 @@ from repro.obs import sinks
 Node = Tuple
 #: A witness hop: ``(file, line, symbol)``.
 Hop = Tuple[str, int, str]
+
+#: A sink's description ("print()"), the rule a direct source→sink
+#: flow into it reports under, and the hop that anchors findings.
+SinkInfo = Tuple[str, str, Hop]
 
 Labels = FrozenSet[Node]
 _EMPTY: Labels = frozenset()
@@ -99,15 +101,24 @@ class CallSite:
     line: int
     ref: Tuple                # ("local", qual) | ("name", n) |
                               # ("self", attr) | ("dotted", p0, p1, ...)
-    pos: List[List[Node]]     # labels per positional argument
-    kw: Dict[str, List[Node]]
-    star: List[Node]          # labels under *args / **kwargs
+    pos: List[Labels]         # labels per positional argument
+    kw: Dict[str, Labels]
+    star: Labels              # labels under *args / **kwargs
     ret_node: Node
+
+    def merge(self, other: "CallSite") -> None:
+        """Add the labels *other* (the same call, seen by the other
+        walk) carries."""
+        self.pos = [mine | theirs
+                    for mine, theirs in zip(self.pos, other.pos)]
+        self.kw = {name: labels | other.kw[name]
+                   for name, labels in self.kw.items()}
+        self.star |= other.star
 
 
 @dataclass
 class ModulePDG:
-    """The pickled unit one pool worker produces for one file."""
+    """Everything the linker needs from one file."""
 
     relpath: str
     module: str
@@ -120,7 +131,7 @@ class ModulePDG:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     edges: List[Tuple[Node, Node, str, Hop]] = field(default_factory=list)
     sources: Dict[Node, Hop] = field(default_factory=dict)
-    sink_info: Dict[Node, Tuple[str, Hop]] = field(default_factory=dict)
+    sink_info: Dict[Node, SinkInfo] = field(default_factory=dict)
     callsites: List[CallSite] = field(default_factory=list)
 
 
@@ -146,7 +157,7 @@ def _collect_imports(module: SourceModule
     """Local name → (source module, symbol) over the whole tree
     (function-local imports included — a lazy import still links)."""
     table: Dict[str, Tuple[str, Optional[str]]] = {}
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -165,15 +176,17 @@ def _collect_imports(module: SourceModule
     return table
 
 
-# -- the per-function label walker ----------------------------------------
+# -- the function-body label walker ---------------------------------------
 
 
 class _FunctionBuilder:
     """Walks one function body, mapping names to label sets and
-    recording edges / call sites / sources / sinks into the module
-    builder. Statements are walked twice (the intra checker's loop
-    stabilization); all recording is idempotent — nodes are keyed by
-    source position, edges dedupe through a set."""
+    recording edges / call sites / sources / sinks into its module's
+    PDG. Statements are walked twice, so a name assigned late in
+    a loop body reaches its uses earlier in the body; all recording is
+    idempotent — nodes are keyed by source position, edges dedupe
+    through a set, and an edge or call-site label either walk records
+    stays."""
 
     def __init__(self, mb: "_ModuleBuilder", qual: str, name: str,
                  args: Optional[ast.arguments], line: int,
@@ -243,38 +256,29 @@ class _FunctionBuilder:
                               f"return of {self.name}"))
         elif isinstance(stmt, ast.Raise):
             self.raise_stmt(stmt)
-        elif isinstance(stmt, ast.For):
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self.bind(stmt.target, self.eval(stmt.iter))
             self.walk(stmt.body)
             self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.With):
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 labels = self.eval(item.context_expr)
                 if item.optional_vars is not None:
                     self.bind(item.optional_vars, labels)
             self.walk(stmt.body)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self.eval(stmt.test)
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            self.walk(stmt.body)
-            for handler in stmt.handlers:
-                self.walk(handler.body)
-            self.walk(stmt.orelse)
-            self.walk(stmt.finalbody)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.Assert):
-            self.eval(stmt.test)
-            if stmt.msg is not None:
-                self.eval(stmt.msg)
         else:
-            # Unmodelled statement kinds: evaluate expression children
-            # so call sites / sinks inside them are still seen.
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.eval(child)
+            # if/while/try/match/expression statements: evaluate their
+            # expressions and walk their bodies in source order
+            self.visit_children(stmt)
+
+    def visit_children(self, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.eval(child)
+            elif isinstance(child, ast.stmt):
+                self.stmt(child)
+            else:  # except handlers, match cases and their patterns
+                self.visit_children(child)
 
     def assign(self, stmt: ast.Assign) -> None:
         if (isinstance(stmt.value, ast.Lambda)
@@ -315,15 +319,16 @@ class _FunctionBuilder:
                           f"{short}.{target.attr} ="))
 
     def raise_stmt(self, stmt: ast.Raise) -> None:
+        self.eval(stmt.cause)
         if not isinstance(stmt.exc, ast.Call):
-            if stmt.exc is not None:
-                self.eval(stmt.exc)
+            self.eval(stmt.exc)
             return
         call = stmt.exc
         labels: Labels = _EMPTY
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             labels |= self.eval(arg)
-        self.sink(call, "a raised exception message", labels)
+        self.sink(stmt, "a raised exception message", "taint-exception",
+                  labels)
 
     # -- expression labels --------------------------------------------
 
@@ -337,7 +342,9 @@ class _FunctionBuilder:
         if isinstance(node, ast.Call):
             return self.call(node)
         if isinstance(node, ast.Subscript):
-            return self.eval(node.value)
+            labels = self.eval(node.value)
+            self.eval(node.slice)
+            return labels
         if isinstance(node, ast.JoinedStr):
             out = _EMPTY
             for value in node.values:
@@ -361,12 +368,10 @@ class _FunctionBuilder:
                 out |= self.eval(elt)
             return out
         if isinstance(node, ast.Dict):
+            # keys are data too: {query: 1} carries the query text
             out = _EMPTY
-            for key in node.keys:
-                if key is not None:
-                    self.eval(key)
-            for value in node.values:
-                out |= self.eval(value)
+            for part in node.keys + node.values:  # None key: a ** spread
+                out |= self.eval(part)
             return out
         if isinstance(node, ast.Starred):
             return self.eval(node.value)
@@ -379,18 +384,15 @@ class _FunctionBuilder:
             return self.comprehension(node)
         if isinstance(node, ast.Await):
             return self.eval(node.value)
-        if isinstance(node, ast.Compare):
-            self.eval(node.left)
-            for comp in node.comparators:
-                self.eval(comp)
-            return _EMPTY
-        if isinstance(node, ast.UnaryOp):
-            self.eval(node.operand)
-            return _EMPTY
         if isinstance(node, ast.Lambda):
             # anonymous lambda in expression position: its body is
             # analyzed only when bound to a name (add_lambda)
             return _EMPTY
+        # comparisons, unary ops, yields, slices: no taint of their
+        # own, but call sites and sinks inside them still count
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.eval(child)
         return _EMPTY
 
     def attribute(self, node: ast.Attribute) -> Labels:
@@ -420,8 +422,7 @@ class _FunctionBuilder:
             for cond in gen.ifs:
                 self.eval(cond)
         if isinstance(node, ast.DictComp):
-            self.eval(node.key)
-            out = self.eval(node.value)
+            out = self.eval(node.key) | self.eval(node.value)
         else:
             out = self.eval(node.elt)
         for name in bound:
@@ -432,13 +433,16 @@ class _FunctionBuilder:
 
     def call(self, node: ast.Call) -> Labels:
         func = node.func
+        receiver = _EMPTY if isinstance(func, ast.Name) else self.eval(
+            func.value if isinstance(func, ast.Attribute) else func)
+        args = [self.eval(arg) for arg in node.args]
         pos: List[Labels] = []
         star: Labels = _EMPTY
-        for arg in node.args:
+        for arg, labels in zip(node.args, args):
             if isinstance(arg, ast.Starred):
-                star |= self.eval(arg.value)
+                star |= labels
             else:
-                pos.append(self.eval(arg))
+                pos.append(labels)
         kw: Dict[str, Labels] = {}
         for keyword in node.keywords:
             if keyword.arg is None:
@@ -451,11 +455,11 @@ class _FunctionBuilder:
         for labels in kw.values():
             everything |= labels
 
-        self.check_sinks(node, func, pos, kw, everything)
+        self.check_sinks(node, func, args, kw, everything)
 
         # string operations propagate labels through the call
         if isinstance(func, ast.Attribute) and func.attr in _STR_METHODS:
-            return self.eval(func.value) | everything
+            return receiver | everything
         if isinstance(func, ast.Name) and func.id in _STR_FUNCS:
             return everything
 
@@ -466,10 +470,7 @@ class _FunctionBuilder:
                     node.col_offset)
         self.mb.callsite(CallSite(
             caller=self.qual, cls=self.cls, line=node.lineno, ref=ref,
-            pos=[sorted(labels, key=node_key) for labels in pos],
-            kw={name: sorted(labels, key=node_key)
-                for name, labels in kw.items()},
-            star=sorted(star, key=node_key), ret_node=ret_node))
+            pos=pos, kw=kw, star=star, ret_node=ret_node))
         return frozenset({ret_node})
 
     def callee_ref(self, func: ast.AST) -> Optional[Tuple]:
@@ -488,47 +489,59 @@ class _FunctionBuilder:
 
     # -- sinks --------------------------------------------------------
 
-    def sink(self, node: ast.AST, descr: str, labels: Labels) -> None:
+    def sink(self, node: ast.AST, descr: str, rule: str,
+             labels: Labels) -> None:
         if not labels or self.mb.exempt:
             return
         sink_node = ("sink", self.mb.relpath, node.lineno,
                      node.col_offset, descr)
         self.mb.pdg.sink_info[sink_node] = (
-            descr, (self.mb.relpath, node.lineno, self.name))
+            descr, rule, (self.mb.relpath, node.lineno, self.name))
         for label in sorted(labels, key=node_key):
             self.mb.edge(label, sink_node, "sink",
                          (self.mb.relpath, node.lineno, descr))
 
     def check_sinks(self, node: ast.Call, func: ast.AST,
-                    pos: List[Labels], kw: Dict[str, Labels],
+                    args: List[Labels], kw: Dict[str, Labels],
                     everything: Labels) -> None:
+        """Record *node* as a sink for every registry entry it matches.
+
+        *args* holds the labels of each raw positional argument,
+        starred ones included, so ``set_attribute``'s value is the
+        second argument as written.
+        """
         if isinstance(func, ast.Name):
             if func.id == "print":
-                self.sink(node, "print()", everything)
+                self.sink(node, "print()", "taint-print", everything)
             return
         if not isinstance(func, ast.Attribute):
             return
         if _is_logger_call(func):
-            self.sink(node, f"{func.value.id}.{func.attr}()", everything)
+            self.sink(node, f"{func.value.id}.{func.attr}()", "taint-log",
+                      everything)
         if func.attr in sinks.WIRE_EGRESS_CALLS:
-            self.sink(node, f"wire egress .{func.attr}()", everything)
+            self.sink(node, f"wire egress .{func.attr}()", "taint-wire",
+                      everything)
         if (func.attr == sinks.WIRE_ENCODER[1]
                 and isinstance(func.value, ast.Name)
                 and func.value.id == sinks.WIRE_ENCODER[0]):
-            self.sink(node, "wire.encode()", everything)
-        if func.attr == "set_attribute" and len(pos) > 1:
-            self.sink(node, "set_attribute() value", pos[1])
+            self.sink(node, "wire.encode()", "taint-wire", everything)
+        if func.attr == "set_attribute" and len(args) > 1:
+            self.sink(node, "set_attribute() value", "taint-telemetry",
+                      args[1])
         elif func.attr == "set_attributes":
-            for labels in pos:
-                self.sink(node, "set_attributes() value", labels)
+            for labels in args:
+                self.sink(node, "set_attributes() attribute value",
+                          "taint-telemetry", labels)
         elif func.attr in sinks.SPAN_FACTORY_CALLS:
-            labels = kw.get("attributes", _EMPTY)
-            self.sink(node, f"{func.attr}() attribute value", labels)
+            self.sink(node, f"{func.attr}() attribute value",
+                      "taint-telemetry", kw.get("attributes", _EMPTY))
         elif func.attr in sinks.METRIC_FACTORY_CALLS:
             out: Labels = _EMPTY
             for labels in kw.values():
                 out |= labels
-            self.sink(node, f"{func.attr}() label value", out)
+            self.sink(node, f"{func.attr}() label value",
+                      "taint-telemetry", out)
 
 
 def _target_names(target: ast.AST) -> List[str]:
@@ -568,6 +581,7 @@ class _ModuleBuilder:
                              module=module.module, exempt=self.exempt,
                              imports=_collect_imports(module))
         self._edges: set = set()
+        self._callsites: Dict[Tuple[Node, str], CallSite] = {}
         self._analyzed: set = set()  # id(def node): one analysis each
 
     def edge(self, src: Node, dst: Node, kind: str, hop: Hop) -> None:
@@ -577,14 +591,14 @@ class _ModuleBuilder:
             self.pdg.edges.append(entry)
 
     def callsite(self, site: CallSite) -> None:
-        # keyed by position: the second walk refreshes the label
-        # snapshot taken by the first
-        for index, existing in enumerate(self.pdg.callsites):
-            if (existing.ret_node == site.ret_node
-                    and existing.caller == site.caller):
-                self.pdg.callsites[index] = site
-                return
-        self.pdg.callsites.append(site)
+        # keyed by position: labels either walk saw at the call stay
+        key = (site.ret_node, site.caller)
+        known = self._callsites.get(key)
+        if known is None:
+            self._callsites[key] = site
+            self.pdg.callsites.append(site)
+        else:
+            known.merge(site)
 
     def add_function(self, node, parent: Optional[_FunctionBuilder],
                      cls: Optional[str]) -> None:

@@ -1,10 +1,14 @@
-"""Query-text taint tracking: sources → sinks over one module's AST.
+"""Query-text taint: the shared source, sink and sanitizer tables.
 
 DoubleX (Fass et al., CCS 2021) showed that browser-extension privacy
 properties — "sensitive data never reaches an attacker-visible API" —
-are a natural fit for static data-flow analysis. This checker applies
-the same shape to CYCLOSA's central invariant: **plaintext query text
-must never become wire-visible or log-visible outside the enclave.**
+are a natural fit for static data-flow analysis. ``repro lint``
+applies the same shape to CYCLOSA's central invariant: **plaintext
+query text must never become wire-visible or log-visible outside the
+enclave.** The analysis itself is the whole-program PDG pass
+(:mod:`repro.lint.pdg` builds, :mod:`repro.lint.linking` links,
+:mod:`repro.lint.paths` queries); this module holds the tables it
+reads:
 
 Sources
     ``.text`` / ``.query`` / ``.query_text`` attribute reads (the
@@ -28,26 +32,22 @@ Sanitizers / sanctioned scopes
       *subject matter* is plaintext observation (the engine
       legitimately sees query text after in-enclave TLS terminates;
       SimAttack's whole job is reading observations).
-    - Any *call* boundary: calls do not propagate taint unless they
-      are known string operations. Hashing — in particular the salted
+    - Any *call* boundary the linker cannot resolve: calls do not
+      propagate taint unless they are known string operations.
+      Hashing — in particular the salted
       :func:`repro.obs.query_hash_bucket` — therefore sanitizes, as
       does ``len()``/counting.
 
-The tracking here is intentionally per-function and flow-insensitive
-across calls: it will not chase taint through object fields or across
-function boundaries. That keeps it the fast intra pre-pass — zero
-config, effectively free of false positives on this codebase. The
-interprocedural gap is closed statically by the whole-program PDG
-pass (:mod:`repro.lint.pdg` / :mod:`repro.lint.linking` /
-:mod:`repro.lint.paths`, rules ``taint-interprocedural`` and
-``taint-field-flow``), and dynamically by the runtime audit. See
-``docs/static-analysis.md`` for the full contract.
+It also holds the one taint-adjacent per-module checker,
+:func:`check_span_keys` (``span-forbidden-key``), which needs no data
+flow: it rejects forbidden span/metric attribute keys written as
+literals. See ``docs/static-analysis.md`` for the full contract.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import List
 
 from repro.lint.engine import SourceModule
 from repro.lint.findings import Finding, make_finding
@@ -85,327 +85,52 @@ def _taint_exempt(module: SourceModule) -> bool:
     return module.package in ADVERSARY_PACKAGES
 
 
-# -- expression taint ------------------------------------------------------
-
-
-class _Scope:
-    """Tainted local names of one function (or the module body)."""
-
-    def __init__(self, pretainted: Iterable[str] = ()) -> None:
-        self.tainted: Set[str] = set(pretainted)
-
-    def expr(self, node: Optional[ast.AST]) -> bool:
-        """Is *node* (possibly) query text?"""
-        if node is None:
-            return False
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted
-        if isinstance(node, ast.Attribute):
-            return node.attr in SOURCE_ATTRS or self.expr(node.value)
-        if isinstance(node, ast.Subscript):
-            return self.expr(node.value)
-        if isinstance(node, ast.JoinedStr):
-            return any(self.expr(value) for value in node.values)
-        if isinstance(node, ast.FormattedValue):
-            return self.expr(node.value)
-        if isinstance(node, ast.BinOp):
-            return self.expr(node.left) or self.expr(node.right)
-        if isinstance(node, ast.BoolOp):
-            return any(self.expr(value) for value in node.values)
-        if isinstance(node, ast.IfExp):
-            return self.expr(node.body) or self.expr(node.orelse)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            return any(self.expr(elt) for elt in node.elts)
-        if isinstance(node, ast.Dict):
-            return any(self.expr(value) for value in node.values)
-        if isinstance(node, ast.Starred):
-            return self.expr(node.value)
-        if isinstance(node, ast.NamedExpr):
-            return self.expr(node.value)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            return (self.expr(node.elt)
-                    or any(self.expr(gen.iter) for gen in node.generators))
-        if isinstance(node, ast.DictComp):
-            return (self.expr(node.value)
-                    or any(self.expr(gen.iter) for gen in node.generators))
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        return False
-
-    def _call(self, node: ast.Call) -> bool:
-        """Calls are sanitizer boundaries except known string ops."""
-        func = node.func
-        arguments = list(node.args) + [kw.value for kw in node.keywords]
-        if isinstance(func, ast.Attribute) and func.attr in _STR_METHODS:
-            # "sep".join(tainted) and "{}".format(tainted) taint via
-            # arguments; tainted.lower() taints via the receiver.
-            return self.expr(func.value) or any(map(self.expr, arguments))
-        if isinstance(func, ast.Name) and func.id in _STR_FUNCS:
-            return any(map(self.expr, arguments))
-        return False
-
-    # -- assignment tracking ------------------------------------------
-
-    def _bind(self, target: ast.AST, tainted: bool) -> None:
-        if isinstance(target, ast.Name):
-            if tainted:
-                self.tainted.add(target.id)
-            else:
-                self.tainted.discard(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._bind(elt, tainted)
-        elif isinstance(target, ast.Starred):
-            self._bind(target.value, tainted)
-        # attribute/subscript targets: object-field taint not tracked
-
-    def assign(self, node: ast.Assign) -> None:
-        tainted = self.expr(node.value)
-        for target in node.targets:
-            self._bind(target, tainted)
-
-    def aug_assign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.target, ast.Name) and self.expr(node.value):
-            self.tainted.add(node.target.id)
-
-    def ann_assign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._bind(node.target, self.expr(node.value))
-
-    def for_target(self, node: ast.For) -> None:
-        self._bind(node.target, self.expr(node.iter))
-
-    def with_items(self, node) -> None:
-        for item in node.items:
-            if item.optional_vars is not None:
-                self._bind(item.optional_vars,
-                           self.expr(item.context_expr))
-
-
-# -- sink detection --------------------------------------------------------
-
-
 def _is_logger_call(func: ast.Attribute) -> bool:
     return (func.attr in sinks.LOG_METHOD_CALLS
             and isinstance(func.value, ast.Name)
             and func.value.id in sinks.LOG_RECEIVER_NAMES)
 
 
-def _attribute_mapping(node: ast.Call) -> Optional[ast.Dict]:
-    """The literal ``attributes={...}`` mapping of a span call."""
-    for keyword in node.keywords:
-        if keyword.arg == "attributes" and isinstance(keyword.value,
-                                                      ast.Dict):
-            return keyword.value
-    return None
+# -- attribute-key hygiene -------------------------------------------------
 
 
-def _check_mapping(module: SourceModule, scope: _Scope, call: ast.Call,
-                   mapping: ast.Dict, where: str,
-                   out: List[Finding]) -> None:
-    for key, value in zip(mapping.keys, mapping.values):
-        if (isinstance(key, ast.Constant) and isinstance(key.value, str)
-                and key.value in sinks.FORBIDDEN_ATTRIBUTE_KEYS):
-            out.append(make_finding(
-                module, call, "span-forbidden-key",
-                f"{where} uses forbidden attribute key {key.value!r}"))
-        if scope.expr(value):
-            out.append(make_finding(
-                module, call, "taint-telemetry",
-                f"query text flows into {where} attribute value"))
+def check_span_keys(module: SourceModule) -> List[Finding]:
+    """``span-forbidden-key``: a span/metric attribute call that writes
+    a forbidden key literally.
 
-
-def _check_call(module: SourceModule, scope: _Scope, node: ast.Call,
-                taint_active: bool, out: List[Finding]) -> None:
-    func = node.func
-    arguments = list(node.args) + [kw.value for kw in node.keywords]
-    any_tainted = taint_active and any(map(scope.expr, arguments))
-
-    if isinstance(func, ast.Name):
-        if func.id == "print" and any_tainted:
-            out.append(make_finding(
-                module, node, "taint-print",
-                "query text flows into print()"))
-        return
-
-    if not isinstance(func, ast.Attribute):
-        return
-
-    if _is_logger_call(func) and any_tainted:
-        out.append(make_finding(
-            module, node, "taint-log",
-            f"query text flows into {func.value.id}.{func.attr}()"))
-
-    if func.attr in sinks.WIRE_EGRESS_CALLS and any_tainted:
-        out.append(make_finding(
-            module, node, "taint-wire",
-            f"query text flows into wire egress .{func.attr}()"))
-
-    if (func.attr == sinks.WIRE_ENCODER[1]
-            and isinstance(func.value, ast.Name)
-            and func.value.id == sinks.WIRE_ENCODER[0]
-            and any_tainted):
-        out.append(make_finding(
-            module, node, "taint-wire",
-            "query text flows into wire.encode()"))
-
-    if func.attr == "set_attribute":
-        if node.args:
-            key = node.args[0]
-            if (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and key.value in sinks.FORBIDDEN_ATTRIBUTE_KEYS):
-                out.append(make_finding(
-                    module, node, "span-forbidden-key",
-                    f"set_attribute() uses forbidden attribute key "
-                    f"{key.value!r}"))
-        if taint_active and len(node.args) > 1 and scope.expr(node.args[1]):
-            out.append(make_finding(
-                module, node, "taint-telemetry",
-                "query text flows into set_attribute() value"))
-
-    elif func.attr == "set_attributes":
-        for arg in node.args:
-            if isinstance(arg, ast.Dict):
-                _check_mapping(module, scope, node, arg,
-                               "set_attributes()", out)
-
-    elif func.attr in sinks.SPAN_FACTORY_CALLS:
-        mapping = _attribute_mapping(node)
-        if mapping is not None:
-            _check_mapping(module, scope, node, mapping,
-                           f"{func.attr}()", out)
-
-    elif func.attr in sinks.METRIC_FACTORY_CALLS:
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            if keyword.arg in sinks.FORBIDDEN_ATTRIBUTE_KEYS:
-                out.append(make_finding(
-                    module, node, "span-forbidden-key",
-                    f"{func.attr}() uses forbidden label "
-                    f"{keyword.arg!r}"))
-            if taint_active and scope.expr(keyword.value):
-                out.append(make_finding(
-                    module, node, "taint-telemetry",
-                    f"query text flows into {func.attr}() label value"))
-
-
-# -- statement walking -----------------------------------------------------
-
-
-def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
-    """Every Call in *node*, not descending into nested functions."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current is not node and isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                          ast.Lambda)):
-            continue
-        if isinstance(current, ast.Call):
-            yield current
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def _analyze_body(module: SourceModule, body: List[ast.stmt],
-                  scope: _Scope, taint_active: bool,
-                  out: List[Finding]) -> None:
-    """Two passes: the first stabilizes taint through loops and
-    forward uses, the second reports (findings dedupe via set)."""
-    seen: Set[tuple] = set()
-    for reporting in (False, True):
-        sink: List[Finding] = out if reporting else []
-        _walk_statements(module, body, scope, taint_active, sink, seen,
-                         reporting)
-
-
-def _walk_statements(module: SourceModule, body: List[ast.stmt],
-                     scope: _Scope, taint_active: bool,
-                     out: List[Finding], seen: Set[tuple],
-                     reporting: bool) -> None:
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if reporting:
-                _analyze_function(module, stmt, taint_active, out)
-            continue
-        if isinstance(stmt, ast.ClassDef):
-            if reporting:
-                for inner in stmt.body:
-                    if isinstance(inner, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef)):
-                        _analyze_function(module, inner, taint_active,
-                                          out)
-            continue
-
-        if isinstance(stmt, ast.Assign):
-            scope.assign(stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            scope.aug_assign(stmt)
-        elif isinstance(stmt, ast.AnnAssign):
-            scope.ann_assign(stmt)
-        elif isinstance(stmt, ast.For):
-            scope.for_target(stmt)
-        elif isinstance(stmt, ast.With):
-            scope.with_items(stmt)
-
-        if reporting:
-            for call in _calls_in(stmt):
-                found: List[Finding] = []
-                _check_call(module, scope, call, taint_active, found)
-                for finding in found:
-                    if finding.fingerprint + (finding.line,) not in seen:
-                        seen.add(finding.fingerprint + (finding.line,))
-                        out.append(finding)
-            if (taint_active and isinstance(stmt, ast.Raise)
-                    and isinstance(stmt.exc, ast.Call)):
-                arguments = (list(stmt.exc.args)
-                             + [kw.value for kw in stmt.exc.keywords])
-                if any(map(scope.expr, arguments)):
-                    finding = make_finding(
-                        module, stmt, "taint-exception",
-                        "query text flows into a raised exception "
-                        "message")
-                    if finding.fingerprint + (finding.line,) not in seen:
-                        seen.add(finding.fingerprint + (finding.line,))
-                        out.append(finding)
-
-        # descend into compound statements with the same scope
-        for attr in ("body", "orelse", "finalbody"):
-            inner = getattr(stmt, attr, None)
-            if inner and not isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.ClassDef)):
-                _walk_statements(module, inner, scope, taint_active, out,
-                                 seen, reporting)
-        for handler in getattr(stmt, "handlers", []) or []:
-            _walk_statements(module, handler.body, scope, taint_active,
-                             out, seen, reporting)
-
-
-def _analyze_function(module: SourceModule, node, taint_active: bool,
-                      out: List[Finding]) -> None:
-    params = [arg.arg for arg in (node.args.posonlyargs + node.args.args
-                                  + node.args.kwonlyargs)]
-    scope = _Scope(name for name in params if name in SOURCE_PARAMS)
-    _analyze_body(module, node.body, scope, taint_active=taint_active,
-                  out=out)
-
-
-# -- entry point -----------------------------------------------------------
-
-
-def check_taint(module: SourceModule) -> List[Finding]:
-    """Run the taint pass (and attribute-key hygiene) on one module.
-
-    In sanctioned scopes the taint rules are off but the
-    ``span-forbidden-key`` check still runs: telemetry hygiene is a
+    Runs in every module, exempt ones included: telemetry hygiene is a
     property of our own observability subsystem, whichever package
     emits the span.
     """
     out: List[Finding] = []
-    taint_active = not _taint_exempt(module)
-    scope = _Scope()
-    _analyze_body(module, list(module.tree.body), scope,
-                  taint_active=taint_active, out=out)
+    for node in module.nodes:
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        attr = node.func.attr
+        if attr in sinks.METRIC_FACTORY_CALLS:
+            keys: List[object] = [kw.arg for kw in node.keywords]
+            what = "label"
+        else:
+            if attr == "set_attribute":
+                literals = node.args[:1]
+            elif attr == "set_attributes":
+                literals = [key for arg in node.args
+                            if isinstance(arg, ast.Dict)
+                            for key in arg.keys]
+            elif attr in sinks.SPAN_FACTORY_CALLS:
+                literals = [key for kw in node.keywords
+                            if kw.arg == "attributes"
+                            and isinstance(kw.value, ast.Dict)
+                            for key in kw.value.keys]
+            else:
+                continue
+            keys = [key.value for key in literals
+                    if isinstance(key, ast.Constant)]
+            what = "attribute key"
+        for key in keys:
+            if isinstance(key, str) and key in sinks.FORBIDDEN_ATTRIBUTE_KEYS:
+                out.append(make_finding(
+                    module, node, "span-forbidden-key",
+                    f"{attr}() uses forbidden {what} {key!r}"))
     return out

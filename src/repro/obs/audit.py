@@ -54,7 +54,7 @@ from repro.obs.distributed import AssembledTrace, assemble
 from repro.obs.trace import Span
 
 # The sink lists live in the shared registry (repro.obs.sinks) so this
-# runtime audit and the static taint pass (repro.lint.taint) can never
+# runtime audit and the static taint pass (repro.lint.pdg) can never
 # drift apart; re-exported here for backwards compatibility.
 from repro.obs.sinks import FORBIDDEN_ATTRIBUTE_KEYS, PATH_SCOPED_SPANS
 

@@ -4,9 +4,10 @@ CYCLOSA's privacy argument is checked twice in this repository:
 
 - **at runtime** by :mod:`repro.obs.audit`, which wiretaps a live
   deployment and scans everything the adversary can observe, and
-- **statically** by :mod:`repro.lint.taint`, which tracks query-text
-  data flow over the AST of every module and flags flows into the same
-  observation points without running anything.
+- **statically** by ``repro lint``'s taint analysis
+  (:mod:`repro.lint.pdg` records these sinks, :mod:`repro.lint.paths`
+  reports every source→sink flow into them), which tracks query-text
+  data flow over the AST of every module without running anything.
 
 Both checks are only as good as their list of *sinks* — the calls and
 attribute keys through which data becomes wire-visible or

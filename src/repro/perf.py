@@ -50,8 +50,7 @@ THROUGHPUT_KEYS = (
     ("engine_scaling", "best_searches_per_sec"),
     ("monitor", "windows_per_sec"),
     ("monitor", "disabled_events_per_sec"),
-    ("lint", "files_per_sec_jobs1"),
-    ("lint", "files_per_sec_pool"),
+    ("lint", "files_per_sec"),
     ("scale", "events_per_sec"),
 )
 
@@ -70,7 +69,6 @@ DEFAULT_PARAMS: Dict[str, Any] = {
     # Stored as a list so the JSON baseline round-trips bit-identically.
     "replica_counts": [2, 4],
     "monitor_windows": 400,
-    "lint_jobs": 2,
     "scale_nodes": 5000,
     "scale_duration": 5.0,
     "profile_nodes": 8,
@@ -538,41 +536,26 @@ def bench_monitor(monitor_windows: int = 400, repeats: int = 5,
 # -- 6. deterministic profile attribution --------------------------------
 
 
-def bench_lint(lint_jobs: int = 2, **_ignored: Any) -> Dict[str, Any]:
+def bench_lint(**_ignored: Any) -> Dict[str, Any]:
     """Static-analyzer throughput over the real ``src/`` tree.
 
-    Runs the full pipeline — the four per-module checkers plus
-    whole-program PDG linking and path queries — once serially
-    (``--jobs 1``) and once over a *lint_jobs*-worker pool, and
-    asserts the two reports are byte-identical (the pool contract).
-    Both files/sec numbers feed ``check_regression``; on a single
-    core the pool number mostly measures fork overhead, which is
-    exactly what the gate should notice creeping up.
+    Times one ``run_lint`` — parse, the per-module checkers, PDG
+    construction, linking and path queries — over every file.
     """
-    from repro.lint import findings_to_json, run_lint
-    from repro.lint.engine import _file_list, default_root
+    from repro.lint import collect_modules, default_root, run_lint
 
     root = default_root()
-    num_files = len(_file_list(root))
+    num_files = len(collect_modules(root))
 
     start = time.perf_counter()
-    serial = run_lint(root=root, jobs=1)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pooled = run_lint(root=root, jobs=lint_jobs)
-    pool_seconds = time.perf_counter() - start
+    findings = run_lint(root=root)
+    seconds = time.perf_counter() - start
 
     return {
         "files": num_files,
-        "findings": len(serial),
-        "jobs": lint_jobs,
-        "wall_seconds_jobs1": round(serial_seconds, 3),
-        "wall_seconds_pool": round(pool_seconds, 3),
-        "files_per_sec_jobs1": round(num_files / serial_seconds, 1),
-        "files_per_sec_pool": round(num_files / pool_seconds, 1),
-        "identical_across_jobs":
-            findings_to_json(serial) == findings_to_json(pooled),
+        "findings": len(findings),
+        "wall_seconds": round(seconds, 3),
+        "files_per_sec": round(num_files / seconds, 1),
     }
 
 
@@ -700,16 +683,20 @@ def load_baseline(path: str) -> Dict[str, Any]:
 
 def merge_params(existing: Dict[str, Any],
                  params: Dict[str, Any]) -> Dict[str, Any]:
-    """The workload params of *existing* plus *params*. A param both
-    hold with different values raises ``ValueError`` naming it: the
-    sections of one baseline must share one workload."""
+    """The workload params of *existing* plus *params*, minus any
+    param :data:`DEFAULT_PARAMS` no longer defines (a retired knob
+    would otherwise survive every merge and make the next
+    ``check_regression`` re-run fail). A param both hold with
+    different values raises ``ValueError`` naming it: the sections of
+    one baseline must share one workload."""
     old = existing.get("meta", {}).get("params", {})
     for key in sorted(set(old) & set(params)):
         if old[key] != params[key]:
             raise ValueError(
                 f"param {key!r} is {params[key]!r} but the existing "
                 f"baseline recorded {old[key]!r}")
-    return {**old, **params}
+    return {key: value for key, value in {**old, **params}.items()
+            if key in DEFAULT_PARAMS}
 
 
 def merge_baseline(existing: Dict[str, Any],
@@ -824,12 +811,8 @@ def format_report(results: Dict[str, Any]) -> str:
             "",
             f"static analysis ({lint['files']} files, "
             f"{lint['findings']} finding(s))",
-            f"  files/sec (--jobs 1)      : "
-            f"{lint['files_per_sec_jobs1']:>12.1f}",
-            f"  files/sec (--jobs {lint['jobs']})      : "
-            f"{lint['files_per_sec_pool']:>12.1f}",
-            f"  identical across jobs     : "
-            f"{lint['identical_across_jobs']}",
+            f"  files/sec                 : "
+            f"{lint['files_per_sec']:>12.1f}",
         ]
     prof = results.get("profile")
     if prof is not None:

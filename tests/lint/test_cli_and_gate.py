@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import default_root, load_baseline, run_lint
+from repro.lint import load_baseline, run_lint
 
 from benchmarks.check_lint import main as gate_main
 
@@ -19,16 +19,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 # -- the self-test: our own tree obeys our own rules -----------------------
 
-def test_src_tree_is_clean_against_the_baseline():
+def test_src_tree_is_clean_against_the_baseline(src_findings):
     baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
-    fresh, _grandfathered = baseline.apply(run_lint(root=default_root()))
+    fresh, _grandfathered = baseline.apply(src_findings)
     assert fresh == [], "non-baselined lint findings in src/:\n" + \
         "\n".join(f.format() for f in fresh)
 
 
-def test_baseline_has_no_stale_entries():
+def test_baseline_has_no_stale_entries(src_findings):
     baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
-    assert baseline.stale_entries(run_lint(root=default_root())) == set()
+    assert baseline.stale_entries(src_findings) == set()
 
 
 def test_every_baseline_entry_is_justified():
@@ -89,6 +89,31 @@ def test_cli_lint_baseline_suppresses(tmp_path, capsys):
     assert "suppressed" in out
 
 
+def test_cli_lint_missing_path_exits_2(capsys):
+    missing = REPO_ROOT / "src" / "repro" / "core" / "missing.py"
+    assert cli_main(["lint", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert str(missing) in captured.err
+
+
+def test_cli_lint_path_outside_the_root_exits_2(tmp_path, capsys):
+    outside = tmp_path / "x.py"
+    outside.write_text("x = 1\n")
+    assert cli_main(["lint", "--root", str(FIXTURE_ROOT),
+                     str(outside)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert str(outside) in captured.err
+
+
+def test_cli_lint_missing_root_exits_2(tmp_path, capsys):
+    assert cli_main(["lint", "--root", str(tmp_path / "nope")]) == 2
+    assert "nope" in capsys.readouterr().err
+
+
 def test_cli_lint_missing_baseline_errors(tmp_path, capsys):
     exit_code = cli_main(["lint", "--root", str(FIXTURE_ROOT),
                           "--baseline", str(tmp_path / "nope.txt")])
@@ -101,6 +126,11 @@ def test_cli_lint_missing_baseline_errors(tmp_path, capsys):
 def test_gate_passes_on_src_with_the_repo_baseline(capsys):
     assert gate_main([]) == 0
     assert "clean" in capsys.readouterr().out
+
+
+def test_gate_missing_root_exits_2(tmp_path, capsys):
+    assert gate_main(["--root", str(tmp_path / "nope")]) == 2
+    assert "nope" in capsys.readouterr().err
 
 
 def test_gate_fails_on_a_seeded_violation(tmp_path, capsys):

@@ -2,14 +2,15 @@
 
 The fixture tree under ``tests/lint/fixtures/src`` mirrors the real
 layout (``repro/core/...``), so package-sensitive rules (layering,
-taint exemptions) behave exactly as they do on the real tree.
+taint exemptions) behave exactly as they do on the real tree. The
+fixtures also pin the rule catalogue: one fixture per rule.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import collect_modules, run_lint
+from repro.lint import RULES, run_lint
 
 pytestmark = pytest.mark.lint
 
@@ -64,6 +65,21 @@ def test_whole_fixture_tree():
         f"repro/core/{name}": rule for name, rule in EXPECTED.items()}
 
 
+# -- the rule catalogue ----------------------------------------------
+
+def test_every_rule_has_exactly_one_fixture():
+    assert set(EXPECTED.values()) == set(RULES)
+    assert len(EXPECTED) == len(RULES)
+
+
+def test_fixture_findings_carry_catalogued_rules():
+    assert {f.rule for f in run_lint(root=FIXTURE_ROOT)} <= set(RULES)
+
+
+def test_src_findings_carry_catalogued_rules(src_findings):
+    assert {f.rule for f in src_findings} <= set(RULES)
+
+
 def test_finding_lines_point_at_the_offence():
     findings = _lint_one("bad_print.py")
     # the print() sits on line 5 of the fixture
@@ -76,24 +92,7 @@ def test_trusted_closure_spares_the_gated_method():
     assert "seal" not in findings[0].message
 
 
-# -- the PDG fixtures: blind spots of the per-function checker -------
-
-def _intra_only(name):
-    """Run just the per-function taint checker on one fixture."""
-    from repro.lint.taint import check_taint
-
-    path = FIXTURE_ROOT / "repro" / "core" / name
-    return run_lint(root=FIXTURE_ROOT, paths=[path],
-                    checkers=[check_taint])
-
-
-@pytest.mark.parametrize("name", ["bad_interproc.py",
-                                  "bad_field_flow.py"])
-def test_per_function_checker_alone_misses_the_pdg_fixtures(name):
-    # this is the gap the whole-program pass exists to close: the
-    # intra checker sees no source-and-sink inside any one function
-    assert _intra_only(name) == []
-
+# -- the PDG fixtures: flows across calls and fields ------------------
 
 def test_interproc_witness_names_every_hop():
     finding = _lint_one("bad_interproc.py")[0]

@@ -1,39 +1,125 @@
-"""The whole-program PDG pass: graph edge cases, determinism, output.
+"""The whole-program PDG taint pass: graph edge cases and output.
 
 Each test builds a tiny source tree under ``tmp_path`` (mirroring the
 real ``repro.core`` layout so package-sensitive rules behave normally)
-and pins how the interprocedural pass handles a specific construct —
+and pins how the pass handles a specific construct — direct flows,
 decorators, lambdas, comprehension scopes, ``*args``/``**kwargs``
-forwarding, re-exports, declassifiers, pragmas — plus the ``--jobs``
-byte-identity contract and the JSON witness/fingerprint format.
+forwarding, re-exports, declassifiers, pragmas — plus the JSON
+witness/fingerprint format.
 """
 
 import json
+import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
-from repro.cli import main as cli_main
-from repro.lint import findings_to_json, format_text, run_lint
+from repro.lint import findings_to_json, run_lint
 
 pytestmark = pytest.mark.lint
 
-FIXTURE_ROOT = Path(__file__).resolve().parent / "fixtures" / "src"
 
-
-def lint_tree(tmp_path, files, jobs=1):
+def lint_tree(tmp_path, files):
     root = tmp_path / "src"
     for rel, content in files.items():
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(content), encoding="utf-8")
-    return run_lint(root=root, jobs=jobs)
+    return run_lint(root=root)
 
 
 def interproc(findings):
     return [f for f in findings
             if f.rule in ("taint-interprocedural", "taint-field-flow")]
+
+
+# -- direct flows ---------------------------------------------------------
+
+#: One-edge source→sink flows: each reports under its sink's own rule,
+#: with the sink's plain message and no witness.
+DIRECT_FLOWS = {
+    # the sink runs before the name is rebound to a clean value
+    "print-then-rebind": ("""\
+        def handle(query):
+            print(query)
+            query = "safe"
+        """, "taint-print", 2, "query text flows into print()"),
+    "send-in-loop-then-rebind": ("""\
+        def route(network, dst, query, hops):
+            for hop in hops:
+                network.send(dst, query)
+                query = ""
+        """, "taint-wire", 3, "query text flows into wire egress .send()"),
+    # a dict carries its keys as well as its values
+    "dict-key": ("""\
+        def route(network, dst, query):
+            network.send(dst, {query: 1})
+        """, "taint-wire", 2, "query text flows into wire egress .send()"),
+    "dict-comprehension-key": ("""\
+        def handle(query):
+            print({word: 1 for word in query.split()})
+        """, "taint-print", 2, "query text flows into print()"),
+    # a span attribute reached through a name, or after a starred
+    # argument
+    "span-attributes-by-name": ("""\
+        def trace(tracer, query):
+            attrs = {"q": query}
+            tracer.start_span("x", attributes=attrs)
+        """, "taint-telemetry", 3,
+        "query text flows into start_span() attribute value"),
+    "set-attribute-after-starred": ("""\
+        def annotate(span, extra, query):
+            span.set_attribute(*extra, query)
+        """, "taint-telemetry", 2,
+        "query text flows into set_attribute() value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_FLOWS))
+def test_direct_flow_reports_under_its_sink_rule(tmp_path, case):
+    source, rule, line, message = DIRECT_FLOWS[case]
+    findings = lint_tree(tmp_path, {"repro/core/flow.py": source})
+    assert [(f.rule, f.line, f.message, f.witness)
+            for f in findings] == [(rule, line, message, ())]
+
+
+#: Sinks nested where no name is bound: every statement body and
+#: sub-expression is walked.
+NESTED_SINKS = {
+    "async-for": """\
+        async def handle(query, stream):
+            async for chunk in stream:
+                print(query)
+        """,
+    "call-receiver": """\
+        def handle(query, make):
+            make(print(query)).run()
+        """,
+    "subscript": """\
+        def handle(query, table):
+            return table[print(query)]
+        """,
+    "yield": """\
+        def handle(query):
+            yield print(query)
+        """,
+}
+
+
+@pytest.mark.parametrize("case", [
+    *sorted(NESTED_SINKS),
+    pytest.param("match-case", marks=pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="match needs python 3.10")),
+])
+def test_nested_sink_is_seen(tmp_path, case):
+    source = NESTED_SINKS.get(case, """\
+        def handle(query, cmd):
+            match cmd:
+                case "a":
+                    print(query)
+        """)
+    findings = lint_tree(tmp_path, {"repro/core/nested.py": source})
+    assert [f.rule for f in findings] == ["taint-print"]
 
 
 # -- cross-module resolution ----------------------------------------------
@@ -97,6 +183,23 @@ def test_assigned_lambda_is_a_linkable_function(tmp_path):
     }))
     assert [f.rule for f in findings] == ["taint-interprocedural"]
     assert "emit" in findings[0].message
+
+
+def test_call_before_a_rebinding_still_links(tmp_path):
+    # the call passes `query` before it is cleared: labels either
+    # statement walk sees at a call site stay
+    findings = interproc(lint_tree(tmp_path, {
+        "repro/core/late.py": """\
+        def leak(message):
+            print(message)
+
+
+        def handle(query):
+            leak(query)
+            query = "safe"
+        """,
+    }))
+    assert [f.rule for f in findings] == ["taint-interprocedural"]
 
 
 def test_comprehension_result_carries_taint(tmp_path):
@@ -213,6 +316,20 @@ def test_trusted_enclave_module_declassifies(tmp_path):
     assert findings == []
 
 
+def test_exempt_module_keeps_span_key_hygiene(tmp_path):
+    # trusted and adversary modules report no taint flows, but a
+    # forbidden span key is telemetry hygiene, checked everywhere
+    findings = lint_tree(tmp_path, {
+        "repro/sgx/probe.py": """\
+        def probe(span, query):
+            print(query)
+            span.set_attribute("token", 1)
+        """,
+    })
+    assert [(f.rule, f.line) for f in findings] == [
+        ("span-forbidden-key", 3)]
+
+
 def test_pragma_on_the_sink_line_suppresses(tmp_path):
     findings = interproc(lint_tree(tmp_path, {
         "repro/core/prag.py": """\
@@ -225,40 +342,6 @@ def test_pragma_on_the_sink_line_suppresses(tmp_path):
         """,
     }))
     assert findings == []
-
-
-# -- determinism across the pool ------------------------------------------
-
-def test_findings_are_byte_identical_across_jobs(tmp_path):
-    files = {
-        "repro/core/helper.py":
-            "def leak(message):\n    print(message)\n",
-        "repro/core/main.py":
-            "from repro.core.helper import leak\n\n\n"
-            "def handle(query):\n    leak(query)\n",
-        "repro/core/field.py": """\
-        class Holder:
-            def __init__(self, query):
-                self._q = query
-
-            def dump(self):
-                print(self._q)
-        """,
-    }
-    reports = [format_text(lint_tree(tmp_path / str(jobs), files,
-                                     jobs=jobs))
-               for jobs in (1, 2, 4)]
-    assert reports[0] == reports[1] == reports[2]
-    assert "[taint-interprocedural]" in reports[0]
-    assert "[taint-field-flow]" in reports[0]
-
-
-def test_cli_jobs_output_is_byte_identical(capsys):
-    outputs = []
-    for jobs in ("1", "2", "4"):
-        cli_main(["lint", "--root", str(FIXTURE_ROOT), "--jobs", jobs])
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # -- the JSON contract -----------------------------------------------------

@@ -1,6 +1,6 @@
 """The static and runtime sink lists must be the same objects.
 
-If :mod:`repro.obs.audit` (runtime) and :mod:`repro.lint.taint`
+If :mod:`repro.obs.audit` (runtime) and :mod:`repro.lint.pdg`
 (static) each kept their own list of adversary-visible sinks, adding a
 telemetry surface could silently widen one and not the other. These
 tests pin both consumers to :mod:`repro.obs.sinks`.
@@ -27,8 +27,9 @@ def test_runtime_wire_tap_is_a_static_sink():
 
 
 def test_static_taint_pass_reads_the_registry():
-    from repro.lint import taint
+    from repro.lint import pdg, taint
 
+    assert pdg.sinks is sinks
     assert taint.sinks is sinks
 
 

@@ -222,6 +222,37 @@ class TestCheckRegression:
         refreshed = perf.load_baseline(path)
         assert refreshed["meta"]["params"] == tiny_results["meta"]["params"]
 
+    def test_retired_param_exits_2_naming_it(self, tiny_results, tmp_path,
+                                             capsys):
+        stale = copy.deepcopy(tiny_results)
+        stale["meta"]["params"]["retired_knob"] = 2
+        path = str(tmp_path / "bench.json")
+        perf.write_baseline(stale, path)
+        assert check_regression.main(["--baseline", path]) == 2
+        assert "retired_knob" in capsys.readouterr().err
+
+    def test_update_drops_a_retired_param(self, tiny_results, tmp_path):
+        stale = copy.deepcopy(tiny_results)
+        stale["meta"]["params"]["retired_knob"] = 2
+        path = str(tmp_path / "bench.json")
+        perf.write_baseline(stale, path)
+        assert check_regression.main(
+            ["--baseline", path, "--update"]) == 0
+        refreshed = perf.load_baseline(path)
+        assert refreshed["meta"]["params"] == tiny_results["meta"]["params"]
+
+
+class TestMergeParams:
+    def test_merge_drops_params_perf_no_longer_defines(self):
+        existing = {"meta": {"params": {"retired_knob": 2, "seed": 0}}}
+        merged = perf.merge_params(existing, perf.resolve_params())
+        assert merged == perf.DEFAULT_PARAMS
+
+    def test_merge_still_rejects_a_conflicting_param(self):
+        existing = {"meta": {"params": {"seed": 1}}}
+        with pytest.raises(ValueError, match="seed"):
+            perf.merge_params(existing, perf.resolve_params(seed=0))
+
 
 #: CLI flags keeping a full `repro perf` run at toy scale.
 TINY_FLAGS = ["--history", "100", "--probes", "6", "--events", "1000",
@@ -273,8 +304,18 @@ class TestCli:
         assert cli_main(["perf", *TINY_FLAGS, "--output", str(out)]) == 0
         written = perf.load_baseline(str(out))
         assert written["profile"] == profile
-        assert written["meta"]["params"]["legacy"] == 1
+        # a param perf does not define is dropped, not carried along
+        assert "legacy" not in written["meta"]["params"]
         assert written["meta"]["params"]["history_size"] == 100
+        assert "simulator" in written
+
+    def test_perf_only_drops_a_retired_param(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        out.write_text(json.dumps({"meta": {"params": {"retired_knob": 2}}}))
+        assert cli_main(["perf", *TINY_FLAGS, "--output", str(out),
+                         "--only", "simulator"]) == 0
+        written = perf.load_baseline(str(out))
+        assert "retired_knob" not in written["meta"]["params"]
         assert "simulator" in written
 
     def test_perf_param_conflict_exits_2(self, tmp_path, capsys):
