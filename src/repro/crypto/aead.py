@@ -4,9 +4,12 @@ CYCLOSA encrypts every inter-enclave message and every enclave-to-search-
 engine payload. We build an AEAD from the primitives in
 :mod:`repro.crypto.hashes`:
 
-- The keystream is ``HMAC-SHA256(enc_key, nonce || counter)`` blocks
-  XORed with the plaintext (a CTR-mode stream cipher with SHA-256 as the
-  block function).
+- The keystream is ``HMAC-SHA256(enc_key, nonce || counter)`` blocks,
+  with an 8-byte big-endian counter from 0, XORed with the plaintext (a
+  CTR-mode stream cipher with SHA-256 as the block function). Block 0
+  is one HMAC call; blocks 1, 2, ... come out of a single
+  one-iteration PBKDF2-HMAC-SHA256 call, so OpenSSL runs the block loop
+  (see :func:`_keystream`).
 - Integrity is an HMAC-SHA256 tag over ``nonce || associated_data ||
   ciphertext`` under an independent MAC key; both keys are derived from
   the AEAD key with distinct HKDF labels.
@@ -70,24 +73,15 @@ class AeadKey:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    # Equivalent to concatenating
-    # ``hmac_sha256(enc_key, nonce, counter)`` blocks, but the HMAC
-    # state over key and nonce is absorbed once and cloned per block —
-    # every block then only hashes its 8 counter bytes. Sealing large
-    # payloads (replica scatter-gather partials) is keystream-bound, so
-    # this path is deliberately allocation-light.
-    base = _hmac.new(enc_key, nonce, hashlib.sha256)
-    blocks = []
-    produced = 0
-    counter = 0
-    while produced < length:
-        block_mac = base.copy()
-        block_mac.update(counter.to_bytes(8, "big"))
-        block = block_mac.digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
-    return b"".join(blocks)[:length]
+    first = _hmac.digest(enc_key, nonce + bytes(8), "sha256")
+    if length <= DIGEST_SIZE:
+        return first[:length]
+    # PBKDF2 with one iteration emits HMAC(P, S || i as 4 bytes BE) for
+    # i = 1, 2, ... (RFC 8018 5.2); with S = nonce || 4 zero bytes that is
+    # block i of this stream. The 4-byte index cannot wrap: pbkdf2_hmac
+    # rejects dklen >= 2**31.
+    return first + hashlib.pbkdf2_hmac(
+        "sha256", enc_key, nonce + bytes(4), 1, length - DIGEST_SIZE)
 
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:

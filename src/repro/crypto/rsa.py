@@ -8,14 +8,25 @@ but fast enough that tests can generate dozens of relay identities.
 Encryption is *hybrid*: RSA transports a fresh AEAD key, and the payload
 is sealed under it (so onion layers have no RSA size limit). Signatures
 are RSA over the SHA-256 digest with a fixed PKCS#1-v1.5-style prefix.
+
+The private-key operations (signing, key-transport decryption) use the
+Chinese remainder theorem: one half-size exponentiation per prime,
+recombined with Garner's formula. The result is the same integer as
+``pow(x, d, n)`` at a fraction of the cost (measured in
+docs/performance.md, "Crypto and codec fast path").
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.crypto.aead import AeadKey, open_ as aead_open, seal as aead_seal
+from repro.crypto.aead import (
+    AeadError,
+    AeadKey,
+    open_ as aead_open,
+    seal as aead_seal,
+)
 from repro.crypto.hashes import sha256
 from repro.crypto.rng import system_rng
 
@@ -125,10 +136,17 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaKeyPair:
-    """An RSA key pair; holds the private exponent alongside the public key."""
+    """An RSA key pair: the public key, the private exponent *d*, and the
+    primes with their CRT exponents (``dp = d mod p-1``, ``dq = d mod
+    q-1``, ``qinv = q^-1 mod p``) that the private-key operations use."""
 
     public: RsaPublicKey
     d: int
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    dp: int = field(repr=False)
+    dq: int = field(repr=False)
+    qinv: int = field(repr=False)
 
     @classmethod
     def generate(cls, bits: int = 1024, rng=None) -> "RsaKeyPair":
@@ -151,7 +169,14 @@ class RsaKeyPair:
             if phi % e == 0:
                 continue
             d = pow(e, -1, phi)
-            return cls(public=RsaPublicKey(n=n, e=e), d=d)
+            return cls(public=RsaPublicKey(n=n, e=e), d=d, p=p, q=q,
+                       dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p))
+
+    def _private(self, x: int) -> int:
+        """``pow(x, d, n)`` by the Chinese remainder theorem."""
+        mp = pow(x, self.dp, self.p)
+        mq = pow(x, self.dq, self.q)
+        return mq + (self.qinv * (mp - mq) % self.p) * self.q
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Invert :meth:`RsaPublicKey.encrypt`."""
@@ -167,8 +192,7 @@ class RsaKeyPair:
         c = int.from_bytes(rsa_block, "big")
         if c >= self.public.n:
             raise RsaError("ciphertext representative out of range")
-        m = pow(c, self.d, self.public.n)
-        block = m.to_bytes(self.public.byte_length, "big")
+        block = self._private(c).to_bytes(self.public.byte_length, "big")
         if not block.startswith(_ENC_PREFIX):
             raise RsaError("bad key-transport padding")
         try:
@@ -180,7 +204,7 @@ class RsaKeyPair:
             raise RsaError("bad transported key length")
         try:
             return aead_open(AeadKey(session_key), sealed)
-        except Exception as exc:  # AeadError — normalise to RsaError
+        except AeadError as exc:
             raise RsaError("payload authentication failed") from exc
 
     def sign(self, message: bytes) -> bytes:
@@ -188,5 +212,4 @@ class RsaKeyPair:
         m = int.from_bytes(_SIG_PREFIX + sha256(message), "big")
         if m >= self.public.n:
             raise RsaError("modulus too small to sign")
-        s = pow(m, self.d, self.public.n)
-        return s.to_bytes(self.public.byte_length, "big")
+        return self._private(m).to_bytes(self.public.byte_length, "big")

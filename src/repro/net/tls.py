@@ -8,6 +8,11 @@ A one-round-trip handshake modelled on TLS 1.3's DH + credential flow:
    value and credential, and derives the session key.
 3. Initiator verifies and derives the same key.
 
+Both sides check that a hello is well formed before any crypto runs
+(:func:`_well_formed_hello`): the responder silently drops a malformed
+hello, the initiator fails the handshake with ``"malformed server
+hello"``. A peer's bad input ends one handshake, never the simulation.
+
 The *credential* is pluggable:
 
 - :class:`SignatureAuthenticator` — classic PKI: an RSA signature over
@@ -230,7 +235,7 @@ class SecureChannelManager:
         def on_reply(response: dict) -> None:
             if entry["done"]:
                 return
-            if not isinstance(response, dict) or "dh_public" not in response:
+            if not _well_formed_hello(response, self._dh_params):
                 _fail("malformed server hello")
                 return
             peer_context = _handshake_context(
@@ -267,6 +272,8 @@ class SecureChannelManager:
         if ctx.request.kind != f"{self.kind}.req":
             return False
         hello = ctx.request.payload
+        if not _well_formed_hello(hello, self._dh_params):
+            return True  # dropped, like an unauthenticated initiator
         peer = ctx.request.src
         entry = self._inflight.get(peer)
         if entry is not None and not entry["done"] \
@@ -300,6 +307,45 @@ class SecureChannelManager:
             self._inflight.pop(peer, None)
             entry["on_ready"](channel)
         return True
+
+
+def _is_bytes(value: Any) -> bool:
+    return type(value) is bytes
+
+
+def _natural(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _uint64(value: Any) -> bool:
+    return _natural(value) and value < 1 << 64
+
+
+# The fields each credential scheme needs, each with the check its
+# verifier relies on (``e`` and ``platform_id`` become 8-byte strings).
+_CREDENTIAL_FIELDS: Dict[str, Dict[str, Callable[[Any], bool]]] = {
+    "rsa-sig": {"n": _natural, "e": _uint64, "signature": _is_bytes},
+    "sgx-quote": {"platform_id": _uint64, "measurement": _is_bytes,
+                  "report_data": _is_bytes, "signature": _is_bytes},
+}
+
+
+def _well_formed_hello(hello: Any, dh_params: DhParams) -> bool:
+    """Whether *hello* is a dict with an int ``dh_public`` in [2, p-2]
+    and a credential carrying every field its scheme needs."""
+    if not isinstance(hello, dict):
+        return False
+    dh_public = hello.get("dh_public")
+    if type(dh_public) is not int or not 2 <= dh_public <= dh_params.p - 2:
+        return False
+    credential = hello.get("credential")
+    if not isinstance(credential, dict):
+        return False
+    scheme = credential.get("scheme")
+    if not isinstance(scheme, str) or scheme not in _CREDENTIAL_FIELDS:
+        return False
+    return all(valid(credential.get(name))
+               for name, valid in _CREDENTIAL_FIELDS[scheme].items())
 
 
 def _handshake_context(sender: str, receiver: str, dh_public: int) -> bytes:

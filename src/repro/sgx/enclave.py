@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.crypto.hashes import hkdf, hmac_sha256, sha256
+from repro.crypto.hashes import constant_time_equal, hkdf, hmac_sha256, sha256
 from repro.crypto.keys import IdentityKeyPair
 from repro.obs import OBS, close_remote_span, open_remote_span
 from repro.sgx.epc import EnclavePageCache
@@ -309,7 +309,7 @@ class Enclave:
     def _verify_report_mac(self, report: "LocalReport") -> bool:
         expected = hmac_sha256(
             self._report_key, report.measurement, report.report_data)
-        return expected == report.mac
+        return constant_time_equal(expected, report.mac)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for repro.crypto.aead."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from repro.crypto.aead import (
     KEY_SIZE,
     NONCE_SIZE,
     TAG_SIZE,
+    _keystream,
     open_,
     seal,
     sealed_overhead,
 )
+from repro.crypto.hashes import hmac_sha256
 
 
 @pytest.fixture
@@ -104,3 +107,35 @@ class TestSealOpen:
         sealed[index] ^= 0x01
         with pytest.raises(AeadError):
             open_(key, bytes(sealed))
+
+
+def _reference_keystream(enc_key, nonce, length):
+    # The keystream's definition, block by block: HMAC-SHA256 over the
+    # nonce and an 8-byte big-endian counter that starts at 0.
+    blocks = -(-length // 32)
+    return b"".join(hmac_sha256(enc_key, nonce, c.to_bytes(8, "big"))
+                    for c in range(blocks))[:length]
+
+
+class TestKeystreamReference:
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 63, 64, 65, 4096])
+    def test_matches_block_definition(self, key, length):
+        nonce = bytes(range(NONCE_SIZE))
+        assert (_keystream(key._enc_key, nonce, length)
+                == _reference_keystream(key._enc_key, nonce, length))
+
+    @given(st.binary(max_size=80), st.binary(max_size=40),
+           st.integers(min_value=0, max_value=8192))
+    def test_property_matches_block_definition(self, enc_key, nonce, length):
+        assert (_keystream(enc_key, nonce, length)
+                == _reference_keystream(enc_key, nonce, length))
+
+    def test_known_answer(self):
+        # Recorded when the keystream was a per-block HMAC loop; any
+        # change to the construction changes these bytes.
+        key = AeadKey.generate(random.Random(14))
+        plaintext = random.Random(15).randbytes(5000)
+        sealed = seal(key, plaintext, b"kat", rng=random.Random(16))
+        assert hashlib.sha256(sealed).hexdigest() == (
+            "74c361faca75c8a14b1a95c55d09d68d170b1ed1eaa56e9faf12bdc92c85c370")
+        assert open_(key, sealed, b"kat") == plaintext

@@ -15,6 +15,7 @@ from repro.net.tls import (
     SignatureAuthenticator,
     TlsError,
     _directional_keys,
+    _handshake_context,
 )
 from repro.sgx.attestation import IntelAttestationService, MeasurementPolicy
 from repro.sgx.enclave import Enclave, EnclaveHost
@@ -215,3 +216,113 @@ class TestSgxAuthenticatedChannels:
                         on_fail=failures.append, timeout=2.0)
         sim.run()
         assert failures == ["peer credential rejected"]
+
+
+def _signed_credential(rng, sender, receiver, dh_public):
+    # A genuine signature over the handshake context: any key passes the
+    # default trust anchor, so only the hello's shape can reject it.
+    identity = IdentityKeyPair.generate(bits=512, rng=rng)
+    return SignatureAuthenticator(identity).prove(
+        _handshake_context(sender, receiver, dh_public))
+
+
+_GOOD_DH = 5
+_BAD_HELLOS = {
+    "no-credential": lambda rng, src, dst: {"dh_public": _GOOD_DH},
+    "no-dh-public": lambda rng, src, dst: {
+        "credential": _signed_credential(rng, src, dst, _GOOD_DH)},
+    "not-a-dict": lambda rng, src, dst: ["dh_public", _GOOD_DH],
+    "dh-public-1": lambda rng, src, dst: {
+        "dh_public": 1,
+        "credential": _signed_credential(rng, src, dst, 1)},
+    "dh-public-p-1": lambda rng, src, dst: {
+        "dh_public": (1 << 127) - 2,
+        "credential": _signed_credential(rng, src, dst, (1 << 127) - 2)},
+    "dh-public-str": lambda rng, src, dst: {
+        "dh_public": "5",
+        "credential": _signed_credential(rng, src, dst, _GOOD_DH)},
+    "credential-not-a-dict": lambda rng, src, dst: {
+        "dh_public": _GOOD_DH, "credential": b"signature"},
+    "credential-missing-field": lambda rng, src, dst: {
+        "dh_public": _GOOD_DH,
+        "credential": {
+            key: value for key, value in _signed_credential(
+                rng, src, dst, _GOOD_DH).items() if key != "e"}},
+    "credential-negative-exponent": lambda rng, src, dst: {
+        "dh_public": _GOOD_DH,
+        "credential": {**_signed_credential(rng, src, dst, _GOOD_DH),
+                       "e": -1}},
+    "credential-unhashable-scheme": lambda rng, src, dst: {
+        "dh_public": _GOOD_DH,
+        "credential": {**_signed_credential(rng, src, dst, _GOOD_DH),
+                       "scheme": ["rsa-sig"]}},
+    "quote-missing-report-data": lambda rng, src, dst: {
+        "dh_public": _GOOD_DH,
+        "credential": {"scheme": "sgx-quote", "platform_id": 1,
+                       "measurement": b"m", "signature": b"s"}},
+}
+
+
+def _send_raw_hello(net, sim, responder, hello):
+    """Send *hello* from a bare node "x" to *responder* ("b"); returns
+    the replies and timeouts the sender saw."""
+    sender = NetNode(net, "x")
+    replies, timeouts = [], []
+    sender.request(responder.address, hello, on_reply=replies.append,
+                   timeout=1.0, on_timeout=lambda: timeouts.append("timeout"),
+                   kind="tls")
+    sim.run()
+    return replies, timeouts
+
+
+class TestMalformedHandshake:
+    """A peer's malformed hello ends its handshake, not the simulation."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_HELLOS))
+    def test_responder_drops_malformed_hello(self, net, sim, rng, case):
+        responder = TlsNode(net, "b", _sig_manager(rng))
+        replies, timeouts = _send_raw_hello(
+            net, sim, responder, _BAD_HELLOS[case](rng, "x", "b"))
+        assert replies == [] and timeouts == ["timeout"]
+        assert responder.tls.channel("x") is None
+
+    def test_pinned_responder_drops_oversized_exponent(self, net, sim, rng):
+        # A pinning trust anchor fingerprints the presented key, which
+        # packs e into 8 bytes.
+        def pinning_factory(node):
+            identity = IdentityKeyPair.generate(bits=512, rng=rng)
+            return SecureChannelManager(node, SignatureAuthenticator(
+                identity,
+                trust_anchor=lambda pub: pub.fingerprint() == b"\x00" * 32),
+                rng)
+
+        responder = TlsNode(net, "b", pinning_factory)
+        credential = _signed_credential(rng, "x", "b", _GOOD_DH)
+        replies, timeouts = _send_raw_hello(net, sim, responder, {
+            "dh_public": _GOOD_DH, "credential": {**credential, "e": 1 << 64}})
+        assert replies == [] and timeouts == ["timeout"]
+
+    def test_well_formed_raw_hello_is_answered(self, net, sim, rng):
+        # Control for the drops above: the same sender, shape fixed.
+        responder = TlsNode(net, "b", _sig_manager(rng))
+        replies, timeouts = _send_raw_hello(net, sim, responder, {
+            "dh_public": _GOOD_DH,
+            "credential": _signed_credential(rng, "x", "b", _GOOD_DH)})
+        assert len(replies) == 1 and replies[0]["dh_public"] > 1
+        assert timeouts == []
+
+    @pytest.mark.parametrize("case", sorted(_BAD_HELLOS))
+    def test_initiator_fails_on_malformed_server_hello(self, net, sim, rng,
+                                                       case):
+        class BadServer(NetNode):
+            def handle_request(self, ctx):
+                ctx.respond(_BAD_HELLOS[case](rng, "b", "a"))
+
+        initiator = TlsNode(net, "a", _sig_manager(rng))
+        BadServer(net, "b")
+        ready, failures = [], []
+        initiator.tls.establish("b", on_ready=ready.append,
+                                on_fail=failures.append, timeout=1.0)
+        sim.run()
+        assert ready == [] and failures == ["malformed server hello"]
+        assert initiator.tls.channel("b") is None
