@@ -15,13 +15,19 @@ One node plays both roles of the protocol:
 Failure handling follows §VI-b: a relay that does not respond within
 the timeout is blacklisted (dropped from the view and its channel
 forgotten) and the real query is retried through a different peer.
+
+A protected search moves through the phases of :data:`TRANSITIONS`
+(``connecting`` → ``sent`` → ``done``, with ``backoff`` between a lost
+real leg and its retry); :meth:`ProtectedSearch.move` refuses any other
+move with :class:`LifecycleError`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Set,
+                    Tuple)
 
 from repro.core.adaptive import choose_k
 from repro.core.config import CyclosaConfig
@@ -42,6 +48,26 @@ from repro.sgx.attestation import IntelAttestationService, MeasurementPolicy
 from repro.sgx.enclave import EnclaveHost
 
 FORWARD_KIND = "cyclosa.fwd"
+
+#: The protected-search lifecycle: phase -> the phases it may move to.
+#:
+#: - ``connecting``: channels to the relays are being attested, and the
+#:   real record is sealed and queued (the first dispatch, or a retry's
+#:   replacement relay);
+#: - ``sent``: the real record is in flight;
+#: - ``backoff``: the real leg was lost; the §VI-b retry waits out its
+#:   backoff;
+#: - ``done``: a terminal status was delivered.
+TRANSITIONS: Dict[str, FrozenSet[str]] = {
+    "connecting": frozenset({"sent", "backoff", "done"}),
+    "sent": frozenset({"backoff", "done"}),
+    "backoff": frozenset({"connecting", "done"}),
+    "done": frozenset(),
+}
+
+
+class LifecycleError(RuntimeError):
+    """A search was asked to make a move :data:`TRANSITIONS` forbids."""
 
 
 @dataclass
@@ -84,7 +110,9 @@ class ProtectedSearch:
     on_result: Callable[[Dict[str, Any]], None]
     retries_left: int
     real_token: Optional[str] = None
-    done: bool = False
+    #: Where the search is in :data:`TRANSITIONS`; change it with
+    #: :meth:`move`.
+    phase: str = "connecting"
     #: Node-unique id; the search stays in ``CyclosaNode._searches``
     #: until a terminal status is delivered (hang detection).
     search_id: str = ""
@@ -108,11 +136,21 @@ class ProtectedSearch:
     #: Next fan-out leg number — retries continue numbering past k.
     next_path: int = 0
 
+    @property
+    def done(self) -> bool:
+        return self.phase == "done"
+
+    def move(self, phase: str) -> None:
+        """Enter *phase*; raise :class:`LifecycleError` if the current
+        phase does not allow it."""
+        if self.phase == "done":
+            raise LifecycleError(
+                f"search {self.search_id}: {self.phase} -> {phase}")
+        self.phase = phase
+
 
 class CyclosaNode(NetNode):
     """One participant: untrusted extension code + trusted enclave."""
-
-    _ids = itertools.count()
 
     def __init__(self, network: Network, address: str, rng,
                  config: CyclosaConfig, services: CyclosaServices,
@@ -236,31 +274,19 @@ class CyclosaNode(NetNode):
 
         if k_override is not None:
             k = k_override
-            if tracer is not None:
-                # Emit the assessment stages even when bypassed, so
-                # every trace carries the full six-stage pipeline.
-                span = tracer.start_span("sensitivity", parent=root,
-                                         attributes={"skipped": True})
-                tracer.end_span(span)
-                span = tracer.start_span(
-                    "adaptive_k", parent=root,
-                    attributes={"k": k, "override": True})
-                tracer.end_span(span)
+            stages = ({"skipped": True}, {"k": k, "override": True})
         else:
-            if tracer is not None:
-                span = tracer.start_span("sensitivity", parent=root)
-                report = self.sensitivity.assess(query)
-                span.set_attributes({
-                    "semantic_sensitive": report.semantic_sensitive,
-                    "linkability": report.linkability})
-                tracer.end_span(span)
-                span = tracer.start_span("adaptive_k", parent=root)
-                k = choose_k(report, self.config.kmax)
-                span.set_attribute("k", k)
-                tracer.end_span(span)
-            else:
-                report = self.sensitivity.assess(query)
-                k = choose_k(report, self.config.kmax)
+            report = self.sensitivity.assess(query)
+            k = choose_k(report, self.config.kmax)
+            stages = ({"semantic_sensitive": report.semantic_sensitive,
+                       "linkability": report.linkability}, {"k": k})
+        if tracer is not None:
+            # Emit the assessment stages even when bypassed, so every
+            # trace carries the full six-stage pipeline.
+            for name, attributes in zip(("sensitivity", "adaptive_k"),
+                                        stages):
+                tracer.end_span(tracer.start_span(
+                    name, parent=root, attributes=attributes))
         self.sensitivity.remember(query)
         self.stats.queries_issued += 1
         if OBS.enabled:
@@ -279,7 +305,15 @@ class CyclosaNode(NetNode):
             trace_root=root,
             search_id=f"{self.address}/s{next(self._search_ids):06d}")
         self._searches[search.search_id] = search
-        self._select_relays_and_dispatch(search)
+        relays = self.pss.random_peers(k + 1, exclude=[self.address])
+        if not relays:
+            self._finish(search, status="no-peers", hits=[])
+            return k
+        # Small view: degrade protection rather than fail (§V-C always
+        # sends the real query).
+        search.k = len(relays) - 1
+        self._ensure_channels(relays,
+                              lambda ready: self._dispatch(search, ready))
         return k
 
     def outstanding_searches(self) -> List[ProtectedSearch]:
@@ -300,20 +334,6 @@ class CyclosaNode(NetNode):
         return len(self._searches)
 
     # -- relay selection -------------------------------------------------
-
-    def _select_relays_and_dispatch(self, search: ProtectedSearch) -> None:
-        needed = search.k + 1
-        relays = self.pss.random_peers(needed, exclude=[self.address])
-        if not relays:
-            self._finish(search, status="no-peers", hits=[])
-            return
-        if len(relays) < needed:
-            # Small view: degrade protection rather than fail (§V-C
-            # always sends the real query).
-            search.k = len(relays) - 1
-        self._ensure_channels(
-            relays[: search.k + 1],
-            lambda ready: self._dispatch(search, ready))
 
     def _ensure_channels(self, relays: List[str],
                          proceed: Callable[[List[str]], None]) -> None:
@@ -343,9 +363,18 @@ class CyclosaNode(NetNode):
 
     # -- dispatch ----------------------------------------------------------
 
+    def _reserve_leg(self, search: ProtectedSearch, relay: str) -> str:
+        """Number a new fan-out leg to *relay* and reserve the id of its
+        ``path`` span; return the traceparent its sealed record carries,
+        so the relay's spans attach under that span."""
+        path = search.next_path
+        search.next_path += 1
+        leg_id = OBS.tracer.reserve_span_id()
+        search.path_info[relay] = (path, leg_id)
+        return TraceContext(search.trace_root.trace_id, leg_id,
+                            path).to_traceparent()
+
     def _dispatch(self, search: ProtectedSearch, relays: List[str]) -> None:
-        if search.done:
-            return
         # Channels are re-checked at dispatch time: while
         # _ensure_channels waited on other handshakes, a concurrent
         # search's timeout may have blacklisted an already-ready relay
@@ -358,51 +387,31 @@ class CyclosaNode(NetNode):
             # an empty view, and still a terminal status — never a hang.
             self._finish(search, status="channel-failure", hits=[])
             return
-        k = len(relays) - 1
-        search.k = min(search.k, k)
-        tracer = OBS.tracer if OBS.enabled else None
-        fake_span = None
-        trace_contexts = None
-        root_ctx = None
-        if tracer is not None and search.trace_root is not None:
+        search.k = len(relays) - 1
+        tracer = (OBS.tracer if OBS.enabled and search.trace_root is not None
+                  else None)
+        trace_contexts = root_ctx = None
+        if tracer is not None:
             fake_span = tracer.start_span("fake_generation",
                                           parent=search.trace_root)
-            # One leg per relay: reserve the span id of the leg's
-            # "path" span now, so the enclave can seal a context whose
-            # parent is that span — the relay's spans then attach in
-            # the right place without anything crossing the wire in
-            # plain text.
-            root = search.trace_root
-            trace_contexts = {}
-            for relay in relays[: search.k + 1]:
-                path = search.next_path
-                search.next_path += 1
-                leg_id = tracer.reserve_span_id()
-                search.path_info[relay] = (path, leg_id)
-                trace_contexts[relay] = TraceContext(
-                    root.trace_id, leg_id, path).to_traceparent()
-            root_ctx = TraceContext(root.trace_id, root.span_id, 0)
-        if root_ctx is not None:
-            with remote_context(self.address, root_ctx):
-                batch = self.enclave.build_protected_batch(
-                    search.query, search.k, relays[: search.k + 1],
-                    true_user=self.user_id, trace_contexts=trace_contexts)
-        else:
+            trace_contexts = {relay: self._reserve_leg(search, relay)
+                              for relay in relays}
+            root_ctx = TraceContext(search.trace_root.trace_id,
+                                    search.trace_root.span_id, 0)
+        with remote_context(self.address, root_ctx):
             batch = self.enclave.build_protected_batch(
-                search.query, search.k, relays[: search.k + 1],
-                true_user=self.user_id)
+                search.query, search.k, relays,
+                true_user=self.user_id, trace_contexts=trace_contexts)
         self.stats.fakes_sent += max(0, len(batch) - 1)
         # Enclave crypto cost + per-record client overhead stagger the
         # sends — this serialization is why latency grows with k (Fig 8b).
         delay = self.host.meter.take()
-        if fake_span is not None:
+        if tracer is not None:
             # The modelled enclave time for sealing the batch is the
             # meter cost just drained — stamp it as the span's width.
             fake_span.set_attributes({"k": search.k,
                                       "records": len(batch)})
             tracer.end_span(fake_span, end_time=fake_span.start + delay)
-        fanout_span = None
-        if tracer is not None and search.trace_root is not None:
             fanout_span = tracer.start_span(
                 "fanout", parent=search.trace_root,
                 attributes={"records": len(batch)})
@@ -419,7 +428,7 @@ class CyclosaNode(NetNode):
                 delay,
                 lambda r=relay, s=sealed, real=is_real: self._send_record(
                     search, r, s, real))
-        if fanout_span is not None:
+        if tracer is not None:
             # The fan-out stage lasts until the last staggered record
             # leaves the extension: start + the accumulated delay.
             tracer.end_span(fanout_span,
@@ -428,13 +437,15 @@ class CyclosaNode(NetNode):
     def _send_record(self, search: ProtectedSearch, relay: str,
                      sealed: bytes, is_real: bool) -> None:
         if search.done:
-            return
+            return  # a fake leg still queued when the real result came
+        if is_real:
+            search.move("sent")
         if OBS.enabled and search.trace_root is not None:
             info = search.path_info.get(relay)
             if info is not None and info[0] not in search.path_spans:
                 # The leg's "path" span: from the record leaving the
                 # extension until its response (or timeout) returns.
-                # Its id was reserved in _dispatch and is the parent
+                # Its id was reserved by _reserve_leg and is the parent
                 # the relay's spans join to.
                 path, leg_id = info
                 root = search.trace_root
@@ -443,23 +454,18 @@ class CyclosaNode(NetNode):
                     TraceContext(root.trace_id, root.span_id, path),
                     node=self.address, span_id=leg_id,
                     attributes={"relay": relay})
-        if (is_real and OBS.enabled and search.trace_root is not None
-                and search.engine_span is None):
-            # The "engine" stage: the real record's round trip through
-            # its relay to the search engine and back.
-            search.engine_span = OBS.tracer.start_span(
-                "engine", parent=search.trace_root,
-                attributes={"relay": relay, "bytes": len(sealed)})
-
-        def on_reply(payload: Any) -> None:
-            self._on_relay_response(search, relay, payload, is_real)
-
-        def on_timeout() -> None:
-            self._on_relay_timeout(search, relay, is_real)
-
-        self.request(relay, sealed, on_reply,
+            if is_real:
+                # The "engine" stage: the real record's round trip
+                # through its relay to the search engine and back.
+                search.engine_span = OBS.tracer.start_span(
+                    "engine", parent=search.trace_root,
+                    attributes={"relay": relay, "bytes": len(sealed)})
+        self.request(relay, sealed,
+                     lambda payload: self._on_relay_response(
+                         search, relay, payload, is_real),
                      timeout=self.config.relay_timeout * 4,
-                     on_timeout=on_timeout,
+                     on_timeout=lambda: self._on_relay_timeout(
+                         search, relay, is_real),
                      size_bytes=len(sealed), kind=FORWARD_KIND)
 
     # -- responses ---------------------------------------------------------
@@ -477,53 +483,59 @@ class CyclosaNode(NetNode):
             span.set_attribute("timeout", True)
         OBS.tracer.end_span(span)
 
-    def _on_relay_response(self, search: ProtectedSearch, relay: str,
-                           payload: Any, is_real: bool = False) -> None:
-        if not isinstance(payload, (bytes, bytearray)):
-            if is_real:
-                self._on_filtered_real(search)
+    def _close_engine_span(self, search: ProtectedSearch,
+                           **attributes: Any) -> None:
+        """End the open ``engine`` stage span, tagged with how the real
+        leg ended."""
+        span = search.engine_span
+        if span is None or not OBS.enabled:
             return
-        leg_ctx = None
-        if OBS.enabled:
-            self._close_path_span(search, relay)
-            info = search.path_info.get(relay)
-            if info is not None and search.trace_root is not None:
-                leg_ctx = TraceContext(search.trace_root.trace_id,
-                                       info[1], info[0])
-        meter_before = self.host.meter.total
-        if leg_ctx is not None:
+        search.engine_span = None
+        span.set_attributes(attributes)
+        OBS.tracer.end_span(span)
+
+    def _on_relay_response(self, search: ProtectedSearch, relay: str,
+                           payload: Any, is_real: bool) -> None:
+        result = None
+        if isinstance(payload, (bytes, bytearray)):
+            leg_ctx = None
+            if OBS.enabled:
+                self._close_path_span(search, relay)
+                info = search.path_info.get(relay)
+                if info is not None and search.trace_root is not None:
+                    leg_ctx = TraceContext(search.trace_root.trace_id,
+                                           info[1], info[0])
+            meter_before = self.host.meter.total
             with remote_context(self.address, leg_ctx):
                 result = self.enclave.open_relay_response(
                     relay, bytes(payload))
-        else:
-            result = self.enclave.open_relay_response(relay, bytes(payload))
-        filtering_cost = self.host.meter.total - meter_before
-        if result is None:
-            # fake-query response or undecodable: dropped in-enclave
-            if OBS.enabled:
+            filtering_cost = self.host.meter.total - meter_before
+            if result is None and OBS.enabled:
+                # fake-query response or undecodable: dropped in-enclave
                 OBS.registry.counter(
                     "cyclosa_core_fake_responses_total",
                     "relay responses filtered inside the enclave").inc()
-            if is_real:
-                # The *real* leg's response was unusable — typically a
+        if result is None:
+            if is_real and not search.done:
+                # The real leg answered, but unusably: typically a
                 # concurrent search timed out on the same relay and
                 # blacklisted it, dropping the secure channel while
-                # this response was still in flight. The transport has
-                # already cancelled this leg's timeout, so without a
-                # hand-off here the search would hang forever; route it
-                # into the §VI-b retry path instead. The pending token
-                # survives an undecryptable response, so rebuild_real
-                # can re-seal for a fresh relay.
-                self._on_filtered_real(search)
+                # this response was in flight. Unlike a timeout the
+                # relay is not blacklisted, but the leg is dead (the
+                # transport cancelled its timeout), so retry.
+                if OBS.enabled:
+                    OBS.registry.counter(
+                        "cyclosa_core_real_responses_filtered_total",
+                        "real-leg responses unusable in-enclave "
+                        "(retried)").inc()
+                self._close_engine_span(search, filtered=True)
+                self._retry_or_fail(search, "relay-failure")
             return
         if search.done:
             return
         if OBS.enabled and search.trace_root is not None:
             tracer = OBS.tracer
-            if search.engine_span is not None:
-                search.engine_span.set_attribute("status", result["status"])
-                tracer.end_span(search.engine_span)
-                search.engine_span = None
+            self._close_engine_span(search, status=result["status"])
             span = tracer.start_span(
                 "response_filtering", parent=search.trace_root,
                 attributes={"status": result["status"],
@@ -547,57 +559,27 @@ class CyclosaNode(NetNode):
         if OBS.enabled:
             OBS.registry.counter("cyclosa_core_relay_timeouts_total",
                                  "real-query relay timeouts (§VI-b)").inc()
-            if search.trace_root is not None and search.engine_span is not None:
-                search.engine_span.set_attribute("timeout", True)
-                OBS.tracer.end_span(search.engine_span)
-                search.engine_span = None
-        if search.real_token is None:
-            self._finish(search, status="relay-failure", hits=[])
-            return
-        self._schedule_retry(search)
-
-    def _on_filtered_real(self, search: ProtectedSearch) -> None:
-        """A real-leg response arrived but could not be used.
-
-        Unlike a timeout the relay is not blacklisted — it answered;
-        the record was lost to a locally dropped channel or a decrypt
-        failure. The leg is nonetheless dead (its transport timeout was
-        cancelled when the response arrived), so the search must move
-        on: retry through a fresh relay, or terminate explicitly once
-        the budget is spent.
-        """
-        if search.done:
-            return
-        if OBS.enabled:
-            OBS.registry.counter(
-                "cyclosa_core_real_responses_filtered_total",
-                "real-leg responses unusable in-enclave (retried)").inc()
-            if search.trace_root is not None and search.engine_span is not None:
-                search.engine_span.set_attribute("filtered", True)
-                OBS.tracer.end_span(search.engine_span)
-                search.engine_span = None
-        if search.real_token is None:
-            self._finish(search, status="relay-failure", hits=[])
-            return
-        self._schedule_retry(search)
+        self._close_engine_span(search, timeout=True)
+        self._retry_or_fail(search, "relay-failure")
 
     # -- §VI-b retry path --------------------------------------------------
 
-    def _schedule_retry(self, search: ProtectedSearch) -> None:
-        """Queue the next real-query retry behind exponential backoff.
+    def _retry_or_fail(self, search: ProtectedSearch, status: str) -> None:
+        """The real leg is lost: it timed out, answered unusably, or its
+        replacement relay could not be connected or sealed for.
 
-        The r-th retry waits ``base * factor**r`` (capped), stretched
-        by a seeded jitter draw so synchronised clients spread out
-        instead of re-hitting a struggling overlay in lock-step. When
-        the retry budget is exhausted the search terminates with
-        ``relay-failure`` — there is no path out of here that leaves
-        the search pending forever.
+        Queue the next retry behind exponential backoff: the r-th retry
+        waits ``base * factor**r`` (capped), stretched by a seeded
+        jitter draw so synchronised clients spread out instead of
+        re-hitting a struggling overlay in lock-step. Once the retry
+        budget is spent, end the search with *status* instead.
         """
         if search.done:
             return
         if search.retries_left <= 0:
-            self._finish(search, status="relay-failure", hits=[])
+            self._finish(search, status=status, hits=[])
             return
+        search.move("backoff")
         search.retries_left -= 1
         self.stats.retries += 1
         config = self.config
@@ -624,82 +606,59 @@ class CyclosaNode(NetNode):
         """
         if search.done:
             return
+        search.move("connecting")
         used = search.real_relays | search.fake_relays
         used.add(self.address)
         replacements = self.pss.random_peers(1, exclude=sorted(used))
         if not replacements:
             self._finish(search, status="no-peers", hits=[])
             return
-        replacement = replacements[0]
+        self._ensure_channels(
+            replacements, lambda ready: self._resend_real(search, ready))
 
-        def retry(ready: List[str]) -> None:
-            if search.done:
-                return
-            if not ready:
-                # Channel re-establishment failed (attestation denial,
-                # handshake timeout). Burn another retry through the
-                # backoff path rather than silently dropping the
-                # search; with the budget exhausted this terminates
-                # with an explicit status.
-                if search.retries_left > 0:
-                    self._schedule_retry(search)
-                else:
-                    self._finish(search, status="channel-failure", hits=[])
-                return
-            traceparent = None
-            if OBS.enabled and search.trace_root is not None:
-                # The retry is a fresh fan-out leg: new path number,
-                # new reserved "path" span id, same trace.
-                root = search.trace_root
-                path = search.next_path
-                search.next_path += 1
-                leg_id = OBS.tracer.reserve_span_id()
-                search.path_info[ready[0]] = (path, leg_id)
-                traceparent = TraceContext(
-                    root.trace_id, leg_id, path).to_traceparent()
-            try:
-                token, sealed = self.enclave.rebuild_real(
-                    search.real_token, ready[0], traceparent=traceparent)
-            except KeyError:
-                # The channel vanished between establishment and
-                # sealing (a concurrent search blacklisted the same
-                # peer) or the pending entry is gone: retry elsewhere
-                # instead of crashing or hanging.
-                if search.retries_left > 0:
-                    self._schedule_retry(search)
-                else:
-                    self._finish(search, status="channel-failure", hits=[])
-                return
-            search.real_token = token
-            search.real_relays.add(ready[0])
-            cost = self.host.meter.take()
-            self.network.simulator.post(
-                cost + self.config.client_request_overhead,
-                lambda: self._send_record(search, ready[0], sealed, True))
-
-        self._ensure_channels([replacement], retry)
+    def _resend_real(self, search: ProtectedSearch, ready: List[str]) -> None:
+        if search.done:
+            return
+        if not ready:
+            # Channel re-establishment failed (attestation denial,
+            # handshake timeout).
+            self._retry_or_fail(search, "channel-failure")
+            return
+        relay = ready[0]
+        traceparent = None
+        if OBS.enabled and search.trace_root is not None:
+            # The retry is a fresh fan-out leg: new path number, new
+            # reserved "path" span id, same trace.
+            traceparent = self._reserve_leg(search, relay)
+        try:
+            search.real_token, sealed = self.enclave.rebuild_real(
+                search.real_token, relay, traceparent=traceparent)
+        except KeyError:
+            # The channel vanished between establishment and sealing (a
+            # concurrent search blacklisted the same peer).
+            self._retry_or_fail(search, "channel-failure")
+            return
+        search.real_relays.add(relay)
+        cost = self.host.meter.take()
+        self.network.simulator.post(
+            cost + self.config.client_request_overhead,
+            lambda: self._send_record(search, relay, sealed, True))
 
     def _finish(self, search: ProtectedSearch, status: str,
                 hits: List[Dict[str, Any]]) -> None:
         if search.done:
-            # Exactly-once delivery: late timeouts / duplicate
-            # responses must not re-fire on_result.
             return
-        search.done = True
-        self._searches.pop(search.search_id, None)
+        search.move("done")
+        del self._searches[search.search_id]
         if search.real_relays & search.fake_relays:
             self.stats.disjointness_violations += 1
         latency = self.network.simulator.now - search.issued_at
         if OBS.enabled:
-            tracer = OBS.tracer
-            if search.engine_span is not None:
-                search.engine_span.set_attribute("status", status)
-                tracer.end_span(search.engine_span)
-                search.engine_span = None
+            self._close_engine_span(search, status=status)
             if search.trace_root is not None:
                 search.trace_root.set_attributes(
                     {"status": status, "k": search.k})
-                tracer.end_span(search.trace_root)
+                OBS.tracer.end_span(search.trace_root)
             OBS.registry.counter("cyclosa_core_search_results_total",
                                  "completed searches by outcome",
                                  status=status).inc()
@@ -790,23 +749,19 @@ class CyclosaNode(NetNode):
                             response: Any, trace=None) -> None:
         if not isinstance(response, (bytes, bytearray)):
             return
+        hop_ctx = None
         if trace is not None and OBS.enabled:
             incoming, fwd_span = trace
-            with remote_context(self.address,
-                                incoming.child(fwd_span.span_id)):
-                wrapped = self.enclave.wrap_relay_response(
-                    handle, bytes(response))
-        else:
+            hop_ctx = incoming.child(fwd_span.span_id)
+        with remote_context(self.address, hop_ctx):
             wrapped = self.enclave.wrap_relay_response(handle, bytes(response))
         if wrapped is None:
             return
         _src, sealed = wrapped
         cost = self.host.meter.take()
-        if trace is not None and OBS.enabled:
-            incoming, fwd_span = trace
+        if hop_ctx is not None:
             respond_span = open_remote_span(
-                OBS.tracer, "relay.respond",
-                incoming.child(fwd_span.span_id), node=self.address)
+                OBS.tracer, "relay.respond", hop_ctx, node=self.address)
             close_remote_span(OBS.router, self.address, respond_span,
                               end_time=respond_span.start + cost)
             # The forward span covers the full relay residency: from

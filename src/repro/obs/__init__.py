@@ -161,9 +161,12 @@ def remote_context(node: str, ctx):
     While active, :mod:`repro.sgx` attributes ecall/ocall spans to
     *node* with *ctx*'s trace id and path — that is how enclave
     transitions show up inside the distributed trace instead of as
-    anonymous local work. No-op overhead when obs is disabled (callers
-    guard on ``OBS.enabled``).
+    anonymous local work. A ``None`` *ctx* (obs off, or no trace to
+    join) is a no-op, so callers need not branch on it.
     """
+    if ctx is None:
+        yield
+        return
     previous = OBS.remote
     OBS.remote = (node, ctx)
     try:
