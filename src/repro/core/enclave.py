@@ -176,14 +176,14 @@ class CyclosaEnclave(Enclave):
     def build_protected_batch(self, query: str, k: int, relays: List[str],
                               true_user: Optional[str] = None,
                               trace_contexts: Optional[Dict[str, str]] = None
-                              ) -> List[Tuple[str, bytes]]:
+                              ) -> Tuple[List[Tuple[str, bytes]], str, str]:
         """Produce one sealed forward record per relay.
 
         ``relays`` must contain ``k + 1`` addresses with installed
         channels. One random relay carries the real query; each other
         relay carries a distinct fake drawn from the past-queries
-        table. Which relay got the real query is recorded *only* in
-        enclave state, keyed by per-record tokens.
+        table. The queries themselves stay in enclave state, keyed by
+        per-record tokens.
 
         ``trace_contexts`` (optional, observability) maps relay address
         to a traceparent string embedded in that relay's record. The
@@ -192,8 +192,13 @@ class CyclosaEnclave(Enclave):
         same-shaped string, so sealed sizes stay indistinguishable
         (records are envelope-padded regardless).
 
-        Returns ``[(relay_address, sealed_record), ...]`` in randomized
-        dispatch order.
+        Returns ``(records, real_relay, real_token)``: ``records`` is
+        ``[(relay_address, sealed_record), ...]`` in randomized dispatch
+        order, and the other two name the record that carries the real
+        query, so the caller can follow that leg and hand the token to
+        :meth:`rebuild_real` if the leg is lost. The caller issued the
+        real query itself, so this tells its host nothing new; relays
+        and the engine still cannot tell the records apart.
         """
         if len(relays) != k + 1:
             raise ValueError(f"need exactly k+1={k + 1} relays, got {len(relays)}")
@@ -221,6 +226,7 @@ class CyclosaEnclave(Enclave):
             token = f"t{next(self._token_counter):08d}"
             if relay == real_relay:
                 text, is_fake = query, False
+                real_token = token
             else:
                 try:
                     text, is_fake = next(fake_iter), True
@@ -234,16 +240,12 @@ class CyclosaEnclave(Enclave):
             if trace_contexts and relay in trace_contexts:
                 fields["tp"] = trace_contexts[relay]
             record = _pad_record(fields)
-            pending[token] = {
-                "real": not is_fake,
-                "relay": relay,
-                "query": query,
-            }
+            pending[token] = {"real": not is_fake, "query": query}
             sealed = channels[relay].seal(record, rng=self._rng)
             self.charge_crypto(len(sealed), operations=1)
             batch.append((relay, sealed))
         self._evict_stale("pending")
-        return batch
+        return batch, real_relay, real_token
 
     @ecall
     def rebuild_real(self, token: str, new_relay: str,
@@ -266,19 +268,9 @@ class CyclosaEnclave(Enclave):
         if traceparent is not None:
             fields["tp"] = traceparent
         record = _pad_record(fields)
-        pending[new_token] = {
-            "real": True, "relay": new_relay, "query": entry["query"],
-        }
+        pending[new_token] = {"real": True, "query": entry["query"]}
         sealed = channels[new_relay].seal(record, rng=self._rng)
         return new_token, sealed
-
-    @ecall
-    def pending_token_for_relay(self, relay: str) -> Optional[str]:
-        """The real-query token currently assigned to *relay*, if any."""
-        for token, entry in self.trusted["pending"].items():
-            if entry["relay"] == relay and entry["real"]:
-                return token
-        return None
 
     @ecall
     def open_relay_response(self, relay: str, sealed: bytes

@@ -143,7 +143,7 @@ class ProtectedSearch:
     def move(self, phase: str) -> None:
         """Enter *phase*; raise :class:`LifecycleError` if the current
         phase does not allow it."""
-        if self.phase == "done":
+        if phase not in TRANSITIONS[self.phase]:
             raise LifecycleError(
                 f"search {self.search_id}: {self.phase} -> {phase}")
         self.phase = phase
@@ -274,17 +274,19 @@ class CyclosaNode(NetNode):
 
         if k_override is not None:
             k = k_override
-            stages = ({"skipped": True}, {"k": k, "override": True})
+            assessed = {"skipped": True}
+            chosen = {"k": k, "override": True}
         else:
             report = self.sensitivity.assess(query)
             k = choose_k(report, self.config.kmax)
-            stages = ({"semantic_sensitive": report.semantic_sensitive,
-                       "linkability": report.linkability}, {"k": k})
+            assessed = {"semantic_sensitive": report.semantic_sensitive,
+                        "linkability": report.linkability}
+            chosen = {"k": k}
         if tracer is not None:
             # Emit the assessment stages even when bypassed, so every
             # trace carries the full six-stage pipeline.
-            for name, attributes in zip(("sensitivity", "adaptive_k"),
-                                        stages):
+            for name, attributes in (("sensitivity", assessed),
+                                     ("adaptive_k", chosen)):
                 tracer.end_span(tracer.start_span(
                     name, parent=root, attributes=attributes))
         self.sensitivity.remember(query)
@@ -399,9 +401,11 @@ class CyclosaNode(NetNode):
             root_ctx = TraceContext(search.trace_root.trace_id,
                                     search.trace_root.span_id, 0)
         with remote_context(self.address, root_ctx):
-            batch = self.enclave.build_protected_batch(
-                search.query, search.k, relays,
-                true_user=self.user_id, trace_contexts=trace_contexts)
+            batch, real_relay, search.real_token = (
+                self.enclave.build_protected_batch(
+                    search.query, search.k, relays,
+                    true_user=self.user_id, trace_contexts=trace_contexts))
+        search.real_relays.add(real_relay)
         self.stats.fakes_sent += max(0, len(batch) - 1)
         # Enclave crypto cost + per-record client overhead stagger the
         # sends — this serialization is why latency grows with k (Fig 8b).
@@ -417,12 +421,8 @@ class CyclosaNode(NetNode):
                 attributes={"records": len(batch)})
         for relay, sealed in batch:
             delay += self.config.client_request_overhead
-            token = self.enclave.pending_token_for_relay(relay)
-            is_real = token is not None
-            if is_real:
-                search.real_token = token
-                search.real_relays.add(relay)
-            else:
+            is_real = relay == real_relay
+            if not is_real:
                 search.fake_relays.add(relay)
             self.network.simulator.post(
                 delay,
@@ -436,10 +436,10 @@ class CyclosaNode(NetNode):
 
     def _send_record(self, search: ProtectedSearch, relay: str,
                      sealed: bytes, is_real: bool) -> None:
-        if search.done:
-            return  # a fake leg still queued when the real result came
         if is_real:
             search.move("sent")
+        elif search.done:
+            return  # a fake leg still queued when the real result came
         if OBS.enabled and search.trace_root is not None:
             info = search.path_info.get(relay)
             if info is not None and info[0] not in search.path_spans:
@@ -516,7 +516,7 @@ class CyclosaNode(NetNode):
                     "cyclosa_core_fake_responses_total",
                     "relay responses filtered inside the enclave").inc()
         if result is None:
-            if is_real and not search.done:
+            if is_real:
                 # The real leg answered, but unusably: typically a
                 # concurrent search timed out on the same relay and
                 # blacklisted it, dropping the secure channel while
@@ -530,8 +530,6 @@ class CyclosaNode(NetNode):
                         "(retried)").inc()
                 self._close_engine_span(search, filtered=True)
                 self._retry_or_fail(search, "relay-failure")
-            return
-        if search.done:
             return
         if OBS.enabled and search.trace_root is not None:
             tracer = OBS.tracer
@@ -554,7 +552,7 @@ class CyclosaNode(NetNode):
         self._blacklist(relay)
         if OBS.enabled:
             self._close_path_span(search, relay, timed_out=True)
-        if not is_real or search.done:
+        if not is_real:
             return
         if OBS.enabled:
             OBS.registry.counter("cyclosa_core_relay_timeouts_total",
@@ -574,8 +572,6 @@ class CyclosaNode(NetNode):
         re-hitting a struggling overlay in lock-step. Once the retry
         budget is spent, end the search with *status* instead.
         """
-        if search.done:
-            return
         if search.retries_left <= 0:
             self._finish(search, status=status, hits=[])
             return
@@ -604,8 +600,6 @@ class CyclosaNode(NetNode):
         (which would clobber its pending entry and break the §V
         one-query-per-relay property).
         """
-        if search.done:
-            return
         search.move("connecting")
         used = search.real_relays | search.fake_relays
         used.add(self.address)
@@ -617,8 +611,6 @@ class CyclosaNode(NetNode):
             replacements, lambda ready: self._resend_real(search, ready))
 
     def _resend_real(self, search: ProtectedSearch, ready: List[str]) -> None:
-        if search.done:
-            return
         if not ready:
             # Channel re-establishment failed (attestation denial,
             # handshake timeout).
@@ -646,8 +638,7 @@ class CyclosaNode(NetNode):
 
     def _finish(self, search: ProtectedSearch, status: str,
                 hits: List[Dict[str, Any]]) -> None:
-        if search.done:
-            return
+        # Exactly-once delivery: a second finish is an illegal move.
         search.move("done")
         del self._searches[search.search_id]
         if search.real_relays & search.fake_relays:

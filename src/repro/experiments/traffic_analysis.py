@@ -53,7 +53,7 @@ def _cyclosa_record_sizes(queries: List[str], k: int,
 
     sizes = {"real": [], "fake": []}
     for query in queries[len(queries) // 2:]:
-        batch = enclave.build_protected_batch(query, k, relays)
+        batch, _, _ = enclave.build_protected_batch(query, k, relays)
         for relay, sealed in batch:
             record = ends[relay].open(sealed)
             kind = "fake" if record["meta"]["is_fake"] else "real"

@@ -87,19 +87,22 @@ class TestProtection:
     def test_batch_covers_relays_once(self, enclave):
         enclave.seed_table([f"fake {i}" for i in range(10)])
         ends = self._install_relays(enclave, ["r1", "r2", "r3"])
-        batch = enclave.build_protected_batch("real query", 2,
-                                              ["r1", "r2", "r3"])
+        batch, _, _ = enclave.build_protected_batch("real query", 2,
+                                                    ["r1", "r2", "r3"])
         assert sorted(relay for relay, _ in batch) == ["r1", "r2", "r3"]
 
     def test_exactly_one_real_query(self, enclave):
         enclave.seed_table([f"fake {i}" for i in range(10)])
         ends = self._install_relays(enclave, ["r1", "r2", "r3"])
-        batch = enclave.build_protected_batch("real query", 2,
-                                              ["r1", "r2", "r3"])
+        batch, real_relay, real_token = enclave.build_protected_batch(
+            "real query", 2, ["r1", "r2", "r3"])
         texts = []
         for relay, sealed in batch:
             record = ends[relay].open(sealed)
             texts.append((record["query"], record["meta"]["is_fake"]))
+            # The batch names the real record: its relay and its token.
+            assert (relay == real_relay) == (not record["meta"]["is_fake"])
+            assert (record["token"] == real_token) == (relay == real_relay)
         real = [q for q, fake in texts if not fake]
         assert real == ["real query"]
         fakes = [q for q, fake in texts if fake]
@@ -117,27 +120,46 @@ class TestProtection:
 
     def test_empty_table_degrades_to_zero_fakes(self, enclave):
         self._install_relays(enclave, ["r1", "r2", "r3"])
-        batch = enclave.build_protected_batch("q", 2, ["r1", "r2", "r3"])
-        assert len(batch) == 1  # only the real query went out
+        batch, real_relay, _ = enclave.build_protected_batch(
+            "q", 2, ["r1", "r2", "r3"])
+        assert [relay for relay, _ in batch] == [real_relay]  # real only
 
     def test_pending_token_tracking(self, enclave):
         enclave.seed_table([f"fake {i}" for i in range(10)])
-        self._install_relays(enclave, ["r1", "r2"])
-        enclave.build_protected_batch("real", 1, ["r1", "r2"])
-        tokens = [enclave.pending_token_for_relay(r) for r in ("r1", "r2")]
-        assert sum(t is not None for t in tokens) == 1
+        ends = self._install_relays(enclave, ["r1", "r2"])
+        batch, real_relay, real_token = enclave.build_protected_batch(
+            "real", 1, ["r1", "r2"])
+        assert real_relay in ("r1", "r2")
+        tokens = {relay: ends[relay].open(sealed)["token"]
+                  for relay, sealed in batch}
+        assert tokens[real_relay] == real_token
+        assert len(set(tokens.values())) == 2  # one token per record
 
     def test_rebuild_real_moves_relay(self, enclave):
         enclave.seed_table([f"fake {i}" for i in range(10)])
         ends = self._install_relays(enclave, ["r1", "r2", "r3"])
-        enclave.build_protected_batch("real", 1, ["r1", "r2"])
-        old_relay = next(r for r in ("r1", "r2")
-                         if enclave.pending_token_for_relay(r))
-        token = enclave.pending_token_for_relay(old_relay)
+        _, _, token = enclave.build_protected_batch("real", 1, ["r1", "r2"])
         new_token, sealed = enclave.rebuild_real(token, "r3")
-        assert enclave.pending_token_for_relay("r3") == new_token
+        assert new_token != token
         record = ends["r3"].open(sealed)
         assert record["query"] == "real"
+        assert record["token"] == new_token
+        with pytest.raises(KeyError):  # the old token is spent
+            enclave.rebuild_real(token, "r1")
+
+    def test_same_relay_batches_keep_their_own_tokens(self, enclave):
+        """Two in-flight searches whose real records share a relay each
+        get their own token back, and a retry of the first re-seals the
+        first search's query, not the newer one's."""
+        ends = self._install_relays(enclave, ["r1", "r2"])
+        _, relay_a, token_a = enclave.build_protected_batch(
+            "first search", 0, ["r1"])
+        _, relay_b, token_b = enclave.build_protected_batch(
+            "second search", 0, ["r1"])
+        assert relay_a == relay_b == "r1"
+        assert token_a != token_b
+        _, sealed = enclave.rebuild_real(token_a, "r2")
+        assert ends["r2"].open(sealed)["query"] == "first search"
 
     def test_rebuild_unknown_token_rejected(self, enclave):
         self._install_relays(enclave, ["r1"])
@@ -203,8 +225,7 @@ class TestResponseFiltering:
         enclave.seed_table([f"fake {i}" for i in range(5)])
         local, remote = paired_channels(b"r" * 32, "me", "r1")
         enclave.install_peer_channel("r1", local)
-        enclave.build_protected_batch("real query", 0, ["r1"])
-        token = enclave.pending_token_for_relay("r1")
+        _, _, token = enclave.build_protected_batch("real query", 0, ["r1"])
         response = remote.seal({"token": token, "status": "ok",
                                 "hits": [{"url": "u"}]})
         result = enclave.open_relay_response("r1", response)
@@ -219,9 +240,8 @@ class TestResponseFiltering:
                 name.encode().ljust(32, b"x"), "me", name)
             enclave.install_peer_channel(name, local)
             ends[name] = remote
-        batch = enclave.build_protected_batch("real", 1, ["r1", "r2"])
-        real_relay = next(r for r in ("r1", "r2")
-                          if enclave.pending_token_for_relay(r))
+        batch, real_relay, _ = enclave.build_protected_batch(
+            "real", 1, ["r1", "r2"])
         fake_relay = "r2" if real_relay == "r1" else "r1"
         # Dig out the fake's token by decrypting its record.
         fake_sealed = next(s for r, s in batch if r == fake_relay)

@@ -44,9 +44,10 @@ class TestBoundedPending:
 
     def test_newest_entries_survive_eviction(self, enclave):
         for index in range(30):
-            enclave.build_protected_batch(f"query {index}", 0, ["r1"])
+            _, _, token = enclave.build_protected_batch(
+                f"query {index}", 0, ["r1"])
         # The most recent real query's token must still be routable.
-        assert enclave.pending_token_for_relay("r1") is not None
+        enclave.rebuild_real(token, "r1")
 
     def test_forwards_are_capped(self, enclave):
         remote_local, remote = paired(b"q" * 32, "me", "r1")
@@ -64,11 +65,16 @@ class TestBoundedPending:
 
     def test_evicted_response_silently_dropped(self, enclave):
         # Build one real query, then flood pending until it is evicted.
-        enclave.build_protected_batch("the original", 0, ["r1"])
-        token = enclave.pending_token_for_relay("r1")
+        _, _, token = enclave.build_protected_batch("the original", 0, ["r1"])
         for index in range(20):
-            enclave.build_protected_batch(f"flood {index}", 0, ["r1"])
-        # The original's token is gone; a late response is ignored.
+            _, _, newest = enclave.build_protected_batch(
+                f"flood {index}", 0, ["r1"])
+        # The original's token is gone; a late response is ignored,
+        # while the newest search's response still surfaces.
         _local, remote = paired(b"p" * 32, "me", "r1")
-        # (remote end already consumed seqs; craft a fresh pair instead)
-        assert enclave.pending_token_for_relay("r1") != token
+        late = remote.seal({"token": token, "status": "ok", "hits": []})
+        assert enclave.open_relay_response("r1", late) is None
+        fresh = remote.seal({"token": newest, "status": "ok", "hits": []})
+        assert enclave.open_relay_response("r1", fresh)["query"] == "flood 19"
+        with pytest.raises(KeyError):
+            enclave.rebuild_real(token, "r1")

@@ -36,15 +36,13 @@ OBS_SEED = 7
 
 def _plain(value: Any) -> Any:
     """Reduce a result to JSON types: dataclasses become dicts, tuples
-    lists, sets sorted lists and mapping keys strings."""
+    lists and mapping keys strings."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _plain(dataclasses.asdict(value))
     if isinstance(value, dict):
         return {str(key): _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_plain(item) for item in value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise TypeError(f"no canonical form for {type(value).__name__}")

@@ -10,10 +10,7 @@ RECORDED = load()
 
 @pytest.mark.parametrize("name", list(ARTEFACTS))
 def test_artefact_digest_unchanged(name):
-    assert name in RECORDED, (
-        f"golden artefact {name!r} has no recorded digest; "
-        f"run `python -m tests.golden --update {name}`")
-    assert digest(name) == RECORDED[name], (
+    assert digest(name) == RECORDED.get(name), (
         f"golden artefact {name!r} drifted from its recorded digest; "
         f"if the change is intended, re-baseline with "
         f"`python -m tests.golden --update` and give the reason in "

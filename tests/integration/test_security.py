@@ -93,7 +93,7 @@ class TestProxySide:
                                   on_ready=lambda ch: ready.append(ch))
         deployment.run(10.0)
         assert node_a.enclave.has_peer_channel(node_b.address)
-        batch = node_a.enclave.build_protected_batch(
+        batch, _, _ = node_a.enclave.build_protected_batch(
             "replayable query", 0, [node_b.address])
         _, sealed = batch[0]
         first = node_b.enclave.unwrap_forward(node_a.address, sealed)
@@ -106,7 +106,7 @@ class TestProxySide:
         node_b = deployment.nodes[5]
         node_a.peer_tls.establish(node_b.address, on_ready=lambda ch: None)
         deployment.run(10.0)
-        batch = node_a.enclave.build_protected_batch(
+        batch, _, _ = node_a.enclave.build_protected_batch(
             "tamper target", 0, [node_b.address])
         _, sealed = batch[0]
         tampered = bytearray(sealed)
@@ -148,7 +148,7 @@ class TestSearchEngineSide:
         usable = [r for r in ready_relays
                   if node.enclave.has_peer_channel(r)]
         if len(usable) >= 3:
-            batch = node.enclave.build_protected_batch(
+            batch, _, _ = node.enclave.build_protected_batch(
                 "normal length query", 2, usable[:3])
             lengths = [len(sealed) for _, sealed in batch]
             # Records are padded to the envelope: identical wire sizes

@@ -42,28 +42,29 @@ def enclave_with_relays():
 class TestCyclosaUniformity:
     def test_real_and_fakes_same_size(self, enclave_with_relays):
         enclave, ends = enclave_with_relays
-        batch = enclave.build_protected_batch(
+        batch, _, _ = enclave.build_protected_batch(
             "hiv", 3, ["r1", "r2", "r3", "r4"])  # very short real query
         sizes = {len(sealed) for _, sealed in batch}
         assert len(sizes) == 1
 
     def test_short_and_long_queries_same_size(self, enclave_with_relays):
         enclave, ends = enclave_with_relays
-        short = enclave.build_protected_batch("flu", 0, ["r1"])
-        long = enclave.build_protected_batch(
+        short, _, _ = enclave.build_protected_batch("flu", 0, ["r1"])
+        long, _, _ = enclave.build_protected_batch(
             "a much longer and more descriptive medical question about "
             "treatment options", 0, ["r2"])
         assert len(short[0][1]) == len(long[0][1])
 
     def test_padding_is_transparent_to_relay(self, enclave_with_relays):
         enclave, ends = enclave_with_relays
-        batch = enclave.build_protected_batch("real query text", 0, ["r1"])
+        batch, _, _ = enclave.build_protected_batch("real query text", 0,
+                                                    ["r1"])
         record = ends["r1"].open(batch[0][1])
         assert record["query"] == "real query text"
 
     def test_envelope_size_bound(self, enclave_with_relays):
         enclave, ends = enclave_with_relays
-        batch = enclave.build_protected_batch("q", 0, ["r1"])
+        batch, _, _ = enclave.build_protected_batch("q", 0, ["r1"])
         # nonce/tag/seq overhead + one envelope.
         assert len(batch[0][1]) <= 2 * RECORD_ENVELOPE_BYTES + 64
 
