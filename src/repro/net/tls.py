@@ -161,6 +161,8 @@ class SecureChannel:
 
     def open(self, sealed: bytes) -> Any:
         """Decrypt one record; raises on tampering or replay."""
+        if not isinstance(sealed, (bytes, bytearray)):
+            raise TlsError("record is not bytes")
         if len(sealed) < 8:
             raise TlsError("record too short")
         header, body = sealed[:8], sealed[8:]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Tuple
 
 from repro.datasets.vocabulary import (
@@ -29,18 +31,12 @@ class Document:
     topic: str
     tokens: Tuple[str, ...]
 
-    @property
+    @cached_property
     def title_terms(self) -> Tuple[str, ...]:
         """The first few distinct tokens act as the page title — the
         only document text a search client sees in result snippets
-        (what OR-based systems filter on)."""
-        seen = []
-        for token in self.tokens:
-            if token not in seen:
-                seen.append(token)
-            if len(seen) == 8:
-                break
-        return tuple(seen)
+        (what OR-based systems filter on). Computed once per document."""
+        return tuple(islice(dict.fromkeys(self.tokens), 8))
 
 
 @dataclass

@@ -22,12 +22,29 @@ same weights whether its shard or the full index ranks it, a shard's
 partial top-k carries bit-identical scores — which is what lets
 :mod:`repro.searchengine.sharding` merge partials into a result list
 byte-identical to the unsharded engine's (see there).
+
+The ranking kernel: each term's postings are two arrays, document ids
+(``array("q")``) and ``idf[term] * weight`` (``array("d")``), the
+term's whole contribution to each document's score, computed once at
+index time; a posting costs 16 bytes. A query copies its first term's
+postings into a score dict and adds each later term's in query-term
+order, so every score is the same float sum a ``+=`` per posting gives.
+It then divides by the document norms, finds the k-th best value with
+``heapq.nlargest`` and sorts only the candidates at or above it by
+``(-score, doc_id)``. Keeping every tie at the k-th value makes that
+order's first k entries exactly those of a full sort. The hit lists are
+byte-identical to the earlier tuple-posting, full-sort kernel, which
+``tests/searchengine/test_rank_kernel.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from heapq import nlargest
+from operator import truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.searchengine.corpus import Corpus, Document
@@ -100,7 +117,10 @@ class SearchEngine:
         self.corpus = corpus
         self.results_per_query = results_per_query
         self.or_support = or_support
-        self._postings: Dict[str, List[Tuple[int, float]]] = {}
+        # Per term: the ids of the documents that contain it and, in
+        # the same order, idf[term] * weight — the term's contribution
+        # to each document's score.
+        self._postings: Dict[str, Tuple[array, array]] = {}
         self._doc_norms: Dict[int, float] = {}
         self._documents: Dict[int, Document] = {}
         self._build_index(
@@ -122,29 +142,30 @@ class SearchEngine:
 
     def _build_index(self, documents: Sequence[Document],
                      idf: Optional[Dict[str, float]]) -> None:
-        doc_term_counts: List[Tuple[int, Dict[str, int]]] = []
-        term_doc_freq: Dict[str, int] = {}
-        for document in documents:
-            counts: Dict[str, int] = {}
-            for token in document.tokens:
-                counts[token] = counts.get(token, 0) + 1
-            doc_term_counts.append((document.doc_id, counts))
-            self._documents[document.doc_id] = document
-            if idf is None:
-                for term in counts:
-                    term_doc_freq[term] = term_doc_freq.get(term, 0) + 1
         if idf is None:
-            num_docs = len(documents)
-            idf = {
-                term: math.log((1 + num_docs) / (1 + df)) + 1.0
-                for term, df in term_doc_freq.items()
-            }
-        self._idf = idf
-        for doc_id, counts in doc_term_counts:
+            idf = self.compute_idf(documents)
+        longest = max((len(document.tokens) for document in documents),
+                      default=0)
+        log_of = [0.0] + [math.log(count) for count in range(1, longest + 1)]
+        postings = self._postings
+        for document in documents:
+            doc_id = document.doc_id
+            if doc_id in self._documents:
+                # The score accumulation relies on a term listing each
+                # document at most once.
+                raise ValueError(f"duplicate doc_id {doc_id}")
+            self._documents[doc_id] = document
             norm_sq = 0.0
-            for term, count in counts.items():
-                weight = (1.0 + math.log(count)) * self._idf[term]
-                self._postings.setdefault(term, []).append((doc_id, weight))
+            # Counter keeps first-occurrence order, so the norm sums
+            # the squared weights in the order the terms first occur.
+            for term, count in Counter(document.tokens).items():
+                term_idf = idf[term]
+                weight = (1.0 + log_of[count]) * term_idf
+                posting = postings.get(term)
+                if posting is None:
+                    posting = postings[term] = (array("q"), array("d"))
+                posting[0].append(doc_id)
+                posting[1].append(term_idf * weight)
                 norm_sq += weight * weight
             self._doc_norms[doc_id] = math.sqrt(norm_sq) or 1.0
 
@@ -183,26 +204,41 @@ class SearchEngine:
         return self._rank(terms, topk)
 
     def _rank(self, terms: Sequence[str], topk: int) -> List[SearchHit]:
-        scores: Dict[int, float] = {}
-        query_terms = [t for t in terms if t in self._postings]
-        if not query_terms:
+        if topk < 0:
+            raise ValueError("topk must be >= 0")
+        postings = self._postings
+        query_terms = [t for t in terms if t in postings]
+        if not query_terms or topk == 0:
             return []
-        for term in query_terms:
-            idf = self._idf[term]
-            for doc_id, weight in self._postings[term]:
-                scores[doc_id] = scores.get(doc_id, 0.0) + idf * weight
-        ranked = sorted(
-            ((score / self._doc_norms[doc_id], doc_id)
-             for doc_id, score in scores.items()),
-            key=lambda pair: (-pair[0], pair[1]))
+        # Each document's score is ((c1 + c2) + c3) in query-term
+        # order, repeated terms included, as in one += per posting. The
+        # first term's list is copied in C; a plain loop adds the rest,
+        # which measured faster than an update over map(add, ...) that
+        # boxes every array element twice.
+        ids, contribs = postings[query_terms[0]]
+        scores = dict(zip(ids, contribs))
+        get = scores.get
+        for term in query_terms[1:]:
+            ids, contribs = postings[term]
+            for doc_id, contrib in zip(ids, contribs):
+                scores[doc_id] = get(doc_id, 0.0) + contrib
+        values = list(map(truediv, scores.values(),
+                          map(self._doc_norms.__getitem__, scores)))
+        # Every candidate scoring at least the k-th best value, ties at
+        # slot k included: the (-score, doc_id) order of these few
+        # starts with the top k of a full sort.
+        cut = nlargest(topk, values)[-1]
+        ranked = sorted([(-score, doc_id)
+                         for score, doc_id in zip(values, scores)
+                         if score >= cut])
         hits = []
-        for score, doc_id in ranked[:topk]:
+        for negated, doc_id in ranked[:topk]:
             document = self._documents[doc_id]
-            snippet = tuple(t for t in query_terms
-                            if t in set(document.tokens))[:5]
+            tokens = set(document.tokens)
             hits.append(SearchHit(
-                doc_id=doc_id, url=document.url, score=score,
-                snippet_terms=snippet))
+                doc_id=doc_id, url=document.url, score=-negated,
+                snippet_terms=tuple(t for t in query_terms
+                                    if t in tokens)[:5]))
         return hits
 
     def document(self, doc_id: int) -> Document:

@@ -94,6 +94,22 @@ class _ScatterState:
     done: bool = False
 
 
+def _is_shard_request(record: Any) -> bool:
+    """Whether a sibling's opened shard request is well formed: a
+    non-negative int ``k`` and a ``q`` of per-query lists of term
+    lists of strings. The sibling is outside input like any client."""
+    if not isinstance(record, dict):
+        return False
+    topk, plans = record.get("k"), record.get("q")
+    return (isinstance(topk, int) and not isinstance(topk, bool)
+            and topk >= 0 and isinstance(plans, list)
+            and all(isinstance(term_lists, list)
+                    and all(isinstance(terms, list)
+                            and all(isinstance(term, str) for term in terms)
+                            for terms in term_lists)
+                    for term_lists in plans))
+
+
 class SearchEngineNode(NetNode):
     """The engine's network front-end (one replica of the tier)."""
 
@@ -150,9 +166,18 @@ class SearchEngineNode(NetNode):
         channel = self.tls.channel(ctx.request.src)
         if channel is None:
             return  # no channel: drop (client must handshake first)
-        record = channel.open(ctx.request.payload)
+        try:
+            record = channel.open(ctx.request.payload)
+        except TlsError:
+            return  # replayed, forged or corrupted record: drop
+        if not isinstance(record, dict):
+            return
+        query = record.get("query")
+        meta = record.get("meta") or {}
+        if not isinstance(query, str) or not isinstance(meta, dict):
+            return
         self._admit_and_answer(
-            ctx, ctx.request.src, record["query"], record.get("meta") or {},
+            ctx, ctx.request.src, query, meta,
             sealed_for=channel, traceparent=record.get("tp"))
 
     def _emit_serve_span(self, traceparent: Optional[str], query: str,
@@ -297,6 +322,8 @@ class SearchEngineNode(NetNode):
             record = channel.open(ctx.request.payload)
         except TlsError:
             return
+        if not _is_shard_request(record):
+            return  # malformed: the coordinator degrades without it
         topk = record["k"]
         partials = [
             [self._encode_hits(self._partial_rank(terms, topk))

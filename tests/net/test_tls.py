@@ -155,6 +155,12 @@ class TestRecordLayer:
         with pytest.raises(TlsError):
             b.open(b"tiny")
 
+    def test_non_bytes_record_rejected(self):
+        _, b = self._pair()
+        for record in ({"query": "flu"}, "a string record", None):
+            with pytest.raises(TlsError):
+                b.open(record)
+
     def test_directional_keys_are_asymmetric(self):
         send_a, recv_a = _directional_keys(b"s" * 32, initiator=True)
         assert send_a.key != recv_a.key

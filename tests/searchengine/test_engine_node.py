@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from repro.core.client import CyclosaNetwork
 from repro.crypto.keys import IdentityKeyPair
+from repro.faults.inject import install
+from repro.faults.plan import Corrupt, Duplicate, FaultPlan, MessageMatch
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.transport import Network, NetNode
@@ -109,6 +112,63 @@ class TestTlsSearch:
         client = PlainClient(net, "client")
         replies = []
         client.request("engine", b"garbage-bytes", replies.append,
+                       kind="searchtls", timeout=2.0,
+                       on_timeout=lambda: replies.append("timeout"))
+        sim.run()
+        assert replies == ["timeout"]
+        assert len(engine_node.tap) == 0
+
+
+SEALED_SEARCHES = MessageMatch(kind="searchtls.req")
+
+
+class TestUnusableSealedRecords:
+    """A sealed record the engine cannot serve is dropped, as the shard
+    handler and the relays drop theirs; the run carries on."""
+
+    @pytest.mark.parametrize("fault, status", [
+        # The replayed copy fails the channel's replay check; the
+        # first copy is served.
+        (Duplicate(match=SEALED_SEARCHES, probability=1.0), "ok"),
+        # Every real leg fails authentication until retries run out.
+        (Corrupt(match=SEALED_SEARCHES, probability=1.0), "relay-failure"),
+    ])
+    def test_record_that_fails_to_open(self, fault, status):
+        deployment = CyclosaNetwork.create(num_nodes=8, seed=3)
+        install(FaultPlan(seed=1, faults=(fault,)), deployment)
+        results = []
+        deployment.nodes[0].search("cheap flights paris", k_override=1,
+                                   on_result=results.append)
+        deployment.run(600.0)
+        assert [result["status"] for result in results] == [status]
+
+    @pytest.mark.parametrize("record", [
+        {"query": 5, "meta": {}},
+        {"query": None},
+        {"meta": {}},
+        {"query": "symptoms", "meta": ["true_user"]},
+        ["symptoms"],
+    ])
+    def test_malformed_record(self, setup, record):
+        rng, sim, net, engine_node = setup
+        client = TlsClient(net, "client", rng)
+        client.tls.establish("engine", on_ready=lambda ch: None)
+        sim.run()
+        replies = []
+        client.request("engine", client.tls.channel("engine").seal(
+            record, rng=rng), replies.append, kind="searchtls",
+            timeout=2.0, on_timeout=lambda: replies.append("timeout"))
+        sim.run()
+        assert replies == ["timeout"]
+        assert len(engine_node.tap) == 0
+
+    def test_unsealed_payload(self, setup):
+        rng, sim, net, engine_node = setup
+        client = TlsClient(net, "client", rng)
+        client.tls.establish("engine", on_ready=lambda ch: None)
+        sim.run()
+        replies = []
+        client.request("engine", {"query": "symptoms"}, replies.append,
                        kind="searchtls", timeout=2.0,
                        on_timeout=lambda: replies.append("timeout"))
         sim.run()

@@ -7,18 +7,22 @@ sealed sibling channels, batching, caching and the degrade path when a
 sibling goes silent.
 """
 
+import itertools
 import random
 
 import pytest
 
+from repro.crypto.keys import IdentityKeyPair
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
+from repro.net.tls import SecureChannelManager, SignatureAuthenticator
 from repro.net.transport import Network, NetNode
 from repro.searchengine.cache import ResultCache
 from repro.searchengine.corpus import build_corpus
 from repro.searchengine.engine import SearchEngine
 from repro.searchengine.node import SearchEngineNode
-from repro.searchengine.sharding import build_shard_engines, replica_addresses
+from repro.searchengine.sharding import (build_shard_engines, query_plan,
+                                         replica_addresses)
 
 QUERIES = [
     "symptoms cancer treatment",
@@ -65,10 +69,15 @@ def build_tier(corpus, num_replicas, batch_window=0.0, cache_size=None,
     return sim, net, nodes
 
 
+#: Client address numbers. Each ``fire`` registers a fresh client, so
+#: two calls on one network must never pick the same address.
+CLIENT_NUMBERS = itertools.count()
+
+
 def fire(sim, net, target, queries, start=0.0, spacing=0.0):
     """Send plain ``search`` requests and collect the result pages in
     send order."""
-    client = NetNode(net, f"client-{id(queries) % 997}")
+    client = NetNode(net, f"client-{next(CLIENT_NUMBERS)}")
     replies = {}
 
     def send(index, query):
@@ -194,3 +203,49 @@ class TestDegrade:
         pages = fire(sim, net, "engine", QUERIES)
         for page in pages:
             assert all(hit["doc_id"] % 3 != 2 for hit in page["hits"])
+
+
+PLAN = query_plan(QUERIES[0], "native")
+
+
+class TestMalformedShardRequests:
+    """A shard request is outside input: whatever a sibling seals, the
+    replica answers a well-formed one and drops anything else."""
+
+    @pytest.fixture
+    def sibling(self, corpus):
+        """A cached 2-replica tier and a peer with an established
+        channel to ``engine1``, sending shard requests by hand."""
+        sim, net, nodes = build_tier(corpus, 2, cache_size=64)
+        rng = random.Random(9)
+        peer = NetNode(net, "rogue-sibling")
+        peer.tls = SecureChannelManager(peer, SignatureAuthenticator(
+            IdentityKeyPair.generate(bits=512, rng=rng)), rng)
+        peer.tls.establish("engine1", on_ready=lambda channel: None)
+        sim.run()
+
+        def send(record):
+            replies = []
+            channel = peer.tls.channel("engine1")
+            peer.request("engine1", channel.seal(record, rng=rng),
+                         lambda payload: replies.append(channel.open(payload)),
+                         timeout=5.0, kind="shard",
+                         on_timeout=lambda: replies.append("timeout"))
+            sim.run()
+            return replies
+
+        return send
+
+    def test_well_formed_request_is_answered(self, sibling):
+        (reply,) = sibling({"q": [PLAN], "k": 3})
+        assert len(reply["p"][0][0]) == 3
+
+    @pytest.mark.parametrize("record", [
+        {"q": [PLAN], "k": "10"},
+        {"q": [PLAN]},
+        {"q": 5, "k": 10},
+        {"q": [[PLAN[0] + [["cancer"]]]], "k": 10},
+        {"q": [PLAN], "k": -1},
+    ], ids=["str-k", "missing-k", "int-q", "nested-term", "negative-k"])
+    def test_malformed_request_is_dropped(self, sibling, record):
+        assert sibling(record) == ["timeout"]
