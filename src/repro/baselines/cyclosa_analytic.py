@@ -74,9 +74,7 @@ class CyclosaAnalytic(PrivateSearchSystem):
 
     def preload_history(self, user_id: str, queries: List[str]) -> None:
         """Load a user's pre-CYCLOSA history for linkability scoring."""
-        analysis = self._analysis_for(user_id)
-        for query in queries:
-            analysis.remember(query)
+        self._analysis_for(user_id).remember(*queries)
 
     def protect(self, user_id: str, query: str,
                 k_override: Optional[int] = None) -> List[EngineObservation]:

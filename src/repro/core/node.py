@@ -238,8 +238,7 @@ class CyclosaNode(NetNode):
     def preload_history(self, queries: List[str]) -> None:
         """Load the user's pre-CYCLOSA search history (the linkability
         assessment compares new queries against it, §V-A2)."""
-        for query in queries:
-            self.sensitivity.remember(query)
+        self.sensitivity.remember(*queries)
 
     def persist_table(self):
         """Seal the enclave's past-queries table for storage across

@@ -312,6 +312,8 @@ class SensitivityAnalysis:
             linkability=self.linkability.score(query),
         )
 
-    def remember(self, query: str) -> None:
-        """Record an issued query so future linkability sees it."""
-        self.linkability.record(query)
+    def remember(self, *queries: str) -> None:
+        """Record issued queries, in order, so future linkability sees
+        them (a whole history in one call, or one query at a time)."""
+        for query in queries:
+            self.linkability.record(query)

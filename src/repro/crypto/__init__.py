@@ -13,6 +13,8 @@ standard library's SHA-256:
 - :mod:`repro.crypto.rsa`    — RSA keygen / encrypt / sign (Miller-Rabin
   primes, deterministic-padding hybrid encryption for onion layers).
 - :mod:`repro.crypto.keys`   — key containers and identity key pairs.
+- :mod:`repro.crypto.bignum` — ``pow(b, e, m)`` in OpenSSL's bignum
+  library, which the RSA and DH exponentiations run through.
 - :mod:`repro.crypto.rng`    — the one sanctioned system-entropy RNG
   (everything else threads a seeded ``random.Random``; the
   determinism checker in :mod:`repro.lint` enforces this).

@@ -33,6 +33,7 @@ from repro.crypto.hashes import (
     hkdf,
     hmac_sha256,
 )
+from repro.crypto.rng import random_bytes
 
 NONCE_SIZE = 16
 TAG_SIZE = DIGEST_SIZE
@@ -64,7 +65,7 @@ class AeadKey:
         """Create a fresh random key (from *rng* if given, else OS entropy)."""
         if rng is None:
             return cls(os.urandom(KEY_SIZE))
-        return cls(bytes(rng.getrandbits(8) for _ in range(KEY_SIZE)))
+        return cls(random_bytes(rng, KEY_SIZE))
 
     @classmethod
     def from_secret(cls, secret: bytes, label: bytes = b"repro.aead.key") -> "AeadKey":
@@ -102,7 +103,7 @@ def seal(key: AeadKey, plaintext: bytes, associated_data: bytes = b"",
     if rng is None:
         nonce = os.urandom(NONCE_SIZE)
     else:
-        nonce = bytes(rng.getrandbits(8) for _ in range(NONCE_SIZE))
+        nonce = random_bytes(rng, NONCE_SIZE)
     stream = _keystream(key._enc_key, nonce, len(plaintext))
     ciphertext = _xor_bytes(plaintext, stream)
     tag = hmac_sha256(key._mac_key, nonce, associated_data, ciphertext)

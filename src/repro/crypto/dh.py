@@ -5,6 +5,10 @@ attestation handshake to establish per-session AEAD keys between
 enclaves. We use the 2048-bit MODP group from RFC 3526 (group 14) by
 default; a small test group is provided for speed-sensitive property
 tests.
+
+Both exponentiations, the public value ``g^x mod p`` and the shared
+secret, run in OpenSSL through :func:`repro.crypto.bignum.powmod`,
+which returns the same integer as ``pow``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.crypto.bignum import powmod
 from repro.crypto.hashes import hkdf
 
 # RFC 3526, group 14 (2048-bit MODP). Generator 2.
@@ -53,7 +58,7 @@ class DhParams:
 
     def public_from_private(self, private: int) -> int:
         """Compute g^private mod p."""
-        return pow(self.g, private, self.p)
+        return powmod(self.g, private, self.p)
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class DhKeyPair:
         """Raw DH shared secret with a peer's public value, as bytes."""
         if not 2 <= peer_public <= self.params.p - 2:
             raise ValueError("peer public value out of range")
-        secret = pow(peer_public, self.private, self.params.p)
+        secret = powmod(peer_public, self.private, self.params.p)
         length = (self.params.p.bit_length() + 7) // 8
         return secret.to_bytes(length, "big")
 

@@ -14,6 +14,14 @@ Chinese remainder theorem: one half-size exponentiation per prime,
 recombined with Garner's formula. The result is the same integer as
 ``pow(x, d, n)`` at a fraction of the cost (measured in
 docs/performance.md, "Crypto and codec fast path").
+
+Every full-width exponentiation — each Miller-Rabin round's ``a^d mod
+n``, both CRT halves, and the public-key ``x^e mod n`` of ``verify`` and
+``encrypt`` — runs in OpenSSL through
+:func:`repro.crypto.bignum.powmod`, which returns the same integer as
+``pow``, so keys, signatures and RNG consumption are unchanged. The
+Miller-Rabin squaring loop stays on the builtin ``pow(x, 2, n)``: one
+squaring costs less than a foreign call.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from repro.crypto.aead import (
     open_ as aead_open,
     seal as aead_seal,
 )
+from repro.crypto.bignum import powmod
 from repro.crypto.hashes import sha256
 from repro.crypto.rng import system_rng
 
@@ -64,7 +73,7 @@ def is_probable_prime(n: int, rounds: int = 32, rng=None) -> bool:
             a = 2 + int.from_bytes(os.urandom(8), "big") % (n - 3)
         else:
             a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = powmod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -117,7 +126,7 @@ class RsaPublicKey:
         m = int.from_bytes(block, "big")
         if m >= self.n:
             raise RsaError("message representative out of range")
-        c = pow(m, self.e, self.n)
+        c = powmod(m, self.e, self.n)
         rsa_block = c.to_bytes(self.byte_length, "big")
         sealed = aead_seal(session, plaintext, rng=rng)
         return len(rsa_block).to_bytes(2, "big") + rsa_block + sealed
@@ -129,7 +138,7 @@ class RsaPublicKey:
         s = int.from_bytes(signature, "big")
         if s >= self.n:
             return False
-        m = pow(s, self.e, self.n)
+        m = powmod(s, self.e, self.n)
         expected = int.from_bytes(_SIG_PREFIX + sha256(message), "big")
         return m == expected
 
@@ -174,8 +183,8 @@ class RsaKeyPair:
 
     def _private(self, x: int) -> int:
         """``pow(x, d, n)`` by the Chinese remainder theorem."""
-        mp = pow(x, self.dp, self.p)
-        mq = pow(x, self.dq, self.q)
+        mp = powmod(x % self.p, self.dp, self.p)
+        mq = powmod(x % self.q, self.dq, self.q)
         return mq + (self.qinv * (mp - mq) % self.p) * self.q
 
     def decrypt(self, ciphertext: bytes) -> bytes:

@@ -222,7 +222,11 @@ class SecureChannelManager:
         Simultaneous cross-handshakes (both sides initiating at once)
         are resolved deterministically: the lexicographically smaller
         address keeps the initiator role; the other side's initiation
-        is satisfied by its responder-created channel.
+        is satisfied by its responder-created channel. That initiation
+        still takes its reply: if the peer answers it after all (its own
+        handshake finished before this hello arrived, so it re-keyed as
+        responder), the channel derived from the reply replaces the
+        responder-created one, and *on_ready* is not called again.
         """
         ephemeral = DhKeyPair.generate(self._dh_params, rng=self._rng)
         context = _handshake_context(
@@ -231,7 +235,9 @@ class SecureChannelManager:
             "dh_public": ephemeral.public,
             "credential": self._authenticator.prove(context),
         }
-        entry = {"on_ready": on_ready, "on_fail": on_fail, "done": False}
+        # "ready": on_ready has run (the responder path may do that
+        # first); "done": the reply was taken or the handshake failed.
+        entry = {"on_ready": on_ready, "ready": False, "done": False}
         self._inflight[peer] = entry
 
         def on_reply(response: dict) -> None:
@@ -247,7 +253,9 @@ class SecureChannelManager:
                 _fail("peer credential rejected")
                 return
             entry["done"] = True
-            self._inflight.pop(peer, None)
+            waiting = not entry["ready"]
+            if waiting:
+                self._inflight.pop(peer, None)
             shared = ephemeral.shared_secret(response["dh_public"])
             send_key, recv_key = _directional_keys(shared, initiator=True)
             channel = SecureChannel(peer=peer, send_key=send_key,
@@ -255,12 +263,15 @@ class SecureChannelManager:
             self._channels[peer] = channel
             if self._on_established is not None:
                 self._on_established(channel)
-            on_ready(channel)
+            if waiting:
+                on_ready(channel)
 
         def _fail(reason: str) -> None:
             if entry["done"]:
                 return
             entry["done"] = True
+            if entry["ready"]:
+                return  # served by the responder-created channel
             self._inflight.pop(peer, None)
             if on_fail is not None:
                 on_fail(reason)
@@ -304,8 +315,9 @@ class SecureChannelManager:
             self._on_established(channel)
         if entry is not None and not entry["done"]:
             # Our own initiation to this peer is now redundant: satisfy
-            # its caller with the responder-created channel.
-            entry["done"] = True
+            # its caller with the responder-created channel. It stays
+            # open for a reply (see :meth:`establish`).
+            entry["ready"] = True
             self._inflight.pop(peer, None)
             entry["on_ready"](channel)
         return True

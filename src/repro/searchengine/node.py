@@ -53,7 +53,7 @@ skipped):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import IdentityKeyPair
 from repro.net.latency import LatencyModel, LogNormalLatency
@@ -92,6 +92,19 @@ class _ScatterState:
     pending: int
     partials: Dict[str, Any] = field(default_factory=dict)
     done: bool = False
+
+
+def _search_request(record: Any) -> Optional[Tuple[str, Dict[str, Any]]]:
+    """``(query, meta)`` of a plaintext payload or opened sealed record,
+    or ``None`` unless it is a dict whose ``query`` is a str and whose
+    ``meta``, when present, is a dict. Clients are outside input."""
+    if not isinstance(record, dict):
+        return None
+    query = record.get("query")
+    meta = record.get("meta") or {}
+    if not isinstance(query, str) or not isinstance(meta, dict):
+        return None
+    return query, meta
 
 
 def _is_shard_request(record: Any) -> bool:
@@ -156,11 +169,12 @@ class SearchEngineNode(NetNode):
         # Unknown kinds are silently dropped (the engine is not a peer).
 
     def _serve_plain(self, ctx: RequestContext) -> None:
-        payload = ctx.request.payload
-        query = payload["query"]
-        meta = payload.get("meta") or {}
-        identity = ctx.request.src
-        self._admit_and_answer(ctx, identity, query, meta, sealed_for=None)
+        request = _search_request(ctx.request.payload)
+        if request is None:
+            return  # malformed request: drop
+        query, meta = request
+        self._admit_and_answer(ctx, ctx.request.src, query, meta,
+                               sealed_for=None)
 
     def _serve_sealed(self, ctx: RequestContext) -> None:
         channel = self.tls.channel(ctx.request.src)
@@ -170,12 +184,10 @@ class SearchEngineNode(NetNode):
             record = channel.open(ctx.request.payload)
         except TlsError:
             return  # replayed, forged or corrupted record: drop
-        if not isinstance(record, dict):
+        request = _search_request(record)
+        if request is None:
             return
-        query = record.get("query")
-        meta = record.get("meta") or {}
-        if not isinstance(query, str) or not isinstance(meta, dict):
-            return
+        query, meta = request
         self._admit_and_answer(
             ctx, ctx.request.src, query, meta,
             sealed_for=channel, traceparent=record.get("tp"))

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.crypto.hashes import constant_time_equal, hkdf, hmac_sha256, sha256
 from repro.crypto.keys import IdentityKeyPair
+from repro.crypto.rng import random_bytes
 from repro.obs import OBS, close_remote_span, open_remote_span
 from repro.sgx.epc import EnclavePageCache
 from repro.sgx.errors import EnclaveError, EnclaveIsolationError
@@ -176,9 +177,8 @@ class Enclave:
         # Keys generated *inside* the enclave at start-up (§VI-a): the
         # report key authenticates local reports; the session identity
         # is used for post-attestation secure channels.
-        self._report_key = hkdf(
-            bytes(rng.getrandbits(8) for _ in range(32)),
-            b"repro.sgx.report", 32)
+        self._report_key = hkdf(random_bytes(rng, 32),
+                                b"repro.sgx.report", 32)
         self.identity = IdentityKeyPair.generate(bits=512, rng=rng)
 
     # -- identity ----------------------------------------------------
@@ -191,13 +191,21 @@ class Enclave:
         the sorted list of its ecall entry points — any change to the
         trusted interface or version changes the measurement, so remote
         attesters can pin known-good builds.
+
+        Computed once per class and kept in the class's own ``__dict__``
+        (every quote and sealed blob asks for it), so a subclass never
+        inherits its parent's value.
         """
-        gates = sorted(
-            name for name in dir(cls)
-            if getattr(getattr(cls, name, None), _ECALL_MARK, False))
-        payload = "|".join([cls.__module__, cls.__qualname__,
-                            cls.ENCLAVE_VERSION, *gates])
-        return sha256(b"repro.sgx.mrenclave:", payload.encode("utf-8"))
+        cached = cls.__dict__.get("_mrenclave")
+        if cached is None:
+            gates = sorted(
+                name for name in dir(cls)
+                if getattr(getattr(cls, name, None), _ECALL_MARK, False))
+            payload = "|".join([cls.__module__, cls.__qualname__,
+                                cls.ENCLAVE_VERSION, *gates])
+            cached = sha256(b"repro.sgx.mrenclave:", payload.encode("utf-8"))
+            cls._mrenclave = cached
+        return cached
 
     @property
     def enclave_id(self) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.crypto.aead import AeadError, AeadKey, open_ as aead_open, seal as aead_seal
 from repro.crypto.hashes import hkdf
+from repro.crypto.rng import random_bytes
 from repro.sgx.errors import SgxError
 
 
@@ -40,7 +41,7 @@ class SealingService:
 
     def __init__(self, platform_id: int, rng) -> None:
         self.platform_id = platform_id
-        self._seal_secret = bytes(rng.getrandbits(8) for _ in range(32))
+        self._seal_secret = random_bytes(rng, 32)
 
     def _key_for(self, measurement: bytes) -> AeadKey:
         material = hkdf(self._seal_secret, b"repro.sgx.seal:" + measurement, 32)

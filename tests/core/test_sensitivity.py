@@ -257,6 +257,21 @@ class TestSensitivityAnalysis:
         analysis.remember("hotel booking paris")
         assert analysis.assess("hotel booking paris").linkability > 0.5
 
+    def test_remember_many_records_in_order(self):
+        history = ["hotel booking paris", "cheap flights rome",
+                   "museum tickets paris"]
+        batched, single = (SensitivityAnalysis(
+            SemanticAssessor(mode="wordnet"),
+            LinkabilityAssessor(max_history=2)) for _ in range(2))
+        batched.remember(*history)
+        for query in history:
+            single.remember(query)
+        for probe in history + ["paris weekend"]:
+            assert (batched.assess(probe).linkability
+                    == single.assess(probe).linkability)
+        # The window of two dropped the first query, in both.
+        assert batched.assess(history[0]).linkability < 0.5
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             SensitivityReport(query="q", semantic_sensitive=False,

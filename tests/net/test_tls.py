@@ -121,6 +121,44 @@ class TestHandshake:
         sim.run()
         assert failures  # peer key not pinned -> rejected
 
+    def test_late_cross_handshake_hello_keeps_keys_agreed(self, net, sim, rng):
+        """b loses the cross-handshake and answers a's hello, which
+        satisfies b's own initiation. b's hello then reaches a after a
+        finished, so a answers it as a fresh handshake and re-keys; b
+        must install the channel that reply carries."""
+
+        class LateFirstMessage:
+            def __init__(self):
+                self.sent = 0
+
+            def sample(self, rng):
+                self.sent += 1
+                return 0.05 if self.sent == 1 else 0.01
+
+        net.set_link_latency("b", "a", LateFirstMessage(), symmetric=False)
+        established = []
+
+        def factory(node):
+            identity = IdentityKeyPair.generate(bits=512, rng=rng)
+            return SecureChannelManager(
+                node, SignatureAuthenticator(identity), rng,
+                on_established=lambda ch: established.append(node.address))
+
+        a = TlsNode(net, "a", factory)
+        b = TlsNode(net, "b", factory)
+        ready, failures = [], []
+        a.tls.establish("b", on_ready=lambda ch: ready.append("a"),
+                        on_fail=failures.append)
+        b.tls.establish("a", on_ready=lambda ch: ready.append("b"),
+                        on_fail=failures.append)
+        sim.run()
+        assert sorted(ready) == ["a", "b"] and failures == []
+        assert established.count("b") == 2  # b re-keyed with a
+        to_a = b.tls.channel("a").seal("from b", rng=rng)
+        assert a.tls.channel("b").open(to_a) == "from b"
+        to_b = a.tls.channel("b").seal("from a", rng=rng)
+        assert b.tls.channel("a").open(to_b) == "from a"
+
 
 class TestRecordLayer:
     def _pair(self):

@@ -174,3 +174,36 @@ class TestUnusableSealedRecords:
         sim.run()
         assert replies == ["timeout"]
         assert len(engine_node.tap) == 0
+
+
+class TestMalformedPlainSearch:
+    """A plaintext search request is checked as a sealed record is:
+    anything but a dict with a str ``query`` and a dict ``meta`` (when
+    present) is dropped and the run carries on."""
+
+    @pytest.mark.parametrize("payload", [
+        "cheap flights",
+        {"meta": {}},
+        {"query": 5, "meta": {}},
+        {"query": "cheap flights", "meta": [1]},
+    ])
+    def test_malformed_request_dropped(self, setup, payload):
+        rng, sim, net, engine_node = setup
+        client = PlainClient(net, "client")
+        replies = []
+        client.request("engine", payload, replies.append, kind="search",
+                       timeout=2.0, on_timeout=lambda: replies.append("timeout"))
+        sim.run()
+        assert replies == ["timeout"]
+        assert len(engine_node.tap) == 0
+
+    def test_well_formed_request_served(self, setup):
+        rng, sim, net, engine_node = setup
+        client = PlainClient(net, "client")
+        replies = []
+        client.request("engine", {"query": "cheap flights", "meta": {}},
+                       replies.append, kind="search", timeout=2.0,
+                       on_timeout=lambda: replies.append("timeout"))
+        sim.run()
+        assert [reply["status"] for reply in replies] == ["ok"]
+        assert len(engine_node.tap) == 1

@@ -128,6 +128,17 @@ class TestMeasurement:
 
         assert KvEnclave.measurement() != OtherEnclave.measurement()
 
+    def test_subclass_measured_after_parent_is_its_own(self):
+        parent = KvEnclave.measurement()
+
+        class Extended(KvEnclave):
+            @ecall
+            def extra(self):
+                return None
+
+        assert Extended.measurement() not in (parent, KvEnclaveV2.measurement())
+        assert KvEnclave.measurement() is parent  # computed once per class
+
 
 class TestCostModel:
     def test_ecall_charges_crossings(self, host, enclave):
