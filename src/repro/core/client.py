@@ -77,9 +77,8 @@ class CyclosaUser:
         trace_id = self.node.last_trace_id
         simulator = self._deployment.simulator
         deadline = simulator.now + max_wait
-        while "status" not in holder and simulator.now < deadline:
-            if not simulator.step():
-                break
+        simulator.run(stop_when=lambda: "status" in holder
+                      or not simulator.now < deadline)
         if "status" not in holder:
             return SearchResult(query=query, k=-1, status="timeout",
                                 hits=[], latency=max_wait,

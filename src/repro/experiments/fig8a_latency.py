@@ -48,9 +48,8 @@ def _drive(simulator: Simulator, issue: Callable[[Callable], None],
         holder: Dict[str, float] = {}
         issue(queries[index % len(queries)], lambda r: holder.update(r))
         deadline = simulator.now + max_wait
-        while "latency" not in holder and simulator.now < deadline:
-            if not simulator.step():
-                break
+        simulator.run(stop_when=lambda: "latency" in holder
+                      or not simulator.now < deadline)
         if "latency" in holder:
             latencies.append(holder["latency"])
     return latencies

@@ -175,7 +175,8 @@ class Simulator:
         return False
 
     def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
+            max_events: Optional[int] = None,
+            stop_when: Optional[Callable[[], bool]] = None) -> None:
         """Drain the event queue.
 
         Parameters
@@ -190,7 +191,17 @@ class Simulator:
             entries popped off the heap on the way are free, so the
             valve bounds real work deterministically regardless of how
             many scheduled events were later cancelled.
+        stop_when:
+            Checked before every event, ahead of *until* and
+            *max_events*: the run ends as soon as it returns true, and
+            the clock stays at the last event's time (it does not
+            advance to *until*). Cancelled entries are not popped once
+            it is true. A synchronous caller waiting for one result
+            drives the whole wait with one call, e.g.
+            ``run(stop_when=lambda: done or sim.now >= deadline)``.
         """
+        if stop_when is not None and stop_when():
+            return
         heap = self._heap
         executed = 0
         while heap:
@@ -212,6 +223,8 @@ class Simulator:
             self._events_processed += 1
             callback()
             executed += 1
+            if stop_when is not None and stop_when():
+                return
         if until is not None and self._now < until:
             self._now = until
 

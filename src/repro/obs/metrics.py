@@ -171,19 +171,33 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelSet], Metric] = {}
+        # (kind, name, labels as passed) -> instrument: a repeat lookup
+        # skips sorting and stringifying its labels. Only lookups whose
+        # label values are all exact ``str`` are stored, because equal
+        # values of other types can stringify apart (1 and True, 0.0
+        # and -0.0).
+        self._memo: Dict[tuple, Metric] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
     def _get_or_create(self, cls, name: str, help: str,
                        labels: Dict[str, str], **kwargs) -> Metric:
+        memo_key = (cls, name, tuple(labels.items()))
+        try:
+            metric = self._memo.get(memo_key)
+        except TypeError:  # an unhashable label value
+            metric = None
+        if metric is not None:
+            return metric
         key = (name, _labelset(labels))
-        existing = self._metrics.get(key)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind}")
-            return existing
-        metric = cls(name, help=help, labels=labels, **kwargs)
-        self._metrics[key] = metric
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = cls(name, help=help, labels=labels, **kwargs)
+            self._metrics[key] = metric
+        elif not isinstance(metric, cls):
+            raise ValueError(
+                f"metric {name!r} already registered as {metric.kind}")
+        if all(type(value) is str for value in labels.values()):
+            self._memo[memo_key] = metric
         return metric
 
     def counter(self, name: str, help: str = "",
@@ -239,4 +253,5 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._metrics.clear()
+        self._memo.clear()
         self._collectors.clear()

@@ -9,11 +9,12 @@ correctness loss Fig 6 measures for filtering-based systems).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.datasets.vocabulary import (
     ALL_TOPICS,
@@ -44,18 +45,9 @@ class Corpus:
     """A generated document collection."""
 
     documents: List[Document]
-    _by_topic: Dict[str, List[Document]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._by_topic:
-            for document in self.documents:
-                self._by_topic.setdefault(document.topic, []).append(document)
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def by_topic(self, topic: str) -> List[Document]:
-        return list(self._by_topic.get(topic, []))
 
 
 def build_corpus(docs_per_topic: int = 120, doc_length: int = 60,
@@ -77,25 +69,65 @@ def build_corpus(docs_per_topic: int = 120, doc_length: int = 60,
         Generator seed.
     """
     rng = random.Random(seed)
+    # The stdlib draws, made without their per-token Python wrappers:
+    # the same Mersenne Twister calls in the same order with the same
+    # arithmetic, so every document matches the rng.choice /
+    # rng.expovariate version bit for bit.
+    # - rng.choice(seq) is seq[r] for the first r = getrandbits(k) below
+    #   n = len(seq), k = n.bit_length() (Random._randbelow); an empty
+    #   seq draws r = 0 and raises IndexError, as choice does.
+    # - rng.expovariate(lambd) is -log(1.0 - random()) / lambd.
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    log = math.log
+    lambd = 1.0 / 25.0
     vocabularies = build_topic_vocabularies()
+    # (terms, n, k) per topic, in ALL_TOPICS order: the cross-topic
+    # draw indexes this with the topic choice's r.
+    other_terms = [(terms, len(terms), len(terms).bit_length())
+                   for terms in (vocabularies[other].terms
+                                 for other in ALL_TOPICS)]
+    # Never 0 at a draw: every draw is inside the loop over ALL_TOPICS.
+    num_topics = len(ALL_TOPICS)
+    topic_bits = num_topics.bit_length()
+    num_general = len(GENERAL_TERMS)
+    general_bits = num_general.bit_length()
+    general_cut = cross_topic_rate + 0.12
     documents: List[Document] = []
     doc_id = 0
     for topic in ALL_TOPICS:
         own_terms = list(vocabularies[topic].terms)
+        last = len(own_terms) - 1
         for _ in range(docs_per_topic):
             tokens: List[str] = []
+            append = tokens.append
             for _ in range(doc_length):
-                roll = rng.random()
+                roll = rand()
                 if roll < cross_topic_rate:
-                    other = rng.choice(ALL_TOPICS)
-                    tokens.append(rng.choice(vocabularies[other].terms))
-                elif roll < cross_topic_rate + 0.12:
-                    tokens.append(rng.choice(GENERAL_TERMS))
+                    r = getrandbits(topic_bits)
+                    while r >= num_topics:
+                        r = getrandbits(topic_bits)
+                    terms, n, k = other_terms[r]
+                    r = getrandbits(k)
+                    while r >= n:
+                        if not n:
+                            raise IndexError(
+                                "Cannot choose from an empty sequence")
+                        r = getrandbits(k)
+                    append(terms[r])
+                elif roll < general_cut:
+                    r = getrandbits(general_bits)
+                    while r >= num_general:
+                        if not num_general:
+                            raise IndexError(
+                                "Cannot choose from an empty sequence")
+                        r = getrandbits(general_bits)
+                    append(GENERAL_TERMS[r])
                 else:
                     # Zipf-ish skew towards the head of the topic vocab.
-                    index = min(int(rng.expovariate(1.0 / 25.0)),
-                                len(own_terms) - 1)
-                    tokens.append(own_terms[index])
+                    index = int(-log(1.0 - rand()) / lambd)
+                    append(own_terms[index] if index < last
+                           else own_terms[last])
             documents.append(Document(
                 doc_id=doc_id,
                 url=f"https://web.example/{topic}/{doc_id}",

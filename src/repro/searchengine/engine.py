@@ -44,7 +44,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
-from operator import truediv
+from itertools import chain
+from operator import attrgetter, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.searchengine.corpus import Corpus, Document
@@ -131,10 +132,11 @@ class SearchEngine:
         """Smoothed IDF over *documents* — the corpus-global statistics
         every shard must share for scores to stay bit-identical."""
         num_docs = len(documents)
-        term_doc_freq: Dict[str, int] = {}
-        for document in documents:
-            for term in dict.fromkeys(document.tokens):
-                term_doc_freq[term] = term_doc_freq.get(term, 0) + 1
+        # Each document's distinct terms, counted in C; Counter keeps
+        # first-occurrence order, so the IDF dict's order matches a
+        # per-document loop's.
+        term_doc_freq = Counter(chain.from_iterable(
+            map(dict.fromkeys, map(attrgetter("tokens"), documents))))
         return {
             term: math.log((1 + num_docs) / (1 + df)) + 1.0
             for term, df in term_doc_freq.items()

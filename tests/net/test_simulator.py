@@ -301,3 +301,122 @@ class TestRunControl:
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
+
+
+class TestStopWhen:
+    """`run(stop_when=)` drives a wait for one result in a single call:
+    the predicate is checked before every event, and a run it ends
+    leaves the clock at the last event's time."""
+
+    def test_checked_before_the_first_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.run(until=5.0, stop_when=lambda: True)
+        assert fired == []
+        assert sim.now == 0.0  # not advanced to until
+        assert sim.pending == 1
+
+    def test_stops_after_the_event_that_makes_it_true(self):
+        sim = Simulator()
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            sim.schedule(when, lambda when=when: fired.append(when))
+        sim.run(until=10.0, stop_when=lambda: 2.0 in fired)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_until_still_bounds_a_run_it_does_not_end(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(9.0, lambda: fired.append(9))
+        sim.run(until=5.0, stop_when=lambda: False)
+        assert fired == [1]
+        assert sim.now == 5.0
+
+    def test_empty_heap_ends_the_run_without_moving_the_clock(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run(stop_when=lambda: False)
+        assert sim.now == 1.0
+        assert sim.pending == 0
+
+    def test_true_within_max_events_does_not_raise(self):
+        sim = Simulator()
+
+        def rescheduling():
+            sim.schedule(0.1, rescheduling)
+
+        sim.schedule(0.1, rescheduling)
+        sim.run(max_events=10, stop_when=lambda: sim.events_processed == 10)
+        assert sim.events_processed == 10
+        with pytest.raises(RuntimeError):
+            sim.run(max_events=10,
+                    stop_when=lambda: sim.events_processed == 25)
+        assert sim.events_processed == 20
+
+    def test_cancelled_entries_are_not_popped_once_true(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2)).cancel()
+        sim.schedule(3.0, lambda: fired.append(3))
+        sim.run(stop_when=lambda: fired == [1])
+        assert sim.heap_size == 2  # the tombstone at 2.0 is still queued
+        assert sim.pending == 1
+        sim.run(stop_when=lambda: False)
+        assert fired == [1, 3]
+        assert sim.heap_size == 0
+        assert sim.events_processed == 2
+
+    def test_only_cancelled_entries_left(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None).cancel()
+        sim.run(stop_when=lambda: False)
+        assert sim.heap_size == 0
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
+
+    @given(events=st.lists(st.tuples(
+               st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+               st.booleans(), st.booleans()), max_size=30),
+           done_after=st.integers(0, 40),
+           max_wait=st.floats(min_value=0.0, max_value=12.0))
+    def test_property_matches_a_step_loop(self, events, done_after,
+                                          max_wait):
+        """Same events fired, clock, backlog and tombstones as the
+        step() loop, on the result path and the timeout path."""
+        def replay(wait):
+            sim = Simulator()
+            fired = []
+
+            def fire(index, spawn):
+                fired.append((index, sim.now))
+                if spawn:
+                    sim.post(0.5, lambda: fired.append((-1, sim.now)))
+
+            for index, (delay, cancel, spawn) in enumerate(events):
+                handle = sim.schedule(
+                    delay, lambda i=index, s=spawn: fire(i, s))
+                if cancel:
+                    handle.cancel()
+            deadline = sim.now + max_wait
+            wait(sim, lambda: len(fired) >= done_after, deadline)
+            return (fired, _bits(sim.now), sim.pending, sim.heap_size,
+                    sim.events_processed)
+
+        def step_loop(sim, done, deadline):
+            # The wait run(stop_when=) replaces: one step() per event.
+            while not done() and sim.now < deadline:
+                if not sim.step():
+                    break
+
+        def run_until_done(sim, done, deadline):
+            sim.run(stop_when=lambda: done() or not sim.now < deadline)
+
+        assert replay(run_until_done) == replay(step_loop)

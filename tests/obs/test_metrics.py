@@ -45,6 +45,39 @@ def test_kind_conflict_raises(registry):
         registry.gauge("cyclosa_x_total")
 
 
+def test_kind_conflict_raises_after_repeat_lookups(registry):
+    counter = registry.counter("cyclosa_x_total", node="n1")
+    assert registry.counter("cyclosa_x_total", node="n1") is counter
+    with pytest.raises(ValueError):
+        registry.histogram("cyclosa_x_total", node="n1")
+    assert registry.counter("cyclosa_x_total", node="n1") is counter
+
+
+def test_repeat_lookups_resolve_like_the_first(registry):
+    both = registry.counter("cyclosa_y_total", a="1", b="2")
+    assert registry.counter("cyclosa_y_total", b="2", a="1") is both
+    # Equal label values that stringify apart stay apart, however often
+    # they are looked up.
+    for _ in range(2):
+        assert registry.counter("cyclosa_y_total", node=1) is \
+            registry.counter("cyclosa_y_total", node="1")
+        assert registry.counter("cyclosa_y_total", node=True) is not \
+            registry.counter("cyclosa_y_total", node=1)
+        assert registry.gauge("cyclosa_z", v=0.0) is not \
+            registry.gauge("cyclosa_z", v=-0.0)
+    unhashable = registry.counter("cyclosa_y_total", tags=["a"])
+    assert registry.counter("cyclosa_y_total", tags=["a"]) is unhashable
+    assert unhashable.labels == (("tags", "['a']"),)
+
+
+def test_reset_forgets_repeat_lookups(registry):
+    before = registry.counter("cyclosa_x_total", node="n1")
+    registry.reset()
+    after = registry.counter("cyclosa_x_total", node="n1")
+    assert after is not before
+    assert registry.collect() == [after]
+
+
 def test_gauge_moves_both_ways(registry):
     gauge = registry.gauge("cyclosa_pages")
     gauge.set(10.0)
