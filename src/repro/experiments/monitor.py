@@ -7,11 +7,12 @@ the overlay churns away mid-run, and the engine is hit with a
 rate-limit storm. A :class:`~repro.obs.TimeSeriesRecorder` aggregates
 the whole run into fixed windows and the default SLO spec turns them
 into a verdict — the burn-rate monitor is expected to flag exactly the
-storm's window range, which is what ``benchmarks/check_slo.py`` pins.
+storm's window range, which is what the SLO gate in
+``tests/experiments/test_monitor.py`` pins.
 
 Everything is seeded and measured in simulated seconds, so the JSON
 report (:func:`report_json`) is byte-identical across same-seed runs —
-the property the CI gate enforces. All times in the parameters are
+the property the SLO gate enforces. All times in the parameters are
 *absolute* simulated seconds (the deployment warm-up occupies
 ``[0, warmup)``, so traffic, churn and storm should start after it).
 """
@@ -90,8 +91,7 @@ def run_scenario(num_nodes: int = 12, seed: int = 11, plan_seed: int = 3,
     drain phase and the report gains a ``profile`` section with the
     per-subsystem attribution; the caller keeps the profiler, so it
     can also export collapsed stacks. Without one, the report is
-    byte-identical to previous releases (the ``check_slo.py``
-    contract).
+    byte-identical to previous releases (the SLO gate's contract).
     """
     if clients < 1 or clients > num_nodes:
         raise ValueError("need 1 <= clients <= num_nodes")
@@ -199,7 +199,7 @@ def run_scenario(num_nodes: int = 12, seed: int = 11, plan_seed: int = 3,
 
 def report_json(report: Dict[str, Any]) -> str:
     """Canonical JSON: the same report always encodes to the same
-    bytes (the property ``check_slo.py`` pins across same-seed runs)."""
+    bytes (the property the SLO gate pins across same-seed runs)."""
     return json.dumps(report, sort_keys=True, indent=2)
 
 

@@ -8,7 +8,8 @@ view with the profiler's sample track merged in.
 
 Byte-identity contract: two same-seed runs of the same scenario emit
 identical ``collapsed`` text and identical ``cpu`` attribution JSON —
-the property ``benchmarks/check_profile.py`` gates. Three mechanisms
+the property the profile gate in ``tests/obs/test_profile.py``
+relies on. Three mechanisms
 make this hold even for back-to-back runs in one process:
 
 - every scenario first runs once *unprofiled* (the warm-up pass

@@ -137,8 +137,9 @@ def main() -> None:
           r["retries"], r["hung_searches"],
           f"{r['latency_seconds']['p50']:.2f} s"] for r in fault_rows])
     print("\nEvery cell must keep zero hung searches and a real-query "
-          "relay set disjoint from the fake legs (repro chaos / "
-          "benchmarks/check_chaos.py gate the same invariants).")
+          "relay set disjoint from the fake legs (repro chaos and "
+          "the chaos gate in tests/faults/test_chaos.py check the "
+          "same invariants).")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ makes that failure path systematically testable:
   the engine rate limiter) without touching protocol code, with obs
   counters/spans per injection.
 - :mod:`repro.faults.chaos` — the fault-matrix harness behind
-  ``repro chaos`` and ``benchmarks/check_chaos.py``: per-cell success
+  ``repro chaos`` and the chaos gate (``TestGate`` in
+  ``tests/faults/test_chaos.py``): per-cell success
   rate, statuses, retries, latency, and the zero-hung-searches /
   relay-disjointness invariants.
 

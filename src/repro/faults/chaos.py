@@ -14,8 +14,9 @@ invariants every cell must hold:
 
 Reports are plain dicts of sorted, rounded values derived only from
 seeded state: :func:`report_json` output for the same arguments is
-byte-identical run over run, which is what the chaos CI gate
-(``benchmarks/check_chaos.py``) and the ``repro chaos`` CLI pin.
+byte-identical run over run, which is what the chaos gate
+(``TestGate`` in ``tests/faults/test_chaos.py``) and the
+``repro chaos`` CLI pin.
 """
 
 from __future__ import annotations

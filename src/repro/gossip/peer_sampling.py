@@ -16,7 +16,7 @@ what spreads load evenly across nodes (Fig 8d).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.gossip.view import NodeDescriptor, PartialView
 from repro.net.transport import NetNode, RequestContext
@@ -101,6 +101,25 @@ class PeerSamplingService:
             buffer.append(descriptor)
         return buffer
 
+    def _received(self, buffer: Any) -> Optional[List[NodeDescriptor]]:
+        """The descriptors of a peer's view *buffer* other than this
+        node's own, or ``None`` unless the buffer is a list of dicts,
+        each with a str ``address`` and a non-negative int ``age``.
+        Gossip is not authenticated, so any host can send one."""
+        if not isinstance(buffer, list):
+            return None
+        received = []
+        for entry in buffer:
+            if not isinstance(entry, dict):
+                return None
+            address, age = entry.get("address"), entry.get("age")
+            if (not isinstance(address, str) or not isinstance(age, int)
+                    or isinstance(age, bool) or age < 0):
+                return None
+            if address != self.address:
+                received.append(NodeDescriptor(address, age))
+        return received
+
     def _gossip_round(self) -> None:
         if not self._running:
             return
@@ -142,11 +161,13 @@ class PeerSamplingService:
                     OBS.router.record(self.address, exchange_span)
 
             def on_reply(response) -> None:
-                received = [
-                    NodeDescriptor(entry["address"], entry["age"])
-                    for entry in response
-                    if entry["address"] != self.address
-                ]
+                received = self._received(response)
+                if received is None:
+                    # A malformed buffer is no answer: drop the peer,
+                    # as for an unresponsive one.
+                    self.view.remove(peer)
+                    _close_exchange("malformed")
+                    return
                 self.view.merge(received, sent=buffer, heal=self.heal,
                                 swap=self.swap, rng=self._rng)
                 self.rounds_completed += 1
@@ -184,13 +205,10 @@ class PeerSamplingService:
         """Receiver half of a push-only round (datagram, no response)."""
         if message.kind != f"{GOSSIP_KIND}.push":
             return False
-        received = [
-            NodeDescriptor(entry["address"], entry["age"])
-            for entry in message.payload
-            if entry["address"] != self.address
-        ]
-        self.view.merge(received, sent=[], heal=self.heal,
-                        swap=self.swap, rng=self._rng)
+        received = self._received(message.payload)
+        if received is not None:  # a malformed push is dropped
+            self.view.merge(received, sent=[], heal=self.heal,
+                            swap=self.swap, rng=self._rng)
         return True
 
     def handle_request(self, ctx: RequestContext) -> bool:
@@ -201,11 +219,9 @@ class PeerSamplingService:
         """
         if ctx.request.kind != f"{GOSSIP_KIND}.req":
             return False
-        received = [
-            NodeDescriptor(entry["address"], entry["age"])
-            for entry in ctx.request.payload
-            if entry["address"] != self.address
-        ]
+        received = self._received(ctx.request.payload)
+        if received is None:
+            return True  # malformed buffer: dropped without an answer
         buffer = self._build_buffer()
         ctx.respond([{"address": d.address, "age": d.age} for d in buffer])
         self.view.merge(received, sent=buffer, heal=self.heal,

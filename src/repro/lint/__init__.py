@@ -39,8 +39,9 @@ Four per-module checkers run next to it:
   never import ``cli``/``experiments``/``baselines``/``perf``; the
   observability subsystem is only reachable through its facade).
 
-Run it with ``python -m repro lint`` (see ``docs/static-analysis.md``)
-or via the CI gate ``benchmarks/check_lint.py``. Grandfathered
+Run it with ``python -m repro lint`` (see ``docs/static-analysis.md``);
+the lint gate in ``tests/lint/test_cli_and_gate.py`` holds ``src/``
+clean against the baseline. Grandfathered
 findings live in the reviewed baseline file ``lint-baseline.txt``;
 deliberate per-line exceptions use ``# lint: allow(rule-id)`` pragmas
 (:mod:`repro.lint.baseline`).

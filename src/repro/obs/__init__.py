@@ -50,13 +50,13 @@ from repro.obs.criticalpath import (CriticalPathReport, critical_path,
                                     find_stragglers, format_report,
                                     relay_latency_summaries)
 from repro.obs.distributed import (AssembledTrace, SpanRouter, TraceContext,
-                                   assemble, assemble_all, close_remote_span,
+                                   assemble, close_remote_span,
                                    open_remote_span, query_hash_bucket,
                                    trace_sources)
-from repro.obs.export import (chrome_trace, openmetrics_snapshot,
-                              parse_prometheus, parse_sample_name,
-                              parse_trace_jsonl, prometheus_snapshot,
-                              sample_key, trace_to_jsonl)
+from repro.obs.export import (chrome_trace, parse_prometheus,
+                              parse_sample_name, parse_trace_jsonl,
+                              prometheus_snapshot, sample_key,
+                              trace_to_jsonl)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
 from repro.obs.profile import (DeterministicProfiler, HeapSampler,
                                chrome_trace_with_samples,
@@ -230,7 +230,6 @@ __all__ = [
     "trace_to_jsonl",
     "parse_trace_jsonl",
     "prometheus_snapshot",
-    "openmetrics_snapshot",
     "parse_prometheus",
     "sample_key",
     "parse_sample_name",
@@ -265,7 +264,6 @@ __all__ = [
     "SpanRouter",
     "AssembledTrace",
     "assemble",
-    "assemble_all",
     "trace_sources",
     "query_hash_bucket",
     "open_remote_span",

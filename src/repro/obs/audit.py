@@ -42,7 +42,8 @@ hand the adversary anything the protocol hides:
    searched.
 
 :func:`run_telemetry_audit` drives the first three against a live
-deployment; ``benchmarks/check_obs_leak.py`` wires all five into CI.
+deployment; the leak gate (the ``test_gate_*`` tests in
+``tests/obs/test_audit.py``) runs all five at a seeded workload.
 """
 
 from __future__ import annotations

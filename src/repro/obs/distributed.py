@@ -131,9 +131,6 @@ class SpanRouter:
             out.extend(sink)
         return out
 
-    def spans_for_trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self.all_spans() if s.trace_id == trace_id]
-
     @property
     def dropped(self) -> int:
         return sum(sink.dropped for sink in self._sinks.values())
@@ -274,22 +271,6 @@ def assemble(trace_id: str, *sources: Iterable[Span]) -> AssembledTrace:
     orphans = [s for s in ordered
                if s.parent_id is not None and s.parent_id not in known]
     return AssembledTrace(trace_id=trace_id, spans=ordered, orphans=orphans)
-
-
-def assemble_all(*sources: Iterable[Span]) -> Dict[str, AssembledTrace]:
-    """Assemble every trace id present in *sources*, oldest first.
-
-    Standalone traces (gossip exchanges, ``churn.departure`` events)
-    appear alongside the per-search trees, which is what the Chrome
-    exporter renders as one deployment-wide timeline.
-    """
-    ids: Dict[str, None] = {}
-    collected: List[Span] = []
-    for source in sources:
-        for span in source:
-            collected.append(span)
-            ids.setdefault(span.trace_id, None)
-    return {trace_id: assemble(trace_id, collected) for trace_id in ids}
 
 
 def trace_sources(obs_state) -> List[Iterable[Span]]:

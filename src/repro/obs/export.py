@@ -271,40 +271,6 @@ def _openmetrics_family(name: str, kind: str) -> str:
     return name
 
 
-def openmetrics_snapshot(registry: MetricsRegistry) -> str:
-    """The registry in OpenMetrics text format.
-
-    Sibling of :func:`prometheus_snapshot` with the two compliance
-    deltas OpenMetrics parsers actually check: counter *families* drop
-    the ``_total`` suffix in ``# TYPE`` lines (samples keep it), and
-    the exposition ends with the mandatory ``# EOF`` terminator.
-    """
-    lines: List[str] = []
-    emitted_header = set()
-    for metric in registry.collect():
-        family = _openmetrics_family(metric.name, metric.kind)
-        if metric.name not in emitted_header:
-            emitted_header.add(metric.name)
-            if metric.help:
-                lines.append(f"# HELP {family} {metric.help}")
-            lines.append(f"# TYPE {family} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
-            lines.append(f"{metric.name}{_labels_text(metric.labels)} "
-                         f"{_format_value(metric.value)}")
-        elif isinstance(metric, Histogram):
-            for bound, count in metric.bucket_counts():
-                le = "+Inf" if bound == math.inf else _format_value(bound)
-                lines.append(
-                    f"{metric.name}_bucket"
-                    f"{_labels_text(metric.labels, {'le': le})} {count}")
-            lines.append(f"{metric.name}_sum{_labels_text(metric.labels)} "
-                         f"{repr(float(metric.sum))}")
-            lines.append(f"{metric.name}_count{_labels_text(metric.labels)} "
-                         f"{metric.count}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
-
-
 def parse_prometheus(text: str) -> dict:
     """Parse a snapshot back into ``{sample_name{labels}: value}``.
 

@@ -13,7 +13,8 @@ What a profile contains:
   / speedscope "collapsed" format), frames rendered as
   ``module:qualname`` only — never argument values, query text or
   per-user identifiers (:func:`repro.obs.audit.audit_profile_output`
-  proves this, and ``benchmarks/check_obs_leak.py`` gates it);
+  proves this, and the leak gate in ``tests/obs/test_audit.py``
+  checks it);
 - **subsystem attribution**: each sample's leaf frame charges one
   *self* tick to its repro package (``core``, ``sgx``, ``net``,
   ``crypto``, ``searchengine``, ``gossip``, ``obs``, ...), and every
@@ -87,10 +88,9 @@ CODE_LOCATION_RE = re.compile(r"^[A-Za-z_][\w.]*:[\w.<>\[\]]+$")
 
 #: Modules at which the stack walk stops (scenario entry points).
 #: Cutting here makes collapsed stacks independent of *how* the
-#: scenario was launched — `repro profile`, `repro perf --profile`,
-#: pytest and ``benchmarks/check_profile.py`` all produce identical
-#: stacks, which is what lets the gate diff against a committed
-#: baseline.
+#: scenario was launched — `repro profile`, `repro perf --profile`
+#: and pytest all produce identical stacks, which is what lets the
+#: profile gate diff against a committed baseline.
 DEFAULT_STACK_ROOTS = ("repro.experiments.profiling",)
 
 
@@ -230,8 +230,8 @@ class DeterministicProfiler:
             frames.append(label)
             if label.partition(":")[0].startswith(self.stack_roots):
                 # Remember the *outermost* scenario frame seen so far;
-                # everything beyond it (CLI, pytest, check_profile —
-                # whatever launched the scenario) is trimmed below.
+                # everything beyond it (CLI, pytest — whatever
+                # launched the scenario) is trimmed below.
                 cut_at = depth
             cursor = cursor.f_back
             depth += 1
@@ -369,7 +369,7 @@ def top_stacks(stacks: Dict[Tuple[str, ...], int], limit: int = 10) -> str:
     return "\n".join(lines)
 
 
-# -- attribution comparison (the check_profile gate core) ---------------
+# -- attribution comparison (the profile gate core) ---------------------
 
 
 def compare_attribution(baseline: dict, fresh: dict,

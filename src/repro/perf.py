@@ -568,10 +568,10 @@ def bench_profile(profile_nodes: int = 8, profile_searches: int = 6,
     samples are taken on interpreter call-event counts
     (:mod:`repro.obs.profile`), so the subsystem shares — and the
     collapsed-stack digest — are byte-identical across runs *and
-    machines* for one python version. That is what lets
-    ``benchmarks/check_profile.py`` diff shares against the committed
-    baseline with a tight tolerance, where the throughput gate must
-    absorb hardware noise.
+    machines* for one python version. That is what lets the profile
+    gate (``tests/obs/test_profile.py``) diff shares against the
+    committed baseline with a tight tolerance, where the throughput
+    gate must absorb hardware noise.
 
     Excluded from the default ``repro perf`` run (it measures shares,
     not speed); enabled by ``--profile`` or ``--only profile``.

@@ -34,8 +34,9 @@ acts as its coordinator: it ranks its own shard, scatter-gathers
 partial top-k lists from the sibling replicas over sealed channels
 (kind ``shard``), and merges them into a result page byte-identical to
 the unsharded engine's. A sibling that stays silent past
-*shard_timeout* is skipped (degraded page from the surviving shards —
-the chaos matrix's replica-crash cell exercises exactly this).
+*shard_timeout*, or whose reply is malformed, is skipped (degraded
+page from the surviving shards — the chaos matrix's replica-crash cell
+exercises exactly this).
 
 Two caches and a batch window cut the ranking CPU without touching the
 wire (*privacy invariant*: a cache hit is indistinguishable from a miss
@@ -121,6 +122,42 @@ def _is_shard_request(record: Any) -> bool:
                             and all(isinstance(term, str) for term in terms)
                             for terms in term_lists)
                     for term_lists in plans))
+
+
+def _is_wire_hit(hit: Any) -> bool:
+    """Whether *hit* is one wire-encoded partial hit: an int ``d``, a
+    str ``u``, a float ``s`` and a ``t`` list of str title terms."""
+    if not isinstance(hit, dict):
+        return False
+    doc_id, title = hit.get("d"), hit.get("t")
+    return (isinstance(doc_id, int) and not isinstance(doc_id, bool)
+            and isinstance(hit.get("u"), str)
+            and isinstance(hit.get("s"), float)
+            and isinstance(title, list)
+            and all(isinstance(term, str) for term in title))
+
+
+def _shard_partials(record: Any, plans: Sequence[Sequence[Any]]
+                    ) -> Optional[List[Any]]:
+    """The partial top-k lists of a sibling's opened shard reply, or
+    ``None`` unless they answer *plans*: one list per planned query, in
+    plan order, holding one hit list per sub-query. A sibling is
+    outside input like any client, so the coordinator checks its reply
+    once, where it arrives."""
+    if not isinstance(record, dict):
+        return None
+    partials = record.get("p")
+    if not isinstance(partials, list) or len(partials) != len(plans):
+        return None
+    for term_lists, per_query in zip(plans, partials):
+        if (not isinstance(per_query, list)
+                or len(per_query) != len(term_lists)):
+            return None
+        for hits in per_query:
+            if not isinstance(hits, list) or \
+                    not all(_is_wire_hit(hit) for hit in hits):
+                return None
+    return partials
 
 
 class SearchEngineNode(NetNode):
@@ -306,8 +343,9 @@ class SearchEngineNode(NetNode):
                     record = channel.open(payload)
                 except TlsError:
                     record = None
-                if isinstance(record, dict) and "p" in record:
-                    state.partials[sibling] = record["p"]
+                partials = _shard_partials(record, plans)
+                if partials is not None:  # else degrade as if silent
+                    state.partials[sibling] = partials
                 state.pending -= 1
                 conclude()
 
@@ -398,10 +436,7 @@ class SearchEngineNode(NetNode):
                 partial = sibling_partials.get(sibling)
                 if partial is None:
                     continue  # silent sibling: degrade to surviving shards
-                try:
-                    candidates.extend(partial[plan_index][sub_index])
-                except (IndexError, KeyError, TypeError):
-                    continue  # malformed partial: treat as missing
+                candidates.extend(partial[plan_index][sub_index])
             candidates.sort(key=lambda h: (-h["s"], h["d"]))
             rankings.append(candidates[:topk])
         if len(rankings) == 1:

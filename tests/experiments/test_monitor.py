@@ -1,8 +1,11 @@
 """The ``repro monitor`` flight-recorder scenario and its SLO verdict.
 
-Marked ``slo``: these drive full (small) churn+chaos soaks, so they are
-the slowest tests in the experiments group. The full-scale determinism
-and storm-pinning gate lives in ``benchmarks/check_slo.py``.
+Marked ``slo``: these drive full churn+chaos soaks, so they are the
+slowest tests in the experiments group. The SLO gate is the tests
+parametrized over ``scale``: at both the small scale below and the
+default one, the same-seed report is byte-identical, every search
+terminates, the burn-rate alert covers exactly the injected storm and
+the latency and backlog rules stay ok.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import pytest
 from repro import cli, obs
 from repro.experiments import monitor
 
+from tests.golden import monitor_report
+
 pytestmark = [pytest.mark.obs, pytest.mark.slo]
 
 #: One small soak shared by the read-only assertions below (a session-
@@ -23,14 +28,30 @@ SMALL = dict(num_nodes=8, clients=3, duration=120.0, seed=11, plan_seed=3,
              storm_start=80.0, storm_end=110.0, churn_victims=1,
              churn_start=60.0, churn_duration=20.0, drain_seconds=90.0)
 
+#: ``run_scenario`` arguments per scale; ``default`` is what
+#: ``repro monitor`` runs with no flags.
+SCALES = {"small": SMALL, "default": {}}
+
 
 @pytest.fixture(scope="module")
 def small_report():
     return monitor.run_scenario(**SMALL)
 
 
-def test_every_search_terminates(small_report):
-    traffic = small_report["traffic"]
+@pytest.fixture(params=list(SCALES))
+def scale(request):
+    return request.param
+
+
+@pytest.fixture
+def report(scale, small_report):
+    """The soak at *scale*. The default one is the run the golden
+    ``monitor`` artefact hashes, built once per session."""
+    return small_report if scale == "small" else monitor_report()
+
+
+def test_every_search_terminates(report):
+    traffic = report["traffic"]
     assert traffic["hung_searches"] == 0
     assert traffic["completed"] == traffic["issued"]
     assert set(traffic["statuses"]) <= {
@@ -50,29 +71,32 @@ def test_windows_cover_the_run(small_report):
     assert small_report["windows_evicted"] == 0
 
 
-def test_storm_breaches_success_rate_in_its_windows(small_report):
-    lo, hi = small_report["scenario"]["storm"]["windows"]
-    rule = next(r for r in small_report["slo"]["rules"]
+def test_storm_breaches_success_rate_in_its_windows(report):
+    lo, hi = report["scenario"]["storm"]["windows"]
+    rule = next(r for r in report["slo"]["rules"]
                 if r["rule"] == "search-success")
     assert rule["verdict"] == "breached"
     assert rule["alert_ranges"], "storm produced no burn-rate alert"
-    policy_tail = 3  # short_windows at the default 10 s width
+    tail = monitor.default_slo_spec(
+        report["scenario"]["window_seconds"]).policy.short_windows
     for alert_lo, alert_hi in rule["alert_ranges"]:
         assert alert_lo >= lo, "alert before the storm began"
-        assert alert_hi <= hi + policy_tail, "alert long after the storm"
+        assert alert_hi <= hi + tail, "alert long after the storm"
     assert any(a_lo <= hi and a_hi >= lo
                for a_lo, a_hi in rule["alert_ranges"])
 
 
-def test_quiet_rules_stay_ok(small_report):
-    by_name = {r["rule"]: r for r in small_report["slo"]["rules"]}
+def test_quiet_rules_stay_ok(report):
+    # The storm costs success rate, not queues or latency.
+    by_name = {r["rule"]: r for r in report["slo"]["rules"]}
     assert by_name["backlog-bounded"]["verdict"] == "ok"
-    assert small_report["slo"]["verdict"] == "breached"  # storm rule
+    assert by_name["search-latency"]["verdict"] == "ok"
+    assert report["slo"]["verdict"] == "breached"  # storm rule
 
 
-def test_report_is_byte_identical_across_runs(small_report):
-    again = monitor.run_scenario(**SMALL)
-    assert monitor.report_json(again) == monitor.report_json(small_report)
+def test_report_is_byte_identical_across_runs(scale, report):
+    again = monitor.run_scenario(**SCALES[scale])
+    assert monitor.report_json(again) == monitor.report_json(report)
 
 
 def test_dashboard_renders(small_report):

@@ -114,9 +114,25 @@ def _chaos():
     return chaos.report_json(chaos.run_matrix())
 
 
+@functools.lru_cache(maxsize=None)
+def monitor_report() -> Dict[str, Any]:
+    """The default ``repro monitor`` soak, run once per process from a
+    clean obs state. The ``monitor`` artefact hashes it and
+    ``tests/experiments/test_monitor.py`` checks its SLO verdict, so
+    callers must not mutate it."""
+    from repro import obs
+    from repro.experiments import monitor
+
+    obs.disable(reset=True)
+    try:
+        return monitor.run_scenario()
+    finally:
+        obs.disable(reset=True)
+
+
 def _monitor():
     from repro.experiments import monitor
-    return monitor.report_json(monitor.run_scenario())
+    return monitor.report_json(monitor_report())
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.gossip.bootstrap_repo import PublicRepository
 from repro.gossip.peer_sampling import PeerSamplingService
+from repro.gossip.view import NodeDescriptor
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.transport import Network, NetNode
@@ -122,3 +123,55 @@ class TestBootstrap:
         node = OverlayNode(net, "solo", rng)
         node.pss.bootstrap(["solo", "other"])
         assert node.pss.view.addresses() == ["other"]
+
+
+class TestMalformedBuffers:
+    """Gossip is not authenticated, so any host can send a view buffer:
+    a malformed one is dropped, never raised out of the simulator."""
+
+    @pytest.fixture
+    def deployment(self):
+        from repro.core.client import CyclosaNetwork
+
+        return CyclosaNetwork.create(num_nodes=4, seed=1,
+                                     warmup_seconds=5.0)
+
+    @pytest.mark.parametrize("payload", [
+        [5],
+        "abc",
+        [{"address": "node001"}],
+        [{"address": 7, "age": 0}],
+        [{"address": "x", "age": "old"}],
+        None,
+    ], ids=["int-entry", "str-buffer", "missing-age", "int-address",
+            "str-age", "none"])
+    def test_malformed_request_is_dropped_unanswered(self, deployment,
+                                                     payload):
+        rogue = NetNode(deployment.network, "rogue")
+        replies = []
+        rogue.request("node000", payload, replies.append, timeout=5.0,
+                      kind="pss", on_timeout=lambda: replies.append(None))
+        # Long enough for later view sorts and ageing steps to run.
+        deployment.run(30.0)
+        assert replies == [None]
+        view = deployment.nodes[0].pss.view
+        assert all(isinstance(address, str) and address.startswith("node")
+                   for address in view.addresses())
+
+    def test_malformed_reply_drops_the_peer(self, deployment):
+        asked = []
+
+        class Rogue(NetNode):
+            def handle_request(self, ctx):
+                asked.append(ctx.request.src)
+                ctx.respond("abc")
+
+        Rogue(deployment.network, "rogue")
+        for node in deployment.nodes[1:]:
+            node.pss.stop()  # nobody else can learn of the rogue
+        pss = deployment.nodes[0].pss
+        # The oldest entry: node000's next round gossips with it.
+        pss.view.insert(NodeDescriptor("rogue", age=1000))
+        deployment.run(12.0)
+        assert asked == ["node000"]
+        assert "rogue" not in pss.view

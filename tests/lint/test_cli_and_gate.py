@@ -1,5 +1,6 @@
-"""The ``repro lint`` subcommand, the CI gate, and the self-test:
-the real ``src/`` tree must be clean against the reviewed baseline."""
+"""The ``repro lint`` subcommand and the lint gate: the real ``src/``
+tree must be clean against the reviewed baseline, with no stale
+entries, and a seeded taint flow must fail unless baselined."""
 
 import json
 from pathlib import Path
@@ -9,15 +10,13 @@ import pytest
 from repro.cli import main as cli_main
 from repro.lint import load_baseline, run_lint
 
-from benchmarks.check_lint import main as gate_main
-
 pytestmark = pytest.mark.lint
 
 FIXTURE_ROOT = Path(__file__).resolve().parent / "fixtures" / "src"
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-# -- the self-test: our own tree obeys our own rules -----------------------
+# -- the gate: our own tree obeys our own rules ----------------------------
 
 def test_src_tree_is_clean_against_the_baseline(src_findings):
     baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
@@ -121,17 +120,7 @@ def test_cli_lint_missing_baseline_errors(tmp_path, capsys):
     assert exit_code == 2
 
 
-# -- the CI gate -----------------------------------------------------------
-
-def test_gate_passes_on_src_with_the_repo_baseline(capsys):
-    assert gate_main([]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_gate_missing_root_exits_2(tmp_path, capsys):
-    assert gate_main(["--root", str(tmp_path / "nope")]) == 2
-    assert "nope" in capsys.readouterr().err
-
+# -- the gate on a seeded violation ----------------------------------------
 
 def test_gate_fails_on_a_seeded_violation(tmp_path, capsys):
     bad_tree = tmp_path / "src" / "repro" / "core"
@@ -139,12 +128,9 @@ def test_gate_fails_on_a_seeded_violation(tmp_path, capsys):
     bad_tree.joinpath("leak.py").write_text(
         "def route(network, dst, query):\n"
         "    network.send(dst, query)\n")
-    exit_code = gate_main(["--root", str(tmp_path / "src"),
-                           "--no-baseline"])
-    captured = capsys.readouterr()
+    exit_code = cli_main(["lint", "--root", str(tmp_path / "src")])
     assert exit_code == 1
-    assert "[taint-wire]" in captured.out
-    assert "static analysis failed" in captured.err
+    assert "[taint-wire]" in capsys.readouterr().out
 
 
 def test_gate_baseline_silences_the_seeded_violation(tmp_path, capsys):
@@ -158,8 +144,8 @@ def test_gate_baseline_silences_the_seeded_violation(tmp_path, capsys):
         "# JUSTIFY: seeded fixture for the gate test\n"
         "taint-wire\trepro/core/leak.py\t"
         "query text flows into wire egress .send()\n")
-    exit_code = gate_main(["--root", str(tmp_path / "src"),
-                           "--baseline", str(baseline)])
+    exit_code = cli_main(["lint", "--root", str(tmp_path / "src"),
+                          "--baseline", str(baseline)])
     capsys.readouterr()
     assert exit_code == 0
 

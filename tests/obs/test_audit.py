@@ -1,6 +1,8 @@
 """Telemetry privacy audit: planted leaks are caught, healthy
 deployments pass, and real/fake legs are indistinguishable (property
-test)."""
+test). The ``test_gate_*`` tests are the leak gate: the telemetry,
+cache-indistinguishability and profile-output audits at the gate's
+seeded workload (query text never leaves the enclave, §VI-a)."""
 
 from __future__ import annotations
 
@@ -148,12 +150,51 @@ def test_report_format_carries_verdict_and_counts():
     assert "FAIL" in rendered and "[wire] leak" in rendered
 
 
-def test_check_obs_leak_gate_exits_zero(capsys):
-    from benchmarks.check_obs_leak import main
+# -- the leak gate: the three audits at the gate workload ----------------
 
-    rc = main(["--nodes", "8", "--seed", "3", "--queries", "gate probe"])
-    assert rc == 0
-    assert "telemetry privacy audit: PASS" in capsys.readouterr().out
+#: Gate workload: three queries on a 16-node deployment at seed 3; the
+#: cache and profile audits run on 8 nodes of the same seed.
+GATE_QUERIES = ["flu symptoms treatment", "cheap flights paris",
+                "python generator tutorial"]
+GATE_SEED = 3
+GATE_DRAIN = 60.0
+
+
+def test_gate_telemetry_audit_passes():
+    from repro.core.client import CyclosaNetwork
+
+    deployment = CyclosaNetwork.create(num_nodes=16, seed=GATE_SEED,
+                                       observe=True)
+    report = run_telemetry_audit(deployment, GATE_QUERIES,
+                                 drain_seconds=GATE_DRAIN)
+    assert report.ok, report.format()
+
+
+def test_gate_cache_audit_passes():
+    from repro.core.client import CyclosaNetwork
+    from repro.core.config import CyclosaConfig
+
+    def make_deployment(with_cache: bool) -> CyclosaNetwork:
+        return CyclosaNetwork.create(
+            num_nodes=8, seed=GATE_SEED,
+            config=CyclosaConfig(
+                engine_replicas=2,
+                engine_cache_size=256 if with_cache else None))
+
+    # Hit-heavy: every query repeats, so the caches genuinely serve
+    # from memory while the wire must not change.
+    report = obs.audit_cache_indistinguishability(
+        make_deployment, GATE_QUERIES * 2, drain_seconds=GATE_DRAIN)
+    assert report.ok, report.violations
+
+
+def test_gate_profile_audit_passes():
+    from repro.experiments import profiling
+
+    report = profiling.run_scenario("search", seed=GATE_SEED, nodes=8,
+                                    searches=len(GATE_QUERIES), heap=False)
+    assert obs.audit_profile_output(
+        report["collapsed"], report["cpu"], report["audit_needles"]) == []
 
 
 # -- the live deployment -------------------------------------------------

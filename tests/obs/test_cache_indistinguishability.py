@@ -7,7 +7,7 @@ once with them off (every serve is a miss) — and asserts the wiretap's
 ``(kind, size, timing-bucket)`` view is *identical* in both worlds.
 Also covers :func:`repro.obs.audit.wire_fingerprint` and the
 deployment-level :func:`audit_cache_indistinguishability` check that
-``benchmarks/check_obs_leak.py`` gates CI on.
+the leak gate in ``test_audit.py`` runs.
 """
 
 import random

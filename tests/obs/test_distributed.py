@@ -7,9 +7,9 @@ import pytest
 
 from repro import obs
 from repro.obs.clock import ManualClock
-from repro.obs.distributed import (AssembledTrace, SpanRouter, TraceContext,
-                                   assemble, assemble_all, close_remote_span,
-                                   open_remote_span, query_hash_bucket)
+from repro.obs.distributed import (SpanRouter, TraceContext, assemble,
+                                   close_remote_span, open_remote_span,
+                                   query_hash_bucket)
 from repro.obs.trace import Span, Tracer, TraceSink
 
 pytestmark = pytest.mark.obs
@@ -76,14 +76,6 @@ def test_router_keeps_per_node_sinks_bounded():
     assert router.dropped == 2
     assert sorted(router.nodes()) == ["relay-a", "relay-b"]
     assert len(router) == 4
-
-
-def test_router_spans_for_trace_filters():
-    router = SpanRouter()
-    tracer = Tracer(clock=ManualClock(), sink=TraceSink())
-    router.record("n1", _span(tracer, "a", "n1", trace_id="trace-000001"))
-    router.record("n1", _span(tracer, "b", "n1", trace_id="trace-000002"))
-    assert [s.name for s in router.spans_for_trace("trace-000002")] == ["b"]
 
 
 # -- remote span helpers -------------------------------------------------
@@ -155,14 +147,6 @@ def test_assemble_reports_orphans_and_skips_unfinished():
     ])
     assert [s.span_id for s in trace.spans] == [1, 5]
     assert [s.span_id for s in trace.orphans] == [5]
-
-
-def test_assemble_all_groups_by_trace_id():
-    spans = [Span("a", "trace-000001", 1, None, 0.0, 1.0),
-             Span("b", "trace-000002", 2, None, 0.5, 1.5)]
-    grouped = assemble_all(spans)
-    assert sorted(grouped) == ["trace-000001", "trace-000002"]
-    assert all(isinstance(t, AssembledTrace) for t in grouped.values())
 
 
 # -- seeded end-to-end deployment ----------------------------------------

@@ -12,10 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.export import (_escape, _unescape, chrome_trace,
-                              openmetrics_snapshot, parse_prometheus,
-                              parse_sample_name, parse_trace_jsonl,
-                              prometheus_snapshot, sample_key,
-                              span_to_dict, trace_to_jsonl)
+                              parse_prometheus, parse_sample_name,
+                              parse_trace_jsonl, prometheus_snapshot,
+                              sample_key, span_to_dict, trace_to_jsonl)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, TraceSink
 
@@ -151,45 +150,6 @@ def test_empty_registry_snapshot_is_empty():
     assert parse_prometheus("") == {}
     assert math.isinf(parse_prometheus('x_bucket{le="+Inf"} +Inf'
                                        )['x_bucket{le="+Inf"}'])
-
-
-# -- OpenMetrics sibling -----------------------------------------------
-
-
-def test_openmetrics_snapshot_ends_with_eof():
-    registry = MetricsRegistry()
-    registry.counter("cyclosa_q_total", "queries", mode="real").inc(3)
-    registry.gauge("cyclosa_pages", "pages").set(17)
-    text = openmetrics_snapshot(registry)
-    assert text.endswith("# EOF\n")
-    assert text.count("# EOF") == 1
-    # Same sample lines as the Prometheus exposition, so the existing
-    # parser reads both (it ignores comment lines).
-    assert parse_prometheus(text) == parse_prometheus(
-        prometheus_snapshot(registry))
-
-
-def test_openmetrics_counter_family_drops_total_suffix():
-    registry = MetricsRegistry()
-    registry.counter("cyclosa_q_total", "queries", mode="real").inc(3)
-    text = openmetrics_snapshot(registry)
-    # OpenMetrics: the *family* is named without _total, samples keep it.
-    assert "# TYPE cyclosa_q counter" in text
-    assert "# HELP cyclosa_q queries" in text
-    assert 'cyclosa_q_total{mode="real"} 3' in text
-
-
-def test_openmetrics_empty_registry_is_just_eof():
-    assert openmetrics_snapshot(MetricsRegistry()) == "# EOF\n"
-
-
-def test_openmetrics_histogram_keeps_full_name():
-    registry = MetricsRegistry()
-    registry.histogram("cyclosa_lat_seconds", "lat",
-                       buckets=(0.1,)).observe(0.05)
-    text = openmetrics_snapshot(registry)
-    assert "# TYPE cyclosa_lat_seconds histogram" in text
-    assert 'cyclosa_lat_seconds_bucket{le="0.1"} 1' in text
 
 
 # -- sample-key round-trip ---------------------------------------------

@@ -3,18 +3,20 @@ attribution, bounded structures, heap windows and the output audit.
 
 The profiler's one non-negotiable property is that two same-seed runs
 of the same workload produce *byte-identical* collapsed stacks and
-attribution JSON — that is what lets ``benchmarks/check_profile.py``
-diff against a committed baseline. Everything else (mapping rules,
+attribution JSON — that is what lets the profile gate
+(:class:`TestBaselineDrift`) diff against the ``profile`` section of
+the committed ``BENCH_pipeline.json``. Everything else (mapping rules,
 caps, the chrome merge, the privacy audit) supports that contract."""
 
 from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import obs, perf
 from repro.net.simulator import Simulator
 from repro.obs.profile import (CODE_LOCATION_RE, OVERFLOW_FRAME,
                                DeterministicProfiler, HeapSampler,
@@ -217,6 +219,27 @@ class TestCompareAttribution:
         by_name = {row["subsystem"]: row for row in rows}
         assert by_name["gossip"]["drifted"]
         assert by_name["gossip"]["self_pct_baseline"] == 0.0
+
+
+class TestBaselineDrift:
+    """The profile gate: the ``search`` scenario, replayed with the
+    parameters the committed baseline recorded, keeps every
+    subsystem's self% and cum% within 5 percentage points of it."""
+
+    def test_search_scenario_matches_the_committed_shares(self):
+        baseline = perf.load_baseline(
+            Path(__file__).resolve().parents[2] / perf.DEFAULT_BASELINE_NAME)
+        section = baseline["profile"]
+        fresh = perf.bench_profile(
+            seed=baseline["meta"]["params"]["seed"],
+            profile_nodes=section["nodes"],
+            profile_searches=section["searches"],
+            profile_sample_interval=section["sample_interval"])
+        rows = compare_attribution(section, fresh, tolerance_pct=5.0)
+        assert [row["subsystem"] for row in rows if row["drifted"]] == [], (
+            "these subsystems' CPU shares drifted beyond ±5 pp; fix the "
+            "hot path or re-baseline with `python -m repro perf --only "
+            "profile` and say in the PR why the samples moved")
 
 
 # -- heap sampling ------------------------------------------------------

@@ -249,3 +249,25 @@ class TestMalformedShardRequests:
     ], ids=["str-k", "missing-k", "int-q", "nested-term", "negative-k"])
     def test_malformed_request_is_dropped(self, sibling, record):
         assert sibling(record) == ["timeout"]
+
+
+class TestMalformedShardReplies:
+    """A sibling's reply is outside input too: the coordinator drops a
+    malformed one and pages from the surviving shards."""
+
+    @pytest.mark.parametrize("reply", [
+        {"p": [[[{"d": 1}]]]},
+        {"p": "abc"},
+        {"p": [[[5]]]},
+        {"p": [[[{"d": 1, "u": "doc1", "s": 99.0, "t": 7}]]]},
+    ], ids=["hit-without-score", "str-partials", "int-hit", "int-title"])
+    def test_malformed_reply_degrades_to_the_surviving_shard(self, corpus,
+                                                             reply):
+        sim, net, nodes = build_tier(corpus, 2)
+        rogue = nodes[1]
+        rogue._serve_shard = lambda ctx: ctx.respond(
+            rogue.tls.channel(ctx.request.src).seal(reply, rng=rogue.rng))
+        (page,) = fire(sim, net, "engine", [QUERIES[0]])
+        assert page["status"] == "ok"
+        assert page["hits"]
+        assert all(hit["doc_id"] % 2 == 0 for hit in page["hits"])
