@@ -10,10 +10,9 @@ Commands:
 - ``obs [query]``               — run a traced search and dump the
   observability output (breakdown table, trace JSON-lines, or a
   Prometheus metrics snapshot).
-- ``perf``                      — run the pipeline perf benches and
-  write the ``BENCH_pipeline.json`` trajectory baseline (see
-  ``docs/performance.md``); ``--profile`` adds the deterministic
-  subsystem-attribution section.
+- ``perf``                      — re-take the deterministic profile
+  baseline, the ``profile`` section of ``BENCH_pipeline.json`` (speed
+  is measured by ``python -m bench``; see ``docs/performance.md``).
 - ``profile <scenario>``        — deterministic sampling profile of a
   named scenario: per-subsystem CPU/heap attribution, collapsed-stack
   flamegraph files and a chrome-trace view with the sample track
@@ -39,8 +38,8 @@ Examples::
     python -m repro search "flu symptoms treatment"
     python -m repro search --trace "flu symptoms treatment"
     python -m repro obs --format prom
-    python -m repro perf --output BENCH_pipeline.json
-    python -m repro perf --profile
+    python -m repro perf
+    python -m repro perf --output profile.json
     python -m repro profile search
     python -m repro profile simulator --events 100000 --no-write
     python -m repro lint --baseline
@@ -159,22 +158,37 @@ def _cmd_search(query: str, num_nodes: int, seed: int,
     return 0 if result.ok else 1
 
 
+def _print_breakdown(spans, trace_id: Optional[str]) -> None:
+    """The stage table of *trace_id* from the local *spans*.
+
+    The local ``engine`` and ``path`` spans both cover the real leg's
+    round trip; the engine's remote ``engine.serve`` span, from the
+    span router, splits it into service time and relay-path time.
+    """
+    from repro import obs
+    from repro.obs import (format_breakdown, root_span,
+                           split_engine_service, stage_breakdown)
+
+    rows = split_engine_service(
+        stage_breakdown(spans, trace_id=trace_id),
+        list(spans) + obs.OBS.router.all_spans(), trace_id=trace_id)
+    root = root_span(spans, trace_id=trace_id)
+    total = root.duration if root is not None and root.finished else None
+    t0 = root.start if root is not None else None
+    print(format_breakdown(rows, total=total, t0=t0))
+
+
 def _print_trace_report(trace_id: Optional[str]) -> None:
     """Per-stage breakdown + metrics snapshot of an enabled obs run."""
     from repro import obs
-    from repro.obs import (format_breakdown, prometheus_snapshot,
-                           root_span, stage_breakdown)
+    from repro.obs import prometheus_snapshot
 
     from repro.text.cache import install_metrics
 
     tracer = obs.get_tracer()
     spans = tracer.sink.spans if tracer is not None else []
-    rows = stage_breakdown(spans, trace_id=trace_id)
-    root = root_span(spans, trace_id=trace_id)
     print(f"\npipeline trace {trace_id or '(none)'}:")
-    total = root.duration if root is not None and root.finished else None
-    t0 = root.start if root is not None else None
-    print(format_breakdown(rows, total=total, t0=t0))
+    _print_breakdown(spans, trace_id)
     print("\nmetrics snapshot:")
     install_metrics(obs.get_registry())  # text-cache gauges in the dump
     print(prometheus_snapshot(obs.get_registry()))
@@ -202,9 +216,7 @@ def _cmd_obs(query: str, num_nodes: int, seed: int, fmt: str,
         return 0 if report.ok else 1
 
     result = deployment.node(0).search(query)
-    from repro.obs import (chrome_trace, format_breakdown,
-                           prometheus_snapshot, root_span,
-                           stage_breakdown, trace_to_jsonl)
+    from repro.obs import chrome_trace, prometheus_snapshot, trace_to_jsonl
 
     tracer = obs.get_tracer()
     spans = tracer.sink.spans if tracer is not None else []
@@ -244,62 +256,47 @@ def _cmd_obs(query: str, num_nodes: int, seed: int, fmt: str,
     else:  # table
         print(f"query  : {query!r}  (status {result.status}, "  # lint: allow(taint-print) -- own terminal
               f"k={result.k}, seed {seed})")
-        rows = stage_breakdown(spans, trace_id=result.trace_id)
-        root = root_span(spans, trace_id=result.trace_id)
-        total = root.duration if root is not None and root.finished else None
-        t0 = root.start if root is not None else None
-        print(format_breakdown(rows, total=total, t0=t0))
+        _print_breakdown(spans, result.trace_id)
     return 0 if result.ok else 1
 
 
-def _cmd_perf(args) -> int:
-    """Run the pipeline perf benches; merge them into the trajectory
-    baseline."""
-    import os
+def _cmd_perf(output: str) -> int:
+    """Re-take the deterministic profile baseline and write it, with its
+    parameters, to *output*."""
+    import json
+    import platform
+    import time
 
     from repro import perf
 
-    only = None
-    if args.only:
-        only = [name for entry in args.only
-                for name in entry.split(",") if name]
-    overrides = dict(
-        history_size=args.history, probes=args.probes,
-        num_events=args.events, num_nodes=args.nodes,
-        searches=args.searches, monitor_windows=args.monitor_windows,
-        engine_queries=args.engine_queries,
-        engine_docs_per_topic=args.engine_docs_per_topic,
-        scale_nodes=args.scale_nodes, scale_duration=args.scale_duration,
-        seed=args.seed)
-    existing = None
-    if not args.no_write and os.path.exists(args.output):
-        existing = perf.load_baseline(args.output)
-    try:
-        if existing is not None:
-            # Fail before measuring: the merge below would refuse.
-            perf.merge_params(existing, perf.resolve_params(**overrides))
-        results = perf.run_all(only=only, profile=args.profile, **overrides)
-    except ValueError as error:
-        print(f"ERROR: {error}", file=sys.stderr)
-        return 2
-    print(perf.format_report(results))
-    if not args.no_write:
-        # Skipped sections (e.g. `profile`, or everything outside
-        # --only) keep their committed numbers.
-        perf.write_baseline(
-            results if existing is None
-            else perf.merge_baseline(existing, results), args.output)
-        print(f"\nwrote {args.output}")
-    sens = results.get("sensitivity")
-    if sens is not None and not sens["scores_bit_identical"]:
-        print("ERROR: indexed linkability diverged from the linear scan",
-              file=sys.stderr)
-        return 1
-    scaling = results.get("engine_scaling")
-    if scaling is not None and not scaling["sharded_identical"]:
-        print("ERROR: sharded engine results diverged from the "
-              "unsharded baseline", file=sys.stderr)
-        return 1
+    params = dict(perf.DEFAULT_PARAMS)
+    profile = perf.bench_profile(**params)
+    baseline = {
+        "meta": {
+            "schema": 1,
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "python": sys.version.split()[0],
+            "platform": platform.platform(),
+            "params": params,
+        },
+        "profile": profile,
+    }
+    with open(output, "w", encoding="utf-8") as handle:
+        json.dump(baseline, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"profile ({profile['scenario']} scenario, {profile['nodes']} "
+          f"nodes, {profile['searches']} searches, 1 sample / "
+          f"{profile['sample_interval']} call events)")
+    print(f"  samples {profile['samples']}, call events "
+          f"{profile['call_events']}, distinct stacks "
+          f"{profile['distinct_stacks']}, collapsed sha256 "
+          f"{profile['collapsed_sha256'][:16]}...")
+    shares = sorted(profile["subsystems"].items(),
+                    key=lambda item: (-item[1]["self_pct"], item[0]))
+    for subsystem, share in shares:
+        print(f"    {subsystem:<14} self {share['self_pct']:>6.2f}%  "
+              f"cum {share['cum_pct']:>6.2f}%")
+    print(f"\nwrote {output}")
     return 0
 
 
@@ -596,53 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
              "query text leak into wire metadata or span attributes")
 
     perf_parser = subparsers.add_parser(
-        "perf", help="run the pipeline perf benches and write the "
-                     "BENCH_pipeline.json trajectory baseline")
-    perf_parser.add_argument("--history", type=int, default=None,
-                             help="linkability history size (default 10000)")
-    perf_parser.add_argument("--probes", type=int, default=None,
-                             help="probe queries per pass (default 200)")
-    perf_parser.add_argument("--events", type=int, default=None,
-                             help="simulator events (default 200000)")
-    perf_parser.add_argument("--nodes", type=int, default=None,
-                             help="overlay size (default 16)")
-    perf_parser.add_argument("--searches", type=int, default=None,
-                             help="end-to-end searches (default 25)")
-    perf_parser.add_argument("--monitor-windows", type=int, default=None,
-                             help="flight-recorder flush windows "
-                                  "(default 400)")
-    perf_parser.add_argument("--engine-queries", type=int, default=None,
-                             help="queries fired at the engine tier in "
-                                  "the scale-out bench (default 400)")
-    perf_parser.add_argument("--engine-docs-per-topic", type=int,
-                             default=None,
-                             help="corpus size knob for the engine "
-                                  "scale-out bench (default 6000)")
-    perf_parser.add_argument("--scale-nodes", type=int, default=None,
-                             help="overlay size of the churn+chaos scale "
-                                  "run (default 5000)")
-    perf_parser.add_argument("--scale-duration", type=float, default=None,
-                             help="simulated seconds of the scale run "
-                                  "(default 5)")
-    perf_parser.add_argument("--seed", type=int, default=None)
-    perf_parser.add_argument(
-        "--only", action="append", default=None, metavar="SECTION",
-        help="run only these bench sections (repeatable or "
-             "comma-separated; known: sensitivity, simulator, search, "
-             "engine_scaling, scale, monitor, lint, profile)")
-    perf_parser.add_argument(
-        "--profile", action="store_true",
-        help="include the deterministic-profiler attribution section "
-             "(excluded from default runs; implies nothing about the "
-             "other sections)")
+        "perf", help="re-take the deterministic profile baseline "
+                     "(BENCH_pipeline.json); speed is measured by "
+                     "`python -m bench`")
     perf_parser.add_argument("--output", default="BENCH_pipeline.json",
                              help="baseline path (default "
-                                  "./BENCH_pipeline.json); an existing "
-                                  "file is merged into: sections this "
-                                  "run skips stay, and a param both "
-                                  "hold with different values exits 2")
-    perf_parser.add_argument("--no-write", action="store_true",
-                             help="print the report without writing the file")
+                                  "./BENCH_pipeline.json), overwritten")
 
     profile_parser = subparsers.add_parser(
         "profile", help="run a seeded scenario under the deterministic "
@@ -820,7 +776,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_obs(args.query, args.nodes, args.seed, args.format,
                         run_audit=args.audit)
     if args.command == "perf":
-        return _cmd_perf(args)
+        return _cmd_perf(args.output)
     if args.command == "profile":
         return _cmd_profile(args)
     if args.command == "lint":

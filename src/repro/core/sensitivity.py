@@ -169,7 +169,7 @@ class LinkabilityAssessor:
     occupy the low end of the ascending ranking), so the indexed score
     is bit-identical to the O(history) scan it replaces —
     :meth:`score_linear` keeps that reference implementation for
-    equivalence tests and the perf trajectory.
+    equivalence tests and the index-speedup floor.
 
     Parameters
     ----------
@@ -286,7 +286,8 @@ class LinkabilityAssessor:
     def score_linear(self, query: str) -> float:
         """The pre-index reference: cosine against *every* live history
         entry, then :func:`~repro.text.smoothing.smoothed_similarity`.
-        O(history); kept for equivalence tests and the perf benches."""
+        O(history); kept for equivalence tests and the index-speedup
+        floor (``benchmarks/test_bench_pipeline.py``)."""
         vector = query_vector(query)
         if not vector or not self._vectors:
             return 0.0

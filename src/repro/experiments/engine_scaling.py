@@ -1,11 +1,11 @@
 """Engine tier scale-out inside a full CYCLOSA deployment.
 
-The perf harness (`repro perf`, section ``engine_scaling``) measures
-the tier's raw wall-clock throughput with the relay overlay stripped
-away. This experiment asks the complementary, deployment-level
-question: with real protected searches — fake queries, relays, sealed
-channels, the works — what does sharding the engine change for the
-*user* and for the *tier*?
+The repository benchmark measures the tier's wall-clock throughput:
+``fanin`` with a cached 3-replica engine and ``engine-miss`` with 2
+replicas and the caches bypassed (``bench/README.md``). This
+experiment asks the deployment-level question: with real protected
+searches — fake queries, relays, sealed channels, the works — what
+does sharding the engine change for the *user* and for the *tier*?
 
 Per replica count it reports:
 
@@ -96,8 +96,8 @@ def main() -> None:
           (f"{r['cache_hit_rate'] * 100:.0f} %"
            if r["cache_hit_rate"] is not None else "-")] for r in rows])
     print("\nSharded replicas must return byte-identical pages at any "
-          "count (repro perf pins the same invariant plus the "
-          "wall-clock speedup; docs/performance.md, 'Engine tier').")
+          "count (the benchmark checks every search's page against an "
+          "unsharded engine; docs/performance.md, 'Engine tier').")
 
 
 if __name__ == "__main__":

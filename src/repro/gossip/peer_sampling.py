@@ -45,20 +45,13 @@ class PeerSamplingService:
 
     def __init__(self, node: NetNode, rng, view_size: int = 8,
                  heal: int = 2, swap: int = 3,
-                 interval: float = 5.0,
-                 push_pull: bool = True) -> None:
+                 interval: float = 5.0) -> None:
         self._node = node
         self._rng = rng
         self.view = PartialView(view_size)
         self.heal = heal
         self.swap = swap
         self.interval = interval
-        #: push-pull (default, as in the original paper's recommended
-        #: configuration) exchanges buffers both ways per round;
-        #: push-only fires the buffer and learns nothing back —
-        #: convergence is slower and failure detection weaker, which
-        #: the overlay tests demonstrate.
-        self.push_pull = push_pull
         self._running = False
         self.rounds_completed = 0
 
@@ -130,25 +123,6 @@ class PeerSamplingService:
             payload = [
                 {"address": d.address, "age": d.age} for d in buffer
             ]
-            if not self.push_pull:
-                # Push-only: fire the buffer, learn nothing back. Still
-                # age-heal locally via capacity eviction over time.
-                self._node.send(peer, f"{GOSSIP_KIND}.push", payload)
-                self.rounds_completed += 1
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "cyclosa_gossip_rounds_total",
-                        "gossip rounds initiated", mode="push").inc()
-                    span = OBS.tracer.start_span(
-                        "gossip.exchange",
-                        attributes={"node": self.address, "peer": peer,
-                                    "mode": "push",
-                                    "descriptors": len(payload)})
-                    OBS.tracer.end_span(span)
-                    OBS.router.record(self.address, span)
-                self._schedule_next()
-                return
-
             exchange_span = None
 
             def _close_exchange(outcome: str) -> None:
@@ -200,16 +174,6 @@ class PeerSamplingService:
                 peer, payload, on_reply, timeout=4 * self.interval,
                 on_timeout=on_timeout, kind=GOSSIP_KIND)
         self._schedule_next()
-
-    def handle_push(self, message) -> bool:
-        """Receiver half of a push-only round (datagram, no response)."""
-        if message.kind != f"{GOSSIP_KIND}.push":
-            return False
-        received = self._received(message.payload)
-        if received is not None:  # a malformed push is dropped
-            self.view.merge(received, sent=[], heal=self.heal,
-                            swap=self.swap, rng=self._rng)
-        return True
 
     def handle_request(self, ctx: RequestContext) -> bool:
         """Responder half of the push-pull exchange.

@@ -1,7 +1,7 @@
 """Determinism contract: seeded RNGs and the simulator clock only.
 
 The byte-identical fig5–fig8 reproductions (verified every PR) and
-the perf-trajectory baseline both rest on one discipline: simulation
+the profile baseline both rest on one discipline: simulation
 code takes randomness from an explicitly seeded ``random.Random`` and
 time from the discrete-event simulator (or :mod:`repro.obs.clock`'s
 abstraction). One stray wall-clock read or shared-global ``random``
@@ -13,7 +13,7 @@ patterns outright:
   friends (``det-wall-clock``) — allowed only in
   :mod:`repro.obs.clock`, the one sanctioned wall-clock adapter.
   ``perf_counter`` is *not* banned: it measures host durations in the
-  perf harness and never feeds simulation state.
+  benches and never feeds simulation state.
 - ``os.urandom`` / ``random.SystemRandom`` (``det-system-entropy``) —
   allowed only under :mod:`repro.crypto`, where key material is
   *supposed* to be nondeterministic when no rng is threaded through;

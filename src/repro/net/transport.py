@@ -1,12 +1,16 @@
 """Addressable nodes, messages and links over the event loop.
 
 The transport layer is deliberately simple: a :class:`Network` owns the
-simulator, a registry of :class:`NetNode` instances and the latency/loss
+simulator, a registry of :class:`NetNode` instances and the latency
 models. ``Network.send`` samples a one-way delay and schedules the
-destination's ``on_message``. On top of that, :class:`NetNode` provides
-a request/response (RPC) pattern with correlation ids, deferred
-responders and timeouts — enough to express every protocol in the paper
-(onion circuits, PEAS's two-server relay, CYCLOSA's fan-out).
+destination's ``on_message``; links do not lose messages on their own
+(message loss, delay, duplication and crashes are injected by
+:mod:`repro.faults`, which wraps ``send`` and delivery). On top of that,
+:class:`NetNode` provides a request/response (RPC) pattern with
+correlation ids, deferred responders and timeouts — enough to express
+every protocol in the paper (onion circuits, PEAS's two-server relay,
+CYCLOSA's fan-out). A response is accepted only from the peer its
+request went to.
 
 Sizes matter: each message carries ``size_bytes`` because one of the
 paper's arguments (§IV) is that an observer of *encrypted* traffic can
@@ -61,36 +65,23 @@ class LinkStats:
 
 
 class Network:
-    """The simulated internet: nodes, links, latency, loss.
+    """The simulated internet: nodes, links, latency.
 
     Parameters
     ----------
     simulator:
         The shared event loop.
     rng:
-        Seeded ``random.Random``; all latency/loss sampling flows
-        through it.
+        Seeded ``random.Random``; all latency sampling flows through it.
     default_latency:
         Latency model used for any pair without an override.
-    bandwidth_bytes_per_s:
-        Optional serialisation bandwidth; when set, each message adds
-        ``size/bandwidth`` to its delay (models large OR-queries being
-        slower to ship).
-    loss_probability:
-        Uniform per-message drop probability (Byzantine/lossy links).
     """
 
     def __init__(self, simulator: Simulator, rng,
-                 default_latency: Optional[LatencyModel] = None,
-                 bandwidth_bytes_per_s: Optional[float] = None,
-                 loss_probability: float = 0.0) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise NetworkError("loss_probability must be in [0, 1)")
+                 default_latency: Optional[LatencyModel] = None) -> None:
         self.simulator = simulator
         self.rng = rng
         self.default_latency = default_latency or ConstantLatency(0.02)
-        self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
-        self.loss_probability = loss_probability
         self.stats = LinkStats()
         self._nodes: Dict[str, "NetNode"] = {}
         self._departed: set = set()
@@ -150,7 +141,8 @@ class Network:
 
     def send(self, src: str, dst: str, kind: str, payload: Any,
              size_bytes: Optional[int] = None) -> Optional[Message]:
-        """Send one message; returns it, or ``None`` if it was lost."""
+        """Send one message; returns it, or ``None`` if it was lost
+        (a departed sender's leftover timer, or an injected fault)."""
         if src not in self._nodes:
             if src in self._departed:
                 # A crashed host's leftover timer fired: silence, not a
@@ -174,16 +166,7 @@ class Network:
                              "messages offered to the network").inc()
             registry.counter("cyclosa_net_bytes_total",
                              "payload bytes offered to the network").inc(size)
-        if self.loss_probability and self.rng.random() < self.loss_probability:
-            self.stats.dropped += 1
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "cyclosa_net_dropped_total",
-                    "messages lost (loss, churn, dead senders)").inc()
-            return None
         delay = self._latency_for(src, dst).sample(self.rng)
-        if self.bandwidth_bytes_per_s:
-            delay += size / self.bandwidth_bytes_per_s
         if OBS.enabled:
             # Per-hop send span: its width is the sampled flight time,
             # stamped up front (the simulator realises it later).
@@ -233,6 +216,7 @@ class RequestContext:
 
 @dataclass
 class _PendingRequest:
+    dst: str
     on_reply: Callable[[Any], None]
     on_timeout: Optional[Callable[[], None]]
     timeout_handle: Optional[EventHandle] = None
@@ -287,13 +271,14 @@ class NetNode:
             if timeout is None or on_timeout is None:
                 return
             request_id = -next(self._lost_ids)
-            pending = _PendingRequest(on_reply=on_reply,
+            pending = _PendingRequest(dst=dst, on_reply=on_reply,
                                       on_timeout=on_timeout)
             pending.timeout_handle = self.network.simulator.schedule(
                 timeout, lambda: self._expire(request_id))
             self._pending[request_id] = pending
             return
-        pending = _PendingRequest(on_reply=on_reply, on_timeout=on_timeout)
+        pending = _PendingRequest(dst=dst, on_reply=on_reply,
+                                  on_timeout=on_timeout)
         if timeout is not None:
             pending.timeout_handle = self.network.simulator.schedule(
                 timeout, lambda: self._expire(message.msg_id))
@@ -316,12 +301,25 @@ class NetNode:
         if message.kind.endswith(".req"):
             self.handle_request(RequestContext(self, message))
         elif message.kind == "rpc.rsp":
+            # Any host can send an rpc.rsp, and message ids are easy to
+            # guess: answer a request only with a well-formed envelope
+            # from the peer the request went to. Anything else is
+            # dropped, and the request keeps waiting for its answer or
+            # its timeout.
             envelope = message.payload
-            pending = self._pending.pop(envelope["request_id"], None)
-            if pending is not None:
-                if pending.timeout_handle is not None:
-                    pending.timeout_handle.cancel()
-                pending.on_reply(envelope["payload"])
+            if not isinstance(envelope, dict) or "payload" not in envelope:
+                return
+            request_id = envelope.get("request_id")
+            if (not isinstance(request_id, int)
+                    or isinstance(request_id, bool)):
+                return
+            pending = self._pending.get(request_id)
+            if pending is None or pending.dst != message.src:
+                return
+            del self._pending[request_id]
+            if pending.timeout_handle is not None:
+                pending.timeout_handle.cancel()
+            pending.on_reply(envelope["payload"])
         else:
             self.handle_datagram(message)
 

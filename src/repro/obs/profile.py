@@ -88,9 +88,9 @@ CODE_LOCATION_RE = re.compile(r"^[A-Za-z_][\w.]*:[\w.<>\[\]]+$")
 
 #: Modules at which the stack walk stops (scenario entry points).
 #: Cutting here makes collapsed stacks independent of *how* the
-#: scenario was launched — `repro profile`, `repro perf --profile`
-#: and pytest all produce identical stacks, which is what lets the
-#: profile gate diff against a committed baseline.
+#: scenario was launched — `repro profile`, `repro perf` and pytest
+#: all produce identical stacks, which is what lets the profile gate
+#: diff against a committed baseline.
 DEFAULT_STACK_ROOTS = ("repro.experiments.profiling",)
 
 

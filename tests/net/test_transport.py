@@ -103,30 +103,6 @@ class TestDelivery:
         sim.run()
         assert sim.now == pytest.approx(0.1)
 
-    def test_bandwidth_adds_serialisation_delay(self, sim, rng):
-        net = Network(sim, rng, default_latency=ConstantLatency(0.0),
-                      bandwidth_bytes_per_s=1000.0)
-        a = EchoNode(net, "a")
-        b = EchoNode(net, "b")
-        a.send("b", "data", b"x" * 500)
-        sim.run()
-        assert sim.now == pytest.approx(0.5)
-
-    def test_loss_probability(self, sim, rng):
-        net = Network(sim, rng, default_latency=ConstantLatency(0.0),
-                      loss_probability=0.5)
-        a = EchoNode(net, "a")
-        b = EchoNode(net, "b")
-        for _ in range(200):
-            a.send("b", "data", "x")
-        sim.run()
-        assert 40 < len(b.datagrams) < 160
-        assert net.stats.dropped == 200 - len(b.datagrams)
-
-    def test_invalid_loss_probability(self, sim, rng):
-        with pytest.raises(NetworkError):
-            Network(sim, rng, loss_probability=1.0)
-
     def test_stats_accumulate(self, net, sim):
         a = EchoNode(net, "a")
         EchoNode(net, "b")
@@ -203,6 +179,57 @@ class TestRpc:
         assert sorted(replies) == [10, 20, 30]
 
 
+class TestResponseAuthentication:
+    """Only the peer a request went to may answer it, and only with a
+    well-formed envelope. Anything else is dropped, and the request
+    keeps its pending entry and its timeout."""
+
+    def pending_request(self, net, respond):
+        a = EchoNode(net, "a")
+        b = EchoNode(net, "b", respond=respond)
+        replies, timeouts = [], []
+        a.request("b", "q", replies.append, timeout=5.0,
+                  on_timeout=lambda: timeouts.append("timeout"))
+        ((request_id, _),) = a._pending.items()
+        return a, b, request_id, replies, timeouts
+
+    def test_malformed_envelopes_are_dropped(self, net, sim):
+        a, b, request_id, replies, timeouts = self.pending_request(
+            net, respond=False)
+        for envelope in ("abc", None, [request_id, "x"],
+                         {"request_id": request_id},
+                         {"payload": "x"},
+                         {"request_id": str(request_id), "payload": "x"},
+                         {"request_id": True, "payload": "x"}):
+            b.send("a", "rpc.rsp", envelope)
+        sim.run()
+        assert replies == []
+        assert timeouts == ["timeout"]
+
+    def test_forged_answer_is_dropped_and_the_genuine_one_accepted(
+            self, net, sim):
+        a, b, request_id, replies, timeouts = self.pending_request(
+            net, respond=True)
+        c = EchoNode(net, "c")
+        # Sent before b's reply and arrives first.
+        c.send("a", "rpc.rsp", {"request_id": request_id,
+                                "payload": "forged"})
+        sim.run()
+        assert replies == [{"echo": "q"}]
+        assert timeouts == []
+
+    def test_well_formed_answer_from_the_destination_is_accepted(
+            self, net, sim):
+        a, b, request_id, replies, timeouts = self.pending_request(
+            net, respond=False)
+        b.send("a", "rpc.rsp", {"request_id": request_id,
+                                "payload": "by hand"})
+        sim.run()
+        assert replies == ["by hand"]
+        assert timeouts == []
+        assert a._pending == {}
+
+
 class TestCrashedHostSemantics:
     def test_departed_sender_messages_dropped_silently(self, net, sim):
         a = EchoNode(net, "a")
@@ -270,17 +297,17 @@ class TestLostOnWireRequests:
         assert a._pending == {}
         assert not sim.step()  # nothing scheduled either
 
-    def test_lost_entry_does_not_capture_other_responses(self, sim, rng):
-        net = Network(sim, rng, default_latency=ConstantLatency(0.01),
-                      loss_probability=0.9)
+    def test_lost_entry_does_not_capture_other_responses(self, net, sim,
+                                                         monkeypatch):
         a = EchoNode(net, "a")
         EchoNode(net, "b")
         timeouts, replies = [], []
-        # Random(0)'s first draw is ~0.84 < 0.9: deterministically lost.
+        # The first request is lost at send.
+        monkeypatch.setattr(net, "send", lambda *args, **kwargs: None)
         a.request("b", "lost", replies.append, timeout=5.0,
                   on_timeout=lambda: timeouts.append("lost"))
         assert len(a._pending) == 1
-        net.loss_probability = 0.0
+        monkeypatch.undo()
         a.request("b", "real", replies.append, timeout=5.0,
                   on_timeout=lambda: timeouts.append("real"))
         sim.run()

@@ -26,6 +26,13 @@ def test_obs_table_output(capsys):
     for stage in ("sensitivity", "adaptive_k", "fake_generation",
                   "fanout", "engine", "response_filtering"):
         assert stage in out
+    # The engine row is service time, the path row the relay/network
+    # remainder: they must not alias the same round trip.
+    durations = {line.split()[0]: line.split()[2]
+                 for line in out.splitlines()
+                 if line.startswith(("engine ", "path "))}
+    assert set(durations) == {"engine", "path"}
+    assert durations["engine"] != durations["path"]
 
 
 def test_obs_jsonl_output(capsys):

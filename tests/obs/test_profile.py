@@ -227,8 +227,8 @@ class TestBaselineDrift:
     subsystem's self% and cum% within 5 percentage points of it."""
 
     def test_search_scenario_matches_the_committed_shares(self):
-        baseline = perf.load_baseline(
-            Path(__file__).resolve().parents[2] / perf.DEFAULT_BASELINE_NAME)
+        path = Path(__file__).resolve().parents[2] / perf.DEFAULT_BASELINE_NAME
+        baseline = json.loads(path.read_text(encoding="utf-8"))
         section = baseline["profile"]
         fresh = perf.bench_profile(
             seed=baseline["meta"]["params"]["seed"],
@@ -238,8 +238,8 @@ class TestBaselineDrift:
         rows = compare_attribution(section, fresh, tolerance_pct=5.0)
         assert [row["subsystem"] for row in rows if row["drifted"]] == [], (
             "these subsystems' CPU shares drifted beyond ±5 pp; fix the "
-            "hot path or re-baseline with `python -m repro perf --only "
-            "profile` and say in the PR why the samples moved")
+            "hot path or re-baseline with `python -m repro perf` and say "
+            "in the PR why the samples moved")
 
 
 # -- heap sampling ------------------------------------------------------
