@@ -18,15 +18,23 @@ class TestWorkloadQueries:
         assert len(perf.workload_queries(30, seed=5)) == 30
 
 
-class TestBenchProfile:
+class TestOnly:
+    """The profile is the only section ``repro.perf`` still takes."""
+
+    def test_profile_section_runs_when_requested(self):
+        section = perf.bench_profile(profile_nodes=6, profile_searches=2)
+        assert section["samples"] > 0
+        assert section["scenario"] == "search"
+        assert (section["nodes"], section["searches"]) == (6, 2)
+        assert len(section["collapsed_sha256"]) == 64
+        shares = section["subsystems"]
+        assert sum(row["self"] for row in shares.values()) \
+            == section["samples"]
+
     def test_profile_section_is_deterministic(self):
         first = perf.bench_profile(**perf.DEFAULT_PARAMS)
         second = perf.bench_profile(**perf.DEFAULT_PARAMS)
         assert first == second
-        assert first["scenario"] == "search"
-        assert len(first["collapsed_sha256"]) == 64
-        assert sum(row["self"] for row in first["subsystems"].values()) \
-            == first["samples"] > 0
 
 
 class TestCli:
@@ -34,10 +42,18 @@ class TestCli:
         out = tmp_path / "bench.json"
         out.write_text(json.dumps({"stale": {"events_per_sec": 1.0}}))
         assert cli_main(["perf", "--output", str(out)]) == 0
-        assert "profile (search scenario" in capsys.readouterr().out
+        assert f"wrote {out}" in capsys.readouterr().out
         written = json.loads(out.read_text())
         # The file is rewritten whole: meta plus the profile section.
         assert set(written) == {"meta", "profile"}
         assert written["meta"]["params"] == perf.DEFAULT_PARAMS
+
+    def test_perf_profile_section_via_cli(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert cli_main(["perf", "--output", str(out)]) == 0
+        captured = capsys.readouterr().out
+        assert "profile (search scenario" in captured
+        written = json.loads(out.read_text())
+        assert written["profile"]["collapsed_sha256"][:16] in captured
         assert written["profile"] == perf.bench_profile(
             **perf.DEFAULT_PARAMS)
