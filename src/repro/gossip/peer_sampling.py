@@ -88,10 +88,8 @@ class PeerSamplingService:
     def _build_buffer(self) -> List[NodeDescriptor]:
         buffer = [NodeDescriptor(self.address, age=0)]
         half = max(0, self.view.capacity // 2 - 1)
-        for address in self.view.sample(half, self._rng):
-            descriptor = next(
-                d for d in self.view.descriptors() if d.address == address)
-            buffer.append(descriptor)
+        buffer.extend(map(self.view.descriptor,
+                          self.view.sample(half, self._rng)))
         return buffer
 
     def _received(self, buffer: Any) -> Optional[List[NodeDescriptor]]:

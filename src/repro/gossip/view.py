@@ -48,6 +48,10 @@ class PartialView:
     def descriptors(self) -> List[NodeDescriptor]:
         return list(self._entries.values())
 
+    def descriptor(self, address: str) -> NodeDescriptor:
+        """The entry held for *address* (``KeyError`` if none)."""
+        return self._entries[address]
+
     def is_empty(self) -> bool:
         return not self._entries
 
@@ -92,7 +96,8 @@ class PartialView:
     def sample(self, count: int, rng,
                exclude: Sequence[str] = ()) -> List[str]:
         """Uniformly sample up to *count* distinct addresses."""
-        candidates = [a for a in sorted(self._entries) if a not in set(exclude)]
+        excluded = set(exclude)
+        candidates = [a for a in sorted(self._entries) if a not in excluded]
         if count >= len(candidates):
             return candidates
         return rng.sample(candidates, count)

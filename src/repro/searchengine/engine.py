@@ -24,13 +24,23 @@ partial top-k carries bit-identical scores — which is what lets
 byte-identical to the unsharded engine's (see there).
 
 The ranking kernel: each term's postings are two arrays, document ids
-(``array("q")``) and ``idf[term] * weight`` (``array("d")``), the
-term's whole contribution to each document's score, computed once at
-index time; a posting costs 16 bytes. A query copies its first term's
-postings into a score dict and adds each later term's in query-term
-order, so every score is the same float sum a ``+=`` per posting gives.
-It then divides by the document norms, finds the k-th best value with
-``heapq.nlargest`` and sorts only the candidates at or above it by
+(``array("q")``, ascending, since the index is built in doc-id order)
+and ``idf[term] * weight`` (``array("d")``), the term's whole
+contribution to each document's score, computed once at index time; a
+posting costs 16 bytes. A query first scores only the *candidates*, the
+documents of every query term but the one with the longest list. It
+copies its first list into a score dict and adds each later one in
+query-term order, the longest cut to the candidates it holds (found by
+bisection in its ids), so every candidate's score is the same float sum
+a ``+=`` per posting gives. It then divides by the document norms and
+finds the k-th best value with ``heapq.nlargest``. A document outside
+the candidates would score exactly one ``contrib / norm`` of the longest
+list, so when the largest of those (the term's skip bound, computed on
+first use) is strictly below the k-th candidate score, the page holds
+candidates only and the rest of the longest list is never read. A tie
+at slot k, fewer than k candidates, a repeated longest term and a
+single term take the full accumulation of every list instead. Either
+way only the documents at or above the k-th best value are sorted by
 ``(-score, doc_id)``. Keeping every tie at the k-th value makes that
 order's first k entries exactly those of a full sort. The hit lists are
 byte-identical to the earlier tuple-posting, full-sort kernel, which
@@ -41,6 +51,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
@@ -122,6 +133,9 @@ class SearchEngine:
         # the same order, idf[term] * weight — the term's contribution
         # to each document's score.
         self._postings: Dict[str, Tuple[array, array]] = {}
+        # Per term, max(contrib / norm) over its postings, filled in by
+        # _bound the first time the term is a query's longest list.
+        self._bounds: Dict[str, float] = {}
         self._doc_norms: Dict[int, float] = {}
         self._documents: Dict[int, Document] = {}
         self._build_index(
@@ -150,7 +164,9 @@ class SearchEngine:
                       default=0)
         log_of = [0.0] + [math.log(count) for count in range(1, longest + 1)]
         postings = self._postings
-        for document in documents:
+        # In doc-id order, so every id array is sorted for _rank's
+        # bisection.
+        for document in sorted(documents, key=attrgetter("doc_id")):
             doc_id = document.doc_id
             if doc_id in self._documents:
                 # The score accumulation relies on a term listing each
@@ -212,24 +228,79 @@ class SearchEngine:
         query_terms = [t for t in terms if t in postings]
         if not query_terms or topk == 0:
             return []
-        # Each document's score is ((c1 + c2) + c3) in query-term
-        # order, repeated terms included, as in one += per posting. The
-        # first term's list is copied in C; a plain loop adds the rest,
+        # Skip bound: score the candidates, the documents of every term
+        # but the longest, first. A document outside them scores one
+        # contrib / norm of the longest list alone, so when the list's
+        # largest such value is strictly below the k-th candidate score
+        # the page holds candidates only. Otherwise — a tie at slot k,
+        # fewer than k candidates, a repeated longest term or a single
+        # term — every posting is accumulated.
+        longest = max(query_terms, key=lambda term: len(postings[term][0]))
+        if len(query_terms) > 1 and query_terms.count(longest) == 1:
+            scores = self._scores(query_terms, longest)
+            if len(scores) >= topk:
+                values, cut = self._kth(scores, topk)
+                if self._bound(longest) < cut:
+                    return self._hits(scores, values, cut, topk, query_terms)
+        scores = self._scores(query_terms, None)
+        values, cut = self._kth(scores, topk)
+        return self._hits(scores, values, cut, topk, query_terms)
+
+    def _scores(self, query_terms: Sequence[str],
+                longest: Optional[str]) -> Dict[int, float]:
+        """Every document's summed contributions in query-term order,
+        repeated terms included, as in one += per posting. With
+        *longest*, only the candidates are scored: that term's list is
+        cut to the documents of the others, found by bisection in its
+        sorted ids, and keeps its place in the order."""
+        postings = self._postings
+        lists = [postings[term] for term in query_terms]
+        if longest is not None:
+            ids, contribs = postings[longest]
+            end = len(ids)
+            found = {}
+            for doc_id in set(chain.from_iterable(
+                    pair[0] for term, pair in zip(query_terms, lists)
+                    if term != longest)):
+                at = bisect_left(ids, doc_id)
+                if at != end and ids[at] == doc_id:
+                    found[doc_id] = contribs[at]
+            lists[query_terms.index(longest)] = (found.keys(), found.values())
+        # The first list is copied in C; a plain loop adds the rest,
         # which measured faster than an update over map(add, ...) that
         # boxes every array element twice.
-        ids, contribs = postings[query_terms[0]]
+        ids, contribs = lists[0]
         scores = dict(zip(ids, contribs))
         get = scores.get
-        for term in query_terms[1:]:
-            ids, contribs = postings[term]
+        for ids, contribs in lists[1:]:
             for doc_id, contrib in zip(ids, contribs):
                 scores[doc_id] = get(doc_id, 0.0) + contrib
+        return scores
+
+    def _kth(self, scores: Dict[int, float],
+             topk: int) -> Tuple[List[float], float]:
+        """Each document's score over its norm, and the k-th best."""
         values = list(map(truediv, scores.values(),
                           map(self._doc_norms.__getitem__, scores)))
-        # Every candidate scoring at least the k-th best value, ties at
+        return values, nlargest(topk, values)[-1]
+
+    def _bound(self, term: str) -> float:
+        """The largest contrib / norm in *term*'s list: the best score a
+        document holding no other query term can reach. Computed on the
+        term's first use as the longest list."""
+        bound = self._bounds.get(term)
+        if bound is None:
+            ids, contribs = self._postings[term]
+            bound = self._bounds[term] = max(map(
+                truediv, contribs, map(self._doc_norms.__getitem__, ids)))
+        return bound
+
+    def _hits(self, scores: Dict[int, float], values: List[float],
+              cut: float, topk: int,
+              query_terms: Sequence[str]) -> List[SearchHit]:
+        # Every document scoring at least the k-th best value, ties at
         # slot k included: the (-score, doc_id) order of these few
         # starts with the top k of a full sort.
-        cut = nlargest(topk, values)[-1]
         ranked = sorted([(-score, doc_id)
                          for score, doc_id in zip(values, scores)
                          if score >= cut])

@@ -65,6 +65,23 @@ class TestPartialView:
         assert len(sample) == 3
         assert not {"n0", "n1"} & set(sample)
 
+    def test_sample_excludes_an_iterator(self, rng):
+        # The exclusion set is built once, so a one-pass iterable
+        # excludes every address it yields, not only from the first
+        # candidate's test.
+        view = PartialView(capacity=8)
+        for index in range(8):
+            view.insert(NodeDescriptor(f"n{index}", age=0))
+        assert view.sample(8, rng, exclude=iter(["n3", "n5"])) == \
+            ["n0", "n1", "n2", "n4", "n6", "n7"]
+
+    def test_descriptor(self):
+        view = PartialView(capacity=4)
+        view.insert(NodeDescriptor("a", age=2))
+        assert view.descriptor("a") == NodeDescriptor("a", 2)
+        with pytest.raises(KeyError):
+            view.descriptor("ghost")
+
     def test_sample_returns_all_when_small(self, rng):
         view = PartialView(capacity=4)
         view.insert(NodeDescriptor("a", age=0))

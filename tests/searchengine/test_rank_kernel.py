@@ -2,19 +2,23 @@
 
 :class:`ReferenceEngine` is the earlier index build and ``_rank``:
 postings as ``(doc_id, weight)`` tuples, one ``+=`` per posting and a
-full sort of every candidate. The engine keeps array postings, adds
-whole posting lists in C and sorts only the candidates at or above the
-k-th best score. Every hit list must match the reference exactly:
-doc id, url, the score's bits and type, and the snippet.
+full sort of every candidate. The engine keeps array postings, scores
+the documents of every term but the longest first, reads the longest
+list only when its skip bound does not rule it out, and sorts only the
+candidates at or above the k-th best score. Every hit list must match
+the reference exactly: doc id, url, the score's bits and type, and the
+snippet.
 """
 
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from typing import Dict, List, Tuple
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.perf import workload_queries
@@ -189,6 +193,193 @@ class TestAgainstReference:
             assert document.title_terms is document.title_terms
 
 
+# -- the skip bound ----------------------------------------------------------
+
+FREQUENT = "common"
+RARE = ["flu", "fever", "cough"]
+FILLER = ["alpha", "beta", "gamma", "delta"]
+
+#: The kernel steps one rank call took (see :func:`spied_kernel`), by
+#: branch. A single term and a repeated longest term go straight to the
+#: full accumulation.
+BRANCHES = {
+    ("candidates", "bound"): "bounded",
+    ("candidates", "bound", "full"): "bound not below",
+    ("candidates", "full"): "fewer than k",
+    ("full",): "full only",
+}
+
+
+@contextmanager
+def spied_kernel():
+    """Record each step the kernel takes: "candidates" or "full" for an
+    accumulation, "bound" for a look at the longest list's bound."""
+    steps: List[str] = []
+    scores, bound = SearchEngine._scores, SearchEngine._bound
+
+    def spy_scores(self, query_terms, longest):
+        steps.append("full" if longest is None else "candidates")
+        return scores(self, query_terms, longest)
+
+    def spy_bound(self, term):
+        steps.append("bound")
+        return bound(self, term)
+
+    with patch.object(SearchEngine, "_scores", spy_scores), \
+            patch.object(SearchEngine, "_bound", spy_bound):
+        yield steps
+
+
+def rank_with_branch(engine, terms, topk):
+    """The page *engine* ranks for *terms*, and the branch it took."""
+    with spied_kernel() as steps:
+        hits = engine.rank_terms(terms, topk)
+    return hits, BRANCHES.get(tuple(steps), "no indexed term")
+
+
+@st.composite
+def skewed_corpora(draw):
+    """One frequent term in most documents, so it has the longest
+    posting list, rare terms in a few, and filler terms that spread the
+    norms. Some documents hold the frequent term alone, the best score
+    its list can give, and some hold a rare term diluted by fillers,
+    weak candidates, so the bound sometimes reaches the page. A
+    document may repeat under another id, so exact ties straddle slot
+    k. Ids are distinct and the documents come in shuffled, descending
+    or ascending doc-id order."""
+    token_lists = []
+    for _ in range(draw(st.integers(2, 24))):
+        shape = draw(st.sampled_from(["mixed", "alone", "diluted"]))
+        if shape == "diluted":
+            tokens = [draw(st.sampled_from(RARE))]
+            tokens += draw(st.lists(st.sampled_from(FILLER), min_size=3,
+                                    max_size=8))
+        else:
+            tokens = [FREQUENT] * draw(st.sampled_from([1, 2, 3, 0]))
+        if shape == "mixed":
+            tokens += draw(st.lists(st.sampled_from(RARE), max_size=2))
+            tokens += draw(st.lists(st.sampled_from(FILLER), max_size=6))
+        tokens = draw(st.permutations(tokens or FILLER[:1]))
+        token_lists += [tokens] * draw(st.integers(1, 2))
+    step = draw(st.integers(1, 5))
+    doc_ids = [step * index for index in range(len(token_lists))]
+    order = draw(st.sampled_from(["shuffled", "descending", "ascending"]))
+    if order == "shuffled":
+        doc_ids = draw(st.permutations(doc_ids))
+    elif order == "descending":
+        doc_ids.reverse()
+    return [Document(doc_id=doc_id, url=f"https://web.example/s/{doc_id}",
+                     topic="s", tokens=tuple(tokens))
+            for doc_id, tokens in zip(doc_ids, token_lists)]
+
+
+#: One to three other terms and the frequent term once, twice or not.
+skewed_terms = st.tuples(
+    st.lists(st.sampled_from(RARE + FILLER[:2] + UNKNOWN[:1]), min_size=1,
+             max_size=3),
+    st.sampled_from([1, 2, 0])).flatmap(
+        lambda drawn: st.permutations(drawn[0] + [FREQUENT] * drawn[1]))
+SKEWED_TOPKS = [1, 3, 10, 100]  # 100 exceeds every candidate set
+
+
+def documents_of(*token_lists, doc_ids=None):
+    doc_ids = range(len(token_lists)) if doc_ids is None else doc_ids
+    return [Document(doc_id=doc_id, url=f"https://web.example/h/{doc_id}",
+                     topic="h", tokens=tuple(tokens.split()))
+            for doc_id, tokens in zip(doc_ids, token_lists)]
+
+
+#: Three long documents hold the frequent term and score low on it.
+LONG = ["common a b c", "common d e f", "common g h i"]
+#: Every term weighs 1.0, so scores are exact fractions of square roots.
+UNIT_IDF = {term: 1.0
+            for term in "common flu x y z a b c d e f g h i j k l".split()}
+
+
+class TestSkipBound:
+    @settings(max_examples=200, deadline=None)
+    @given(documents=skewed_corpora(), terms=skewed_terms,
+           topk=st.sampled_from(SKEWED_TOPKS))
+    def test_rank_terms(self, documents, terms, topk):
+        engine = SearchEngine(Corpus(documents=documents))
+        hits, branch = rank_with_branch(engine, terms, topk)
+        event(branch)
+        assert exact(hits) == \
+            exact(ReferenceEngine(documents).rank_terms(terms, topk))
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents=skewed_corpora(), terms=skewed_terms,
+           topk=st.sampled_from(SKEWED_TOPKS), num_shards=st.integers(2, 3))
+    def test_shards_with_global_idf(self, documents, terms, topk,
+                                    num_shards):
+        corpus = Corpus(documents=documents)
+        idf = SearchEngine.compute_idf(documents)
+        shards = build_shard_engines(corpus, num_shards)
+        for shard, members in zip(shards,
+                                  shard_documents(corpus, num_shards)):
+            hits, branch = rank_with_branch(shard, terms, topk)
+            event(branch)
+            assert exact(hits) == \
+                exact(ReferenceEngine(members, idf=idf).rank_terms(terms,
+                                                                   topk))
+
+    @pytest.mark.parametrize("token_lists, terms, topk, idf, branch", [
+        # The rare term's one document beats every long one.
+        pytest.param(LONG + ["flu"], ["common", "flu"], 1, None, "bounded",
+                     id="bounded-longest-first"),
+        pytest.param(LONG + ["flu"], ["flu", "common"], 1, None, "bounded",
+                     id="bounded-longest-last"),
+        # A short document holding only the frequent term wins.
+        pytest.param(LONG + ["common", "flu j k l"], ["flu", "common"], 1,
+                     None, "bound not below", id="bound-not-below"),
+        pytest.param(LONG + ["flu"], ["common", "flu"], 3, None,
+                     "fewer than k", id="fewer-than-k"),
+        pytest.param(LONG + ["flu"], ["common"], 1, None, "full only",
+                     id="single-term"),
+        # Doubled, "common x" scores 2/sqrt(2) and beats "flu" (1.0),
+        # although 1/sqrt(2), its single contribution, does not.
+        pytest.param(LONG + ["common x", "flu"], ["common", "flu", "common"],
+                     1, UNIT_IDF, "full only", id="repeated-longest"),
+        pytest.param(LONG + ["flu"], ["zebra"], 1, None, "no indexed term",
+                     id="no-indexed-term"),
+    ])
+    def test_each_branch(self, token_lists, terms, topk, idf, branch):
+        documents = documents_of(*token_lists,
+                                 doc_ids=range(len(token_lists), 0, -1))
+        engine = SearchEngine(Corpus(documents=documents), idf=idf)
+        hits, taken = rank_with_branch(engine, terms, topk)
+        assert taken == branch
+        assert exact(hits) == \
+            exact(ReferenceEngine(documents, idf=idf).rank_terms(terms, topk))
+
+    def test_exact_tie_at_slot_k(self):
+        """Document 0 holds only the longest term and scores 1/sqrt(2),
+        bit for bit the score of document 5, the second candidate. The
+        bound equals the k-th candidate score, so the full path ranks
+        both, and the lower doc id takes slot k."""
+        documents = documents_of("common x", *LONG, "flu", "flu y")
+        engine = SearchEngine(Corpus(documents=documents), idf=UNIT_IDF)
+        reference = ReferenceEngine(documents, idf=UNIT_IDF)
+        ranked = reference.rank_terms(["flu", "common"], 3)
+        assert [hit.doc_id for hit in ranked] == [4, 0, 5]
+        assert ranked[1].score.hex() == ranked[2].score.hex()
+        hits, branch = rank_with_branch(engine, ["flu", "common"], 2)
+        assert branch == "bound not below"
+        assert exact(hits) == exact(reference.rank_terms(["flu", "common"], 2))
+
+    def test_bound_skips_the_longest_list(self):
+        """The guard: on a generated corpus, most multi-term calls that
+        have a k-th candidate never read the rest of the longest list.
+        At k = 10, 59 of the 68 calls with 10 candidates skip it; the
+        other 59 multi-term calls have fewer than 10 candidates."""
+        engine = SearchEngine(build_corpus(docs_per_topic=200, seed=0))
+        taken = [rank_with_branch(engine, tokenize(query), 10)[1]
+                 for query in workload_queries(200, seed=0)]
+        bounded = taken.count("bounded")
+        assert bounded > 3 * taken.count("bound not below")
+        assert bounded > 40
+
+
 class TestRejectedInput:
     def test_negative_topk(self):
         engine = SearchEngine(build_corpus(docs_per_topic=2, seed=1))
@@ -201,21 +392,39 @@ class TestRejectedInput:
             SearchEngine(Corpus(documents=[document, document]))
 
 
-def ranked_pages_digest(engine, queries):
-    """sha256 of every query's result page, scores as float hex."""
-    pages = [[[hit.doc_id, hit.url, hit.score.hex(), list(hit.snippet_terms)]
-              for hit in engine.search(query)]
-             for query in queries]
-    encoded = json.dumps(pages, separators=(",", ":")).encode("utf-8")
+def pages_digest(pages):
+    """sha256 of result pages, scores as float hex."""
+    encoded = json.dumps(
+        [[[hit.doc_id, hit.url, hit.score.hex(), list(hit.snippet_terms)]
+          for hit in page] for page in pages],
+        separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
 
 
 #: Recorded with the reference kernel on the engine-miss corpus size.
 KNOWN_PAGES_SHA256 = (
     "89a2d516cd591ab824a6e70be748d6ae2141cf3eea9572dd223ea6adc78a17b5")
+#: The two engine-miss shards' rank_terms pages, recorded with the
+#: kernel that accumulated every posting list in full.
+KNOWN_SHARD_PAGES_SHA256 = (
+    "f54a85ccb2daef22292e71645935267837859039f6366f28f6f8f7900d84afa3")
 
 
-def test_known_answer_pages():
-    engine = SearchEngine(build_corpus(docs_per_topic=2000, seed=0))
-    assert ranked_pages_digest(engine, workload_queries(200, seed=0)) == \
+@pytest.fixture(scope="module")
+def engine_miss_corpus():
+    return build_corpus(docs_per_topic=2000, seed=0)
+
+
+def test_known_answer_pages(engine_miss_corpus):
+    engine = SearchEngine(engine_miss_corpus)
+    assert pages_digest(engine.search(query)
+                        for query in workload_queries(200, seed=0)) == \
         KNOWN_PAGES_SHA256
+
+
+def test_known_answer_shard_pages(engine_miss_corpus):
+    engines = build_shard_engines(engine_miss_corpus, 2)
+    queries = workload_queries(200, seed=0)
+    assert pages_digest(engine.rank_terms(tokenize(query), 10)
+                        for engine in engines for query in queries) == \
+        KNOWN_SHARD_PAGES_SHA256
