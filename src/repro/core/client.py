@@ -29,7 +29,6 @@ from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.searchengine.cache import ResultCache
 from repro.searchengine.corpus import Corpus, build_corpus
-from repro.searchengine.engine import SearchEngine
 from repro.searchengine.node import SearchEngineNode
 from repro.searchengine.ratelimit import RateLimiter
 from repro.searchengine.sharding import build_shard_engines, replica_addresses
@@ -189,13 +188,9 @@ class CyclosaNetwork:
         corpus_obj = corpus if corpus is not None else build_corpus(seed=seed)
         num_replicas = config.engine_replicas
         addresses = replica_addresses(num_replicas)
-        if num_replicas == 1:
-            engines = [SearchEngine(
-                corpus_obj, results_per_query=config.results_per_query)]
-        else:
-            engines = build_shard_engines(
-                corpus_obj, num_replicas,
-                results_per_query=config.results_per_query)
+        engines = build_shard_engines(
+            corpus_obj, num_replicas,
+            results_per_query=config.results_per_query)
         engine_nodes: List[SearchEngineNode] = []
         for address, engine in zip(addresses, engines):
             rate_limiter = None

@@ -169,7 +169,8 @@ class LinkabilityAssessor:
     occupy the low end of the ascending ranking), so the indexed score
     is bit-identical to the O(history) scan it replaces —
     :meth:`score_linear` keeps that reference implementation for
-    equivalence tests and the index-speedup floor.
+    equivalence tests and the index-speedup floor. Every recorded
+    query stays in the history, as the paper assumes.
 
     Parameters
     ----------
@@ -179,30 +180,17 @@ class LinkabilityAssessor:
         Pre-CYCLOSA queries to preload (every entry counts toward the
         ranking, even ones that vectorize to nothing — matching the
         original constructor).
-    max_history:
-        Optional sliding-window bound: once exceeded, the *oldest*
-        entries stop contributing to the score and are dropped from the
-        index (postings are pruned lazily, then compacted). ``None``
-        (the default) keeps the full unbounded history, as the paper
-        assumes.
     """
 
     def __init__(self, alpha: float = 0.5,
-                 history: Sequence[str] = (),
-                 max_history: Optional[int] = None) -> None:
+                 history: Sequence[str] = ()) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if max_history is not None and max_history < 1:
-            raise ValueError("max_history must be None or >= 1")
         self.alpha = alpha
-        self.max_history = max_history
-        #: live history entries: index -> binary term vector.
-        self._vectors: Dict[int, FrozenSet[str]] = {}
+        #: history entries' binary term vectors, oldest first.
+        self._vectors: List[FrozenSet[str]] = []
         #: term -> ascending indices of history entries containing it.
         self._postings: Dict[str, List[int]] = {}
-        self._next_index = 0
-        self._start = 0        # first live index (window eviction)
-        self._dead = 0         # evicted entries still in postings
         for text in history:
             self._append(query_vector(text))
 
@@ -210,29 +198,11 @@ class LinkabilityAssessor:
         return len(self._vectors)
 
     def _append(self, vector: FrozenSet[str]) -> None:
-        index = self._next_index
-        self._next_index = index + 1
-        self._vectors[index] = vector
+        index = len(self._vectors)
+        self._vectors.append(vector)
         postings = self._postings
         for term in vector:
             postings.setdefault(term, []).append(index)
-        if self.max_history is not None:
-            while len(self._vectors) > self.max_history:
-                del self._vectors[self._start]
-                self._start += 1
-                self._dead += 1
-            # Postings keep pointing at evicted indices (score skips
-            # them); rebuild once the dead weight rivals the live set.
-            if self._dead > 256 and self._dead >= len(self._vectors):
-                self._compact()
-
-    def _compact(self) -> None:
-        postings: Dict[str, List[int]] = {}
-        for index in sorted(self._vectors):
-            for term in self._vectors[index]:
-                postings.setdefault(term, []).append(index)
-        self._postings = postings
-        self._dead = 0
 
     def record(self, query: str) -> None:
         """Append a query the user actually issued to the local history."""
@@ -257,12 +227,10 @@ class LinkabilityAssessor:
         if not vector or not total:
             return 0.0
         overlaps: Dict[int, int] = {}
-        start = self._start
         postings_get = self._postings.get
         for term in vector:
             for index in postings_get(term, ()):
-                if index >= start:
-                    overlaps[index] = overlaps.get(index, 0) + 1
+                overlaps[index] = overlaps.get(index, 0) + 1
         qlen = len(vector)
         vectors = self._vectors
         similarities = [
@@ -284,7 +252,7 @@ class LinkabilityAssessor:
         return min(1.0, max(0.0, smoothed))
 
     def score_linear(self, query: str) -> float:
-        """The pre-index reference: cosine against *every* live history
+        """The pre-index reference: cosine against *every* history
         entry, then :func:`~repro.text.smoothing.smoothed_similarity`.
         O(history); kept for equivalence tests and the index-speedup
         floor (``benchmarks/test_bench_pipeline.py``)."""
@@ -292,7 +260,7 @@ class LinkabilityAssessor:
         if not vector or not self._vectors:
             return 0.0
         similarities = (
-            cosine_binary(vector, past) for past in self._vectors.values()
+            cosine_binary(vector, past) for past in self._vectors
         )
         return min(1.0, max(0.0, smoothed_similarity(
             similarities, alpha=self.alpha)))

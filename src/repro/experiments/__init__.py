@@ -18,5 +18,4 @@ module CLIs default to paper scale.
 | fig8c_throughput    | Fig 8c throughput/latency saturation           |
 | fig8d_ratelimit     | Fig 8d rate-limit survival                     |
 | ablations           | design-choice ablations called out in DESIGN.md |
-| engine_scaling      | engine-tier scale-out inside full deployments  |
 """

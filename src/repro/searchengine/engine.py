@@ -15,13 +15,27 @@ the client cannot tell which document answered which sub-query — the
 root cause of the correctness/completeness losses CYCLOSA avoids by
 never aggregating queries.
 
-Sharding support: an engine instance can index a *subset* of the corpus
-(one shard) while scoring with corpus-global IDF statistics. Because a
-document's score accumulates exactly the same terms with exactly the
-same weights whether its shard or the full index ranks it, a shard's
-partial top-k carries bit-identical scores — which is what lets
-:mod:`repro.searchengine.sharding` merge partials into a result list
-byte-identical to the unsharded engine's (see there).
+One path builds every result page, whether one engine indexes the whole
+corpus or N replicas each index one shard
+(:mod:`repro.searchengine.sharding`):
+
+1. *Plan* — :func:`query_plan` turns the query into term lists, one per
+   sub-query of a native-OR query, otherwise one bag of words.
+2. *Rank* — every shard ranks each term list into a partial top-k.
+   A shard scores with corpus-global IDF, so a document accumulates
+   exactly the same terms with exactly the same weights whichever index
+   ranks it, and its partial carries bit-identical scores.
+3. *Merge* — :func:`merge_partials` orders each sub-query's partials by
+   ``(-score, doc_id)``, a total order, and keeps the top k: a global
+   top-k document is in its own shard's top k.
+4. *Union* — :func:`or_union` merges the sub-queries' pages. Each page
+   is cut to the global top k first: a document can sneak into a small
+   shard's partial while missing its sub-query's page.
+
+:func:`result_page` runs steps 3–4; :meth:`SearchEngine.search` runs it
+over its own ranking, and a replica coordinator over its own and its
+siblings' partials (:mod:`repro.searchengine.node`), so the page is
+byte-identical at any shard count.
 
 The ranking kernel: each term's postings are two arrays, document ids
 (``array("q")``, ascending, since the index is built in doc-id order)
@@ -30,21 +44,25 @@ contribution to each document's score, computed once at index time; a
 posting costs 16 bytes. A query first scores only the *candidates*, the
 documents of every query term but the one with the longest list. It
 copies its first list into a score dict and adds each later one in
-query-term order, the longest cut to the candidates it holds (found by
-bisection in its ids), so every candidate's score is the same float sum
-a ``+=`` per posting gives. It then divides by the document norms and
-finds the k-th best value with ``heapq.nlargest``. A document outside
-the candidates would score exactly one ``contrib / norm`` of the longest
-list, so when the largest of those (the term's skip bound, computed on
-first use) is strictly below the k-th candidate score, the page holds
-candidates only and the rest of the longest list is never read. A tie
-at slot k, fewer than k candidates, a repeated longest term and a
-single term take the full accumulation of every list instead. Either
-way only the documents at or above the k-th best value are sorted by
-``(-score, doc_id)``. Keeping every tie at the k-th value makes that
-order's first k entries exactly those of a full sort. The hit lists are
-byte-identical to the earlier tuple-posting, full-sort kernel, which
-``tests/searchengine/test_rank_kernel.py`` keeps as its oracle.
+query-term order, every occurrence of the longest cut to the candidates
+it holds (found by bisection in its ids), so every candidate's score is
+the same float sum a ``+=`` per posting gives. It then divides by the
+document norms and finds the k-th best value with ``heapq.nlargest``. A
+document outside the candidates holds the longest term alone and scores
+one ``contrib / norm`` of its list, so when the largest of those (the
+term's skip bound, computed on first use) is strictly below the k-th
+candidate score, the page holds candidates only and the rest of the
+longest list is never read. Otherwise — a tie at slot k, fewer than k
+candidates (a single term has none) or a repeated longest term — the
+candidate scores are *completed* with the rest of the longest list: a
+document only it holds scores its ``contrib`` summed once per occurrence
+of the term, left to right, exactly what ``0.0 + contrib`` and each
+further ``+=`` give. Either way only the documents at or above the k-th
+best value are sorted by ``(-score, doc_id)``. Keeping every tie at the
+k-th value makes that order's first k entries exactly those of a full
+sort. The hit lists are byte-identical to the earlier tuple-posting,
+full-sort kernel, which ``tests/searchengine/test_rank_kernel.py`` keeps
+as its oracle.
 """
 
 from __future__ import annotations
@@ -56,7 +74,7 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
 from itertools import chain
-from operator import attrgetter, truediv
+from operator import add, attrgetter, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.searchengine.corpus import Corpus, Document
@@ -75,16 +93,29 @@ class SearchHit:
     snippet_terms: Tuple[str, ...]
 
 
-def split_or(query: str, or_support: str) -> Optional[List[str]]:
-    """The sub-queries of a native-OR query, or ``None`` when the query
-    is served as one bag of words (plain query, or OR without native
-    support)."""
+def query_plan(query: str, or_support: str) -> List[List[str]]:
+    """The term lists *query* is ranked by: one per sub-query of a
+    native-OR query, otherwise one bag of words (a plain query, or OR
+    on an engine without native support)."""
     if OR_SEPARATOR in query and or_support == "native":
         subqueries = [part for part in query.split(OR_SEPARATOR)
                       if part.strip()]
         if subqueries:
-            return subqueries
-    return None
+            return [tokenize(subquery) for subquery in subqueries]
+    return [tokenize(query.replace(OR_SEPARATOR, " "))]
+
+
+def merge_partials(partials: Sequence[Sequence[SearchHit]],
+                   topk: int) -> List[SearchHit]:
+    """Merge per-shard partial top-k lists into the global top-k.
+
+    Byte-deterministic: ordered by ``(-score, doc_id)``, the same total
+    order every shard ranks under. Each document appears in at most one
+    partial, so no dedup is needed.
+    """
+    merged = sorted((hit for partial in partials for hit in partial),
+                    key=lambda h: (-h.score, h.doc_id))
+    return merged[:topk]
 
 
 def or_union(rankings: Iterable[Sequence[SearchHit]],
@@ -110,6 +141,18 @@ def or_union(rankings: Iterable[Sequence[SearchHit]],
     # not k+1 pages: sub-queries compete for the slots. This is the
     # completeness loss OR systems pay (and it worsens with k).
     return merged[: 2 * topk]
+
+
+def result_page(partials: Sequence[Sequence[Sequence[SearchHit]]],
+                topk: int) -> List[SearchHit]:
+    """The result page from each planned sub-query's shard partials:
+    every sub-query's partials merged into its global top-k, then, for
+    more than one sub-query, the OR union of those pages."""
+    rankings = [merge_partials(shard_partials, topk)
+                for shard_partials in partials]
+    if len(rankings) == 1:
+        return rankings[0]
+    return or_union(rankings, topk)
 
 
 class SearchEngine:
@@ -190,16 +233,12 @@ class SearchEngine:
     # -- querying --------------------------------------------------------
 
     def search(self, query: str, topk: int | None = None) -> List[SearchHit]:
-        """Answer *query*; handles the OR operator per ``or_support``."""
+        """Answer *query*; handles the OR operator per ``or_support``.
+        The whole index is the one shard of :func:`result_page`."""
         topk = topk if topk is not None else self.results_per_query
-        subqueries = split_or(query, self.or_support)
-        if subqueries is not None:
-            return or_union(
-                (self._rank(tokenize(subquery), topk)
-                 for subquery in subqueries), topk)
-        # Either a plain query, or an OR query on an engine without
-        # native OR support: one big bag of words.
-        return self._rank(tokenize(query.replace(OR_SEPARATOR, " ")), topk)
+        return result_page([[self._rank(terms, topk)]
+                            for terms in query_plan(query, self.or_support)],
+                           topk)
 
     def search_batch(self, queries: Sequence[str],
                      topk: int | None = None) -> List[List[SearchHit]]:
@@ -233,39 +272,39 @@ class SearchEngine:
         # contrib / norm of the longest list alone, so when the list's
         # largest such value is strictly below the k-th candidate score
         # the page holds candidates only. Otherwise — a tie at slot k,
-        # fewer than k candidates, a repeated longest term or a single
-        # term — every posting is accumulated.
+        # fewer than k candidates or a repeated longest term — the rest
+        # of the longest list completes the scores.
         longest = max(query_terms, key=lambda term: len(postings[term][0]))
-        if len(query_terms) > 1 and query_terms.count(longest) == 1:
-            scores = self._scores(query_terms, longest)
-            if len(scores) >= topk:
-                values, cut = self._kth(scores, topk)
-                if self._bound(longest) < cut:
-                    return self._hits(scores, values, cut, topk, query_terms)
-        scores = self._scores(query_terms, None)
+        repeats = query_terms.count(longest)
+        scores = self._scores(query_terms, longest)
+        if repeats == 1 and len(scores) >= topk:
+            values, cut = self._kth(scores, topk)
+            if self._bound(longest) < cut:
+                return self._hits(scores, values, cut, topk, query_terms)
+        scores = self._complete(scores, longest, repeats)
         values, cut = self._kth(scores, topk)
         return self._hits(scores, values, cut, topk, query_terms)
 
     def _scores(self, query_terms: Sequence[str],
-                longest: Optional[str]) -> Dict[int, float]:
-        """Every document's summed contributions in query-term order,
-        repeated terms included, as in one += per posting. With
-        *longest*, only the candidates are scored: that term's list is
-        cut to the documents of the others, found by bisection in its
-        sorted ids, and keeps its place in the order."""
+                longest: str) -> Dict[int, float]:
+        """The candidates' summed contributions in query-term order,
+        repeated terms included, as in one += per posting: every
+        occurrence of *longest* keeps its place in the order with its
+        list cut to the documents of the other terms, found by
+        bisection in its sorted ids."""
         postings = self._postings
-        lists = [postings[term] for term in query_terms]
-        if longest is not None:
-            ids, contribs = postings[longest]
-            end = len(ids)
-            found = {}
-            for doc_id in set(chain.from_iterable(
-                    pair[0] for term, pair in zip(query_terms, lists)
-                    if term != longest)):
-                at = bisect_left(ids, doc_id)
-                if at != end and ids[at] == doc_id:
-                    found[doc_id] = contribs[at]
-            lists[query_terms.index(longest)] = (found.keys(), found.values())
+        ids, contribs = postings[longest]
+        end = len(ids)
+        found = {}
+        for doc_id in set(chain.from_iterable(
+                postings[term][0] for term in query_terms
+                if term != longest)):
+            at = bisect_left(ids, doc_id)
+            if at != end and ids[at] == doc_id:
+                found[doc_id] = contribs[at]
+        cut = (found.keys(), found.values())
+        lists = [cut if term == longest else postings[term]
+                 for term in query_terms]
         # The first list is copied in C; a plain loop adds the rest,
         # which measured faster than an update over map(add, ...) that
         # boxes every array element twice.
@@ -275,6 +314,20 @@ class SearchEngine:
         for ids, contribs in lists[1:]:
             for doc_id, contrib in zip(ids, contribs):
                 scores[doc_id] = get(doc_id, 0.0) + contrib
+        return scores
+
+    def _complete(self, candidates: Dict[int, float], longest: str,
+                  repeats: int) -> Dict[int, float]:
+        """Every document's score: the candidates' own, and for each
+        document only *longest* holds, its contrib summed *repeats*
+        times left to right — what 0.0 + contrib and each further +=
+        give."""
+        ids, contribs = self._postings[longest]
+        totals: Iterable[float] = contribs
+        for _ in range(repeats - 1):
+            totals = map(add, totals, contribs)
+        scores = dict(zip(ids, totals))
+        scores.update(candidates)
         return scores
 
     def _kth(self, scores: Dict[int, float],

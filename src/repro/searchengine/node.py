@@ -27,16 +27,20 @@ attack, which sees only (identity, text, time).
 
 Engine tier scale-out
 ---------------------
-A node can be one replica of a sharded engine tier (*cluster* lists
-every replica address, *engine* holds this replica's shard — see
-:mod:`repro.searchengine.sharding`). The replica that receives a query
-acts as its coordinator: it ranks its own shard, scatter-gathers
-partial top-k lists from the sibling replicas over sealed channels
-(kind ``shard``), and merges them into a result page byte-identical to
-the unsharded engine's. A sibling that stays silent past
-*shard_timeout*, or whose reply is malformed, is skipped (degraded
-page from the surviving shards — the chaos matrix's replica-crash cell
-exercises exactly this).
+A node is one replica of an engine tier of one or more (*cluster* lists
+every replica address, ``None`` for a lone replica; *engine* holds this
+replica's shard — see :mod:`repro.searchengine.sharding`). Every query
+takes one serving path. The replica that receives it acts as its
+coordinator: it plans the query
+(:func:`~repro.searchengine.engine.query_plan`), ranks its own shard,
+scatter-gathers partial top-k lists from the sibling replicas over
+sealed channels (kind ``shard``), and builds the page with the engine's
+own :func:`~repro.searchengine.engine.result_page`, so it is
+byte-identical to the unsharded engine's. A lone replica has no
+siblings: its round ends at once, on its own partials. A sibling that
+stays silent past *shard_timeout*, or whose reply is malformed, is
+skipped (degraded page from the surviving shards — the chaos matrix's
+replica-crash cell exercises exactly this).
 
 Two caches and a batch window cut the ranking CPU without touching the
 wire (*privacy invariant*: a cache hit is indistinguishable from a miss
@@ -64,9 +68,9 @@ from repro.obs import (OBS, TraceContext, close_remote_span,
                        open_remote_span, query_hash_bucket)
 from repro.searchengine.adversary import QueryLogTap
 from repro.searchengine.cache import ResultCache
-from repro.searchengine.engine import SearchEngine, SearchHit
+from repro.searchengine.engine import (SearchEngine, SearchHit, query_plan,
+                                       result_page)
 from repro.searchengine.ratelimit import RateLimiter, RateLimitVerdict
-from repro.searchengine.sharding import query_plan
 
 DEFAULT_PROCESSING = LogNormalLatency(median=0.32, sigma=0.35)
 
@@ -312,12 +316,9 @@ class SearchEngineNode(NetNode):
 
     def _serve_jobs(self, jobs: List[_PendingQuery]) -> None:
         """Serve a set of admitted queries together: duplicates are
-        ranked once, and (in a cluster) the whole set shares one
-        scatter-gather round per sibling replica."""
+        ranked once, and the whole set shares one scatter-gather round
+        per sibling replica (none for a lone replica)."""
         unique = list(dict.fromkeys(job.query for job in jobs))
-        if not self.siblings:
-            self._finish_jobs(jobs, unique, plans=None, sibling_partials={})
-            return
         topk = self.engine.results_per_query
         plans = [query_plan(query, self.engine.or_support)
                  for query in unique]
@@ -327,8 +328,7 @@ class SearchEngineNode(NetNode):
             if state.done or state.pending > 0:
                 return
             state.done = True
-            self._finish_jobs(jobs, unique, plans=plans,
-                              sibling_partials=state.partials)
+            self._finish_jobs(jobs, unique, plans, state.partials)
 
         request = {"q": plans, "k": topk}
         for sibling in self.siblings:
@@ -361,7 +361,7 @@ class SearchEngineNode(NetNode):
             self.request(sibling, channel.seal(request, rng=self.rng),
                          on_reply, timeout=self.shard_timeout,
                          on_timeout=on_timeout, kind=SHARD_KIND)
-        conclude()  # every sibling may have lacked a channel
+        conclude()  # no sibling, or none with a channel
 
     def _serve_shard(self, ctx: RequestContext) -> None:
         """Answer a sibling coordinator's sealed partial top-k request."""
@@ -413,53 +413,41 @@ class SearchEngineNode(NetNode):
             for hit in hits
         ]
 
-    def _result_page(self, query: str, plans, plan_index: int,
-                     sibling_partials: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """The final ``hits`` page for one query (coordinator side)."""
+    def _result_page(self, plan: Sequence[Sequence[str]],
+                     partials: Sequence[Sequence[Any]]
+                     ) -> List[Dict[str, Any]]:
+        """The final ``hits`` page for one planned query (coordinator
+        side): this replica's partial and each answering sibling's
+        *partials*, one wire hit list per sub-query, through
+        :func:`result_page`. A sibling's hit keeps the title terms it
+        sent; this replica looks up its own."""
         topk = self.engine.results_per_query
-        if not self.siblings:
-            hits = self.engine.search(query)
-            return [
-                {
-                    "doc_id": hit.doc_id,
-                    "url": hit.url,
-                    "score": hit.score,
-                    "title": list(self.engine.document(hit.doc_id).title_terms),
-                }
-                for hit in hits
-            ]
-        term_lists = plans[plan_index]
-        rankings: List[List[Dict[str, Any]]] = []
-        for sub_index, terms in enumerate(term_lists):
-            candidates = self._encode_hits(self._partial_rank(terms, topk))
-            for sibling in self.siblings:
-                partial = sibling_partials.get(sibling)
-                if partial is None:
-                    continue  # silent sibling: degrade to surviving shards
-                candidates.extend(partial[plan_index][sub_index])
-            candidates.sort(key=lambda h: (-h["s"], h["d"]))
-            rankings.append(candidates[:topk])
-        if len(rankings) == 1:
-            merged = rankings[0]
-        else:
-            # OR union, per-document best score (first sub-query wins
-            # ties) — mirrors engine.or_union over wire-encoded hits.
-            best: Dict[int, Dict[str, Any]] = {}
-            for ranking in rankings:
-                for hit in ranking:
-                    existing = best.get(hit["d"])
-                    if existing is None or hit["s"] > existing["s"]:
-                        best[hit["d"]] = hit
-            merged = sorted(best.values(),
-                            key=lambda h: (-h["s"], h["d"]))[: 2 * topk]
+        titles: Dict[int, List[str]] = {}
+        subquery_partials = []
+        for sub_index, terms in enumerate(plan):
+            shard_partials = [self._partial_rank(terms, topk)]
+            for partial in partials:
+                hits = []
+                for hit in partial[sub_index]:
+                    titles[hit["d"]] = hit["t"]
+                    hits.append(SearchHit(doc_id=hit["d"], url=hit["u"],
+                                          score=hit["s"], snippet_terms=()))
+                shard_partials.append(hits)
+            subquery_partials.append(shard_partials)
         return [
-            {"doc_id": hit["d"], "url": hit["u"], "score": hit["s"],
-             "title": list(hit["t"])}
-            for hit in merged
+            {"doc_id": hit.doc_id, "url": hit.url, "score": hit.score,
+             "title": list(titles[hit.doc_id] if hit.doc_id in titles else
+                           self.engine.document(hit.doc_id).title_terms)}
+            for hit in result_page(subquery_partials, topk)
         ]
 
     def _finish_jobs(self, jobs: List[_PendingQuery], unique: List[str],
-                     plans, sibling_partials: Dict[str, Any]) -> None:
+                     plans: List[List[List[str]]],
+                     sibling_partials: Dict[str, Any]) -> None:
+        # Silent or malformed siblings are missing: the page degrades
+        # to the surviving shards.
+        answered = [sibling_partials[sibling] for sibling in self.siblings
+                    if sibling in sibling_partials]
         pages: Dict[str, List[Dict[str, Any]]] = {}
         for plan_index, query in enumerate(unique):
             if self.response_cache is not None:
@@ -473,8 +461,9 @@ class SearchEngineNode(NetNode):
                 if found:
                     pages[query] = page
                     continue
-            page = self._result_page(query, plans, plan_index,
-                                     sibling_partials)
+            page = self._result_page(
+                plans[plan_index],
+                [partials[plan_index] for partials in answered])
             if self.response_cache is not None:
                 self.response_cache.put(query, page)
             pages[query] = page

@@ -1,13 +1,11 @@
-"""Sharded TF-IDF: partition the posting lists, merge byte-identically.
+"""Sharded TF-IDF: partition the corpus, route clients to replicas.
 
 The engine tier scales out by splitting the corpus across N replica
 nodes (:mod:`repro.searchengine.node`), each indexing one shard. The
-invariant everything here exists to preserve:
-
-    **the merged sharded top-k is byte-identical to the unsharded
-    engine's top-k, at any shard count.**
-
-Three facts make that possible:
+merged page must be byte-identical to the unsharded engine's at any
+shard count. The merge is the engine's own page path
+(:func:`repro.searchengine.engine.result_page`); the partition keeps
+its two premises:
 
 1. *Deterministic assignment* — document ``d`` lives in shard
    ``d.doc_id % num_shards`` and nowhere else, so every document is
@@ -16,29 +14,20 @@ Three facts make that possible:
    :meth:`SearchEngine.compute_idf` over the whole corpus, so a
    document's accumulated score is bit-for-bit the number the
    unsharded index would produce (same terms, same weights, same
-   float-addition order).
-3. *Total order* — rankings are ordered by ``(-score, doc_id)``; since
-   per-document scores agree bitwise and ``doc_id`` is unique, merging
-   per-shard partial top-k lists under the same key reproduces the
-   global order exactly, and a global top-k document is necessarily in
-   its own shard's top-k.
+   float-addition order). At one shard the engine is the unsharded
+   one.
 
-OR queries need care: the union-of-subquery-pages step truncates each
-sub-query's page to the *global* top-k first (a document can sneak into
-a small shard's page while missing the global page), so coordinators
-merge per sub-query and only then apply :func:`or_union` — exactly the
-order :class:`ShardedSearchEngine.search` implements.
+Routing maps each client identity to one replica by a stable hash, so
+per-identity rate limiting keeps seeing an identity at one replica.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.searchengine.corpus import Corpus, Document
-from repro.searchengine.engine import (OR_SEPARATOR, SearchEngine, SearchHit,
-                                       or_union, split_or)
-from repro.text.tokenize import tokenize
+from repro.searchengine.engine import SearchEngine
 
 
 def shard_of(doc_id: int, num_shards: int) -> int:
@@ -71,41 +60,6 @@ def build_shard_engines(corpus: Corpus, num_shards: int,
     ]
 
 
-def merge_partials(partials: Sequence[Sequence[SearchHit]],
-                   topk: int) -> List[SearchHit]:
-    """Merge per-shard partial top-k lists into the global top-k.
-
-    Byte-deterministic: ordered by ``(-score, doc_id)``, the same total
-    order the unsharded engine ranks under. Each document appears in at
-    most one partial, so no dedup is needed.
-    """
-    merged = sorted((hit for partial in partials for hit in partial),
-                    key=lambda h: (-h.score, h.doc_id))
-    return merged[:topk]
-
-
-def query_plan(query: str, or_support: str) -> List[List[str]]:
-    """The per-sub-query term lists a coordinator scatters to shards.
-
-    One entry for a plain query; one entry per sub-query for a
-    native-OR query (merging must happen per sub-query *before* the OR
-    union — see the module docstring).
-    """
-    subqueries = split_or(query, or_support)
-    if subqueries is not None:
-        return [tokenize(subquery) for subquery in subqueries]
-    return [tokenize(query.replace(OR_SEPARATOR, " "))]
-
-
-def combine_subquery_rankings(rankings: Sequence[List[SearchHit]],
-                              topk: int) -> List[SearchHit]:
-    """Final result page from per-sub-query *global* rankings: the
-    ranking itself for a plain query, the OR union otherwise."""
-    if len(rankings) == 1:
-        return rankings[0]
-    return or_union(rankings, topk)
-
-
 def replica_addresses(num_replicas: int) -> List[str]:
     """Transport addresses of the engine replica tier. Replica 0 keeps
     the historical ``engine`` address, so single-replica deployments
@@ -126,51 +80,3 @@ def route_to_replica(identity: str, addresses: Sequence[str]) -> str:
     if not addresses:
         raise ValueError("no replica addresses to route to")
     return addresses[zlib.crc32(identity.encode("utf-8")) % len(addresses)]
-
-
-class ShardedSearchEngine:
-    """In-process facade over N shard engines.
-
-    Drop-in for :class:`SearchEngine` where ranking is concerned:
-    ``search`` returns byte-identical results at any ``num_shards``
-    (the equivalence the tier's tests pin). The network tier
-    distributes the same computation across replica nodes; this class
-    is the reference the wire protocol must agree with.
-    """
-
-    def __init__(self, corpus: Corpus, num_shards: int,
-                 results_per_query: int = 10,
-                 or_support: str = "native") -> None:
-        self.corpus = corpus
-        self.num_shards = num_shards
-        self.results_per_query = results_per_query
-        self.or_support = or_support
-        self.shards = build_shard_engines(
-            corpus, num_shards, results_per_query=results_per_query,
-            or_support=or_support)
-
-    def search(self, query: str,
-               topk: Optional[int] = None) -> List[SearchHit]:
-        topk = topk if topk is not None else self.results_per_query
-        rankings = [self._global_rank(terms, topk)
-                    for terms in query_plan(query, self.or_support)]
-        return combine_subquery_rankings(rankings, topk)
-
-    def search_batch(self, queries: Sequence[str],
-                     topk: Optional[int] = None) -> List[List[SearchHit]]:
-        memo: Dict[str, List[SearchHit]] = {}
-        results: List[List[SearchHit]] = []
-        for query in queries:
-            ranked = memo.get(query)
-            if ranked is None:
-                ranked = self.search(query, topk)
-                memo[query] = ranked
-            results.append(list(ranked))
-        return results
-
-    def _global_rank(self, terms: List[str], topk: int) -> List[SearchHit]:
-        return merge_partials(
-            [shard.rank_terms(terms, topk) for shard in self.shards], topk)
-
-    def document(self, doc_id: int) -> Document:
-        return self.shards[shard_of(doc_id, self.num_shards)].document(doc_id)

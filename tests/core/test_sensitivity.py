@@ -200,46 +200,6 @@ class TestLinkabilityIndexEquivalence:
         assert assessor.score(probe) > 0.0
 
 
-class TestLinkabilityWindow:
-    def test_max_history_evicts_oldest(self):
-        assessor = LinkabilityAssessor(history=["flu symptoms"],
-                                       max_history=2)
-        assessor.record("hotel paris")
-        assessor.record("football scores")
-        assert len(assessor) == 2
-        # The evicted "flu symptoms" entry no longer contributes.
-        assert assessor.score("flu symptoms") == \
-            assessor.score_linear("flu symptoms")
-        unwindowed = LinkabilityAssessor(
-            history=["hotel paris", "football scores"])
-        assert assessor.score("flu symptoms") == \
-            unwindowed.score("flu symptoms")
-
-    def test_windowed_equals_unwindowed_tail(self):
-        texts = [f"flu symptoms day{i % 7}" for i in range(40)]
-        windowed = LinkabilityAssessor(history=texts, max_history=10)
-        tail = LinkabilityAssessor(history=texts[-10:])
-        for probe in ("flu vaccine", "flu symptoms day3", "hotel paris"):
-            assert windowed.score(probe) == tail.score(probe)
-            assert windowed.score(probe) == windowed.score_linear(probe)
-
-    def test_compaction_preserves_scores(self):
-        # Push far past the compaction threshold (dead > 256).
-        windowed = LinkabilityAssessor(max_history=8)
-        texts = [f"flu symptoms day{i % 5}" for i in range(600)]
-        for text in texts:
-            windowed.record(text)
-        tail = LinkabilityAssessor(history=texts[-8:])
-        assert len(windowed) == 8
-        probe = "flu symptoms day2"
-        assert windowed.score(probe) == tail.score(probe)
-        assert windowed.score(probe) == windowed.score_linear(probe)
-
-    def test_invalid_max_history(self):
-        with pytest.raises(ValueError):
-            LinkabilityAssessor(max_history=0)
-
-
 class TestSensitivityAnalysis:
     def test_assess_produces_report(self):
         analysis = SensitivityAnalysis(
@@ -262,15 +222,13 @@ class TestSensitivityAnalysis:
                    "museum tickets paris"]
         batched, single = (SensitivityAnalysis(
             SemanticAssessor(mode="wordnet"),
-            LinkabilityAssessor(max_history=2)) for _ in range(2))
+            LinkabilityAssessor()) for _ in range(2))
         batched.remember(*history)
         for query in history:
             single.remember(query)
         for probe in history + ["paris weekend"]:
             assert (batched.assess(probe).linkability
                     == single.assess(probe).linkability)
-        # The window of two dropped the first query, in both.
-        assert batched.assess(history[0]).linkability < 0.5
 
     def test_report_validation(self):
         with pytest.raises(ValueError):

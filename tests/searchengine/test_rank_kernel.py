@@ -2,19 +2,21 @@
 
 :class:`ReferenceEngine` is the earlier index build and ``_rank``:
 postings as ``(doc_id, weight)`` tuples, one ``+=`` per posting and a
-full sort of every candidate. The engine keeps array postings, scores
-the documents of every term but the longest first, reads the longest
-list only when its skip bound does not rule it out, and sorts only the
-candidates at or above the k-th best score. Every hit list must match
-the reference exactly: doc id, url, the score's bits and type, and the
-snippet.
+full sort of every candidate. Its OR split and union are copies of the
+engine's earlier ``split_or`` and ``or_union``, so the OR page is
+checked against code the engine does not share. The engine keeps array
+postings, scores the documents of every term but the longest first,
+completes them with the rest of the longest list only when its skip
+bound does not rule it out, and sorts only the candidates at or above
+the k-th best score. Every hit list must match the reference exactly:
+doc id, url, the score's bits and type, and the snippet.
 """
 
 import hashlib
 import json
 import math
 from contextlib import contextmanager
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from unittest.mock import patch
 
 import pytest
@@ -23,10 +25,48 @@ from hypothesis import strategies as st
 
 from repro.perf import workload_queries
 from repro.searchengine.corpus import Corpus, Document, build_corpus
-from repro.searchengine.engine import (OR_SEPARATOR, SearchEngine, SearchHit,
-                                       or_union, split_or)
+from repro.searchengine.engine import SearchEngine, SearchHit
 from repro.searchengine.sharding import build_shard_engines, shard_documents
 from repro.text.tokenize import tokenize
+
+OR_SEPARATOR = " OR "
+
+
+def split_or(query: str, or_support: str) -> Optional[List[str]]:
+    """The sub-queries of a native-OR query, or ``None`` when the query
+    is served as one bag of words (plain query, or OR without native
+    support)."""
+    if OR_SEPARATOR in query and or_support == "native":
+        subqueries = [part for part in query.split(OR_SEPARATOR)
+                      if part.strip()]
+        if subqueries:
+            return subqueries
+    return None
+
+
+def or_union(rankings: Iterable[Sequence[SearchHit]],
+             topk: int) -> List[SearchHit]:
+    """Union of per-subquery rankings, merged by score.
+
+    An OR query matches more documents, so the engine returns a
+    proportionally larger result page (up to ``2 * topk``). The client
+    still cannot tell which document answered which sub-query —
+    recovering the real answer from this merged list is the filtering
+    problem that costs OR systems accuracy (Fig 6). A document hit by
+    several sub-queries keeps its best score (first sub-query wins
+    ties, matching iteration order).
+    """
+    best: Dict[int, SearchHit] = {}
+    for ranking in rankings:
+        for hit in ranking:
+            existing = best.get(hit.doc_id)
+            if existing is None or hit.score > existing.score:
+                best[hit.doc_id] = hit
+    merged = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))
+    # The engine's OR result page is larger than a plain page but
+    # not k+1 pages: sub-queries compete for the slots. This is the
+    # completeness loss OR systems pay (and it worsens with k).
+    return merged[: 2 * topk]
 
 
 class ReferenceEngine:
@@ -200,33 +240,45 @@ RARE = ["flu", "fever", "cough"]
 FILLER = ["alpha", "beta", "gamma", "delta"]
 
 #: The kernel steps one rank call took (see :func:`spied_kernel`), by
-#: branch. A single term and a repeated longest term go straight to the
-#: full accumulation.
+#: branch. A single term has no candidates, and a repeated longest term
+#: skips the bound: both go straight to the completion.
 BRANCHES = {
     ("candidates", "bound"): "bounded",
-    ("candidates", "bound", "full"): "bound not below",
-    ("candidates", "full"): "fewer than k",
-    ("full",): "full only",
+    ("candidates", "bound", "completion"): "bound not below",
+    ("candidates", "completion"): "fewer than k",
+    ("no candidates", "completion"): "single term",
+    ("no candidates", "repeated completion"): "single repeated term",
+    ("candidates", "repeated completion"): "repeated longest",
 }
 
 
 @contextmanager
 def spied_kernel():
-    """Record each step the kernel takes: "candidates" or "full" for an
-    accumulation, "bound" for a look at the longest list's bound."""
+    """Record each step the kernel takes: "candidates" (or "no
+    candidates") for the candidate accumulation, "bound" for a look at
+    the longest list's bound, "completion" (or "repeated completion",
+    for a longest term that occurs more than once) for the rest of the
+    longest list."""
     steps: List[str] = []
     scores, bound = SearchEngine._scores, SearchEngine._bound
+    complete = SearchEngine._complete
 
     def spy_scores(self, query_terms, longest):
-        steps.append("full" if longest is None else "candidates")
-        return scores(self, query_terms, longest)
+        candidates = scores(self, query_terms, longest)
+        steps.append("candidates" if candidates else "no candidates")
+        return candidates
 
     def spy_bound(self, term):
         steps.append("bound")
         return bound(self, term)
 
+    def spy_complete(self, candidates, longest, repeats):
+        steps.append("completion" if repeats == 1 else "repeated completion")
+        return complete(self, candidates, longest, repeats)
+
     with patch.object(SearchEngine, "_scores", spy_scores), \
-            patch.object(SearchEngine, "_bound", spy_bound):
+            patch.object(SearchEngine, "_bound", spy_bound), \
+            patch.object(SearchEngine, "_complete", spy_complete):
         yield steps
 
 
@@ -334,12 +386,13 @@ class TestSkipBound:
                      None, "bound not below", id="bound-not-below"),
         pytest.param(LONG + ["flu"], ["common", "flu"], 3, None,
                      "fewer than k", id="fewer-than-k"),
-        pytest.param(LONG + ["flu"], ["common"], 1, None, "full only",
+        pytest.param(LONG + ["flu"], ["common"], 1, None, "single term",
                      id="single-term"),
         # Doubled, "common x" scores 2/sqrt(2) and beats "flu" (1.0),
         # although 1/sqrt(2), its single contribution, does not.
         pytest.param(LONG + ["common x", "flu"], ["common", "flu", "common"],
-                     1, UNIT_IDF, "full only", id="repeated-longest"),
+                     1, UNIT_IDF, "repeated longest",
+                     id="repeated-longest"),
         pytest.param(LONG + ["flu"], ["zebra"], 1, None, "no indexed term",
                      id="no-indexed-term"),
     ])
@@ -355,7 +408,7 @@ class TestSkipBound:
     def test_exact_tie_at_slot_k(self):
         """Document 0 holds only the longest term and scores 1/sqrt(2),
         bit for bit the score of document 5, the second candidate. The
-        bound equals the k-th candidate score, so the full path ranks
+        bound equals the k-th candidate score, so the completion ranks
         both, and the lower doc id takes slot k."""
         documents = documents_of("common x", *LONG, "flu", "flu y")
         engine = SearchEngine(Corpus(documents=documents), idf=UNIT_IDF)

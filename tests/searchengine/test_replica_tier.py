@@ -19,10 +19,9 @@ from repro.net.tls import SecureChannelManager, SignatureAuthenticator
 from repro.net.transport import Network, NetNode
 from repro.searchengine.cache import ResultCache
 from repro.searchengine.corpus import build_corpus
-from repro.searchengine.engine import SearchEngine
+from repro.searchengine.engine import SearchEngine, query_plan
 from repro.searchengine.node import SearchEngineNode
-from repro.searchengine.sharding import (build_shard_engines, query_plan,
-                                         replica_addresses)
+from repro.searchengine.sharding import build_shard_engines, replica_addresses
 
 QUERIES = [
     "symptoms cancer treatment",
@@ -147,14 +146,14 @@ class TestBatching:
         calls = []
         original = coordinator._result_page
 
-        def counting(query, plans, plan_index, sibling_partials):
-            calls.append(query)
-            return original(query, plans, plan_index, sibling_partials)
+        def counting(plan, partials):
+            calls.append(plan)
+            return original(plan, partials)
 
         coordinator._result_page = counting
         query = QUERIES[0]
         pages = fire(sim, net, "engine", [query] * 4, spacing=0.01)
-        assert calls == [query]
+        assert calls == [query_plan(query, "native")]
         assert all(p["hits"] == pages[0]["hits"] for p in pages)
 
     def test_batch_of_one_still_answers(self, corpus, reference_pages):

@@ -3,9 +3,13 @@
 The whole engine scale-out rests on one promise (see
 :mod:`repro.searchengine.sharding`): the merged sharded top-k is
 byte-identical to the unsharded engine's top-k at any shard count.
-These tests pin that promise in-process, for plain and OR queries,
-including a Hypothesis sweep over random term combinations.
+These tests pin that promise in-process, through
+:func:`~repro.searchengine.engine.result_page`, the page function a
+replica coordinator runs, for plain and OR queries, including a
+Hypothesis sweep of native-OR queries against the reference engine.
 """
+
+import functools
 
 import pytest
 
@@ -13,16 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.searchengine.corpus import build_corpus
-from repro.searchengine.engine import SearchEngine, SearchHit
+from repro.searchengine.engine import (OR_SEPARATOR, SearchEngine, SearchHit,
+                                       merge_partials, query_plan,
+                                       result_page)
 from repro.searchengine.sharding import (
-    ShardedSearchEngine,
     build_shard_engines,
-    merge_partials,
     replica_addresses,
     route_to_replica,
     shard_documents,
     shard_of,
 )
+from tests.searchengine.test_rank_kernel import ReferenceEngine, exact
 
 QUERIES = [
     "symptoms cancer treatment",
@@ -44,8 +49,29 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
+def oracle(corpus):
+    """The earlier kernel with its own OR split and union."""
+    return ReferenceEngine(corpus.documents)
+
+
+@pytest.fixture(scope="module")
 def reference(corpus):
     return SearchEngine(corpus)
+
+
+@pytest.fixture(scope="module")
+def shards(corpus):
+    """The shard engines at a shard count, built once per count."""
+    return functools.lru_cache(maxsize=None)(
+        lambda num_shards: build_shard_engines(corpus, num_shards))
+
+
+def sharded_page(shard_engines, query, topk=10):
+    """The page a coordinator builds for *query* from every shard's
+    partial top-k of each planned sub-query."""
+    return result_page(
+        [[shard.rank_terms(terms, topk) for shard in shard_engines]
+         for terms in query_plan(query, "native")], topk)
 
 
 class TestPartition:
@@ -75,37 +101,37 @@ class TestPartition:
 
 class TestByteIdentity:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 8])
-    def test_search_identical_at_any_shard_count(self, corpus, reference,
+    def test_search_identical_at_any_shard_count(self, shards, reference,
                                                  num_shards):
-        sharded = ShardedSearchEngine(corpus, num_shards)
         for query in QUERIES:
-            assert sharded.search(query) == reference.search(query), \
+            assert sharded_page(shards(num_shards), query) == \
+                reference.search(query), \
                 f"divergence at N={num_shards} for {query!r}"
 
-    def test_topk_override_respected(self, corpus, reference):
-        sharded = ShardedSearchEngine(corpus, 3)
-        assert sharded.search(QUERIES[0], topk=4) == \
+    def test_topk_override_respected(self, shards, reference):
+        assert sharded_page(shards(3), QUERIES[0], topk=4) == \
             reference.search(QUERIES[0], topk=4)
 
-    def test_search_batch_matches_individual_searches(self, corpus):
-        sharded = ShardedSearchEngine(corpus, 3)
-        batch = sharded.search_batch(QUERIES + QUERIES)
-        assert batch == [sharded.search(q) for q in QUERIES + QUERIES]
+    def test_search_batch_matches_individual_searches(self, reference):
+        batch = reference.search_batch(QUERIES + QUERIES)
+        assert batch == [reference.search(q) for q in QUERIES + QUERIES]
 
-    @settings(max_examples=25, deadline=None)
-    @given(terms=st.lists(st.sampled_from(TERM_POOL), min_size=1,
-                          max_size=4),
-           num_shards=st.integers(min_value=2, max_value=7))
-    def test_identity_over_random_term_combinations(self, corpus, reference,
-                                                    terms, num_shards):
-        query = " ".join(terms)
-        sharded = ShardedSearchEngine(corpus, num_shards)
-        assert sharded.search(query) == reference.search(query)
+    @settings(max_examples=50, deadline=None)
+    @given(groups=st.lists(st.lists(st.sampled_from(TERM_POOL), min_size=1,
+                                    max_size=4), min_size=1, max_size=3),
+           num_shards=st.integers(min_value=1, max_value=7),
+           topk=st.sampled_from([1, 3, 10]))
+    def test_identity_over_random_term_combinations(self, shards, oracle,
+                                                    groups, num_shards,
+                                                    topk):
+        query = OR_SEPARATOR.join(" ".join(terms) for terms in groups)
+        assert exact(sharded_page(shards(num_shards), query, topk)) == \
+            exact(oracle.search(query, topk))
 
-    def test_document_lookup_resolves_through_owning_shard(self, corpus):
-        sharded = ShardedSearchEngine(corpus, 4)
+    def test_document_lookup_resolves_through_owning_shard(self, corpus,
+                                                          shards):
         doc = corpus.documents[13]
-        assert sharded.document(doc.doc_id) == doc
+        assert shards(4)[shard_of(doc.doc_id, 4)].document(doc.doc_id) == doc
 
 
 class TestMergePartials:
