@@ -1,10 +1,11 @@
 """State-of-the-art private web-search baselines (§II, §VII-A).
 
-Every system the paper compares against, implemented both as an
-*analytic* pipeline (what reaches the engine, what the user gets back —
-used by the privacy and accuracy experiments, Figs 5-7) and — where the
-paper measures systems behaviour — as full network nodes over the
-simulator (Figs 8a-8d):
+Every system the paper compares against, implemented as an *analytic*
+pipeline (what reaches the engine, what the user gets back — used by
+the privacy and accuracy experiments, Figs 5-7 and Table I). The three
+systems whose latency the paper measures also run as network nodes
+over the simulator for Fig 8a — Direct, TOR and X-Search — and
+X-Search's enclave alone drives Fig 8c:
 
 - :mod:`repro.baselines.direct`     — no protection; the engine sees
   (user, query) directly.
@@ -12,7 +13,8 @@ simulator (Figs 8a-8d):
   only. The network version builds real 3-relay circuits with layered
   RSA-hybrid encryption over heavy-tailed relay links.
 - :mod:`repro.baselines.trackmenot` — browser extension sending
-  RSS-feed fake queries under the user's own identity.
+  RSS-feed fake queries under the user's own identity, modelled as a
+  fixed number of fakes per real query.
 - :mod:`repro.baselines.goopir`     — OR-aggregation of the real query
   with k dictionary-drawn fakes, client-side filtering.
 - :mod:`repro.baselines.peas`       — proxy + issuer: unlinkability via

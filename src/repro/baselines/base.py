@@ -122,7 +122,15 @@ def filter_by_query_terms(query: str, hits: List[dict]) -> List[str]:
 
 
 def hits_as_dicts(engine: SearchEngine, query: str) -> List[dict]:
-    """Run *query* and package hits like the network engine node does."""
+    """Run *query* and package its hits as dicts for the analytic
+    pipelines' filtering.
+
+    Unlike the network engine node's page dicts (``doc_id``, ``url``,
+    ``score``, ``title``), these also carry the hit's ``snippet`` terms,
+    so :func:`filter_by_query_terms` keeps more here than the network
+    X-Search proxy does (ROADMAP item 11 records the difference; making
+    them agree moves Fig 8a).
+    """
     return [
         {
             "doc_id": hit.doc_id,

@@ -93,51 +93,3 @@ class GooPir(PrivateSearchSystem):
         group_text = observations[0].text
         hits = hits_as_dicts(engine, group_text)
         return filter_by_query_terms(query, hits)
-
-
-# ---------------------------------------------------------------------------
-# Network version: client-side OR aggregation
-# ---------------------------------------------------------------------------
-
-
-class GooPirClientNode:
-    """GooPIR as a network client: builds the OR group locally, sends
-    it to the engine under its *own* identity, filters the merged
-    response locally. No infrastructure at all — which is both its
-    scalability strength and its privacy ceiling."""
-
-    def __init__(self, network, address: str, rng, engine_address: str,
-                 k: int = 3, seed: int = 0) -> None:
-        from repro.net.transport import NetNode
-
-        class _Client(NetNode):
-            def __init__(inner_self) -> None:
-                super().__init__(network, address)
-
-        self.node = _Client()
-        self.address = address
-        self.engine_address = engine_address
-        self._system = GooPir(k=k, seed=seed)
-
-    def search(self, query: str, on_result) -> None:
-        issued_at = self.node.network.simulator.now
-        observation = self._system.protect(self.address, query)[0]
-
-        def on_reply(response) -> None:
-            hits = response.get("hits", [])
-            urls = set(filter_by_query_terms(query, hits))
-            on_result({
-                "query": query,
-                "status": response.get("status", "ok"),
-                "hits": [hit for hit in hits if hit["url"] in urls],
-                "latency": self.node.network.simulator.now - issued_at,
-                "k": self._system.k,
-            })
-
-        self.node.request(
-            self.engine_address,
-            {"query": observation.text,
-             "meta": {"true_user": self.address,
-                      "group_id": observation.group_id,
-                      "real_index": observation.real_index}},
-            on_reply, timeout=120.0, kind="search")

@@ -152,151 +152,3 @@ class Peas(PrivateSearchSystem):
         client per §II-A3)."""
         hits = hits_as_dicts(engine, observations[0].text)
         return filter_by_query_terms(query, hits)
-
-
-# ---------------------------------------------------------------------------
-# Network version: the two non-colluding servers (Fig 2c)
-# ---------------------------------------------------------------------------
-
-
-class PeasIssuerNode:
-    """The issuer: sees queries, not identities.
-
-    Receives RSA-hybrid-encrypted queries relayed by the proxy,
-    decrypts, obfuscates with co-occurrence fakes, queries the engine,
-    and returns the merged response encrypted under a per-request key
-    the *client* chose — so the proxy relaying it back learns nothing.
-    """
-
-    def __init__(self, network, rng, engine_address: str,
-                 address: str = "peas-issuer", k: int = 3) -> None:
-        from repro.crypto.keys import IdentityKeyPair
-        from repro.net.transport import NetNode
-
-        class _Issuer(NetNode):
-            def __init__(inner_self) -> None:
-                super().__init__(network, address)
-
-            def handle_request(inner_self, ctx) -> None:
-                self._handle(ctx)
-
-        self._rng = rng
-        self.k = k
-        self.engine_address = engine_address
-        self.identity = IdentityKeyPair.generate(bits=512, rng=rng)
-        self.cooccurrence = CooccurrenceModel(rng)
-        self.node = _Issuer()
-        self.address = address
-
-    def prime(self, past_queries: List[str]) -> None:
-        for query in past_queries:
-            self.cooccurrence.observe(query)
-
-    def _handle(self, ctx) -> None:
-        from repro.crypto.aead import AeadKey, seal as aead_seal
-        from repro.crypto.rsa import RsaError
-        from repro.net import wire
-
-        if ctx.request.kind != "peas.req":
-            return
-        try:
-            plaintext = self.identity.rsa.decrypt(bytes(ctx.request.payload))
-        except (RsaError, TypeError):
-            return
-        record = wire.decode(plaintext)
-        query = record["query"]
-        width = max(1, len(tokenize(query)))
-        fakes = [self.cooccurrence.generate_fake(width)
-                 for _ in range(self.k)]
-        self.cooccurrence.observe(query)
-        group, _real_index = or_aggregate(query, fakes, self._rng)
-        meta = dict(record.get("meta") or {})
-        meta["group_id"] = id(record) % (1 << 30)
-
-        def on_engine_reply(response) -> None:
-            response_key = AeadKey(record["response_key"])
-            sealed = aead_seal(response_key, wire.encode(response),
-                               rng=self._rng)
-            ctx.respond(sealed, size_bytes=len(sealed))
-
-        self.node.request(self.engine_address,
-                          {"query": group, "meta": meta},
-                          on_engine_reply, timeout=120.0, kind="search")
-
-
-class PeasProxyNode:
-    """The proxy: sees identities, not queries (they are encrypted to
-    the issuer's public key)."""
-
-    def __init__(self, network, issuer_address: str,
-                 address: str = "peas-proxy") -> None:
-        from repro.net.transport import NetNode
-
-        class _Proxy(NetNode):
-            def __init__(inner_self) -> None:
-                super().__init__(network, address)
-
-            def handle_request(inner_self, ctx) -> None:
-                if ctx.request.kind != "peas.req":
-                    return
-                inner_self.request(
-                    issuer_address, ctx.request.payload,
-                    on_reply=lambda response: ctx.respond(
-                        response,
-                        size_bytes=len(response)
-                        if isinstance(response, (bytes, bytearray)) else None),
-                    timeout=120.0, kind="peas",
-                    size_bytes=ctx.request.size_bytes)
-
-        self.node = _Proxy()
-        self.address = address
-
-
-class PeasClientNode:
-    """A PEAS user: encrypts the query to the issuer, sends it via the
-    proxy, filters the merged response locally."""
-
-    def __init__(self, network, address: str, rng,
-                 proxy: PeasProxyNode, issuer: PeasIssuerNode) -> None:
-        from repro.net.transport import NetNode
-
-        class _Client(NetNode):
-            def __init__(inner_self) -> None:
-                super().__init__(network, address)
-
-        self._rng = rng
-        self.node = _Client()
-        self.address = address
-        self.proxy = proxy
-        self.issuer = issuer
-
-    def search(self, query: str, on_result) -> None:
-        from repro.crypto.aead import AeadKey, open_ as aead_open
-        from repro.net import wire
-
-        issued_at = self.node.network.simulator.now
-        response_key = AeadKey.generate(self._rng)
-        record = wire.encode({
-            "query": query,
-            "meta": {"true_user": self.address},
-            "response_key": response_key.key,
-        })
-        ciphertext = self.issuer.identity.public.encrypt(record,
-                                                         rng=self._rng)
-
-        def on_reply(response) -> None:
-            plaintext = aead_open(response_key, bytes(response))
-            engine_response = wire.decode(plaintext)
-            hits = engine_response.get("hits", [])
-            urls = filter_by_query_terms(query, hits)
-            on_result({
-                "query": query,
-                "status": engine_response.get("status", "ok"),
-                "hits": [h for h in hits if h["url"] in set(urls)],
-                "latency": self.node.network.simulator.now - issued_at,
-                "k": self.issuer.k,
-            })
-
-        self.node.request(self.proxy.address, ciphertext, on_reply,
-                          timeout=240.0, kind="peas",
-                          size_bytes=len(ciphertext))

@@ -7,8 +7,9 @@ Two implementations:
   accuracy. SimAttack attributes anonymous queries to user profiles;
   the paper measures ≈36 % success (and notes the same number applies
   to PEAS/X-Search/CYCLOSA at k = 0).
-- :class:`TorNetwork` — the systems version for the latency CDF of
-  Fig 8a: real 3-relay circuits. The client wraps the query in three
+- :class:`TorClientNode` and :class:`TorRelayNode` (built by
+  :func:`build_tor_network`) — the systems version for the latency CDF
+  of Fig 8a: real 3-relay circuits. The client wraps the query in three
   layers of RSA-hybrid encryption (:mod:`repro.crypto.rsa`); each relay
   peels one layer and forwards; the exit contacts the engine; the
   response is sealed hop-by-hop on the way back. Relay links use the
@@ -26,8 +27,15 @@ from repro.baselines.base import (
     EngineObservation,
     PrivateSearchSystem,
 )
-from repro.crypto.aead import AeadKey, open_ as aead_open, seal as aead_seal
+from repro.crypto.aead import (
+    KEY_SIZE,
+    AeadError,
+    AeadKey,
+    open_ as aead_open,
+    seal as aead_seal,
+)
 from repro.crypto.keys import IdentityKeyPair
+from repro.net import wire
 from repro.net.latency import HeavyTailLatency, LatencyModel
 from repro.net.transport import Network, NetNode, RequestContext
 
@@ -69,6 +77,32 @@ DEFAULT_RELAY_LATENCY = HeavyTailLatency(
     median=4.6, sigma=0.55, tail_prob=0.10, tail_scale=18.0, tail_alpha=1.7)
 
 
+def _onion_layer(plaintext: bytes) -> Optional[Dict[str, Any]]:
+    """The layer a relay peeled, or ``None`` unless it decodes to a dict
+    with a bytes ``backward_key`` of the AEAD key size and either
+    ``type`` ``forward`` with a str ``next`` and bytes ``onion``, or
+    ``type`` ``exit`` with a str ``engine`` and a str ``query``. Relays
+    are volunteers: what reaches one is outside input."""
+    try:
+        layer = wire.decode(plaintext)
+    except ValueError:
+        return None
+    if not isinstance(layer, dict):
+        return None
+    backward_key = layer.get("backward_key")
+    if not isinstance(backward_key, bytes) or len(backward_key) != KEY_SIZE:
+        return None
+    if layer.get("type") == "forward":
+        fields = (("next", str), ("onion", bytes))
+    elif layer.get("type") == "exit":
+        fields = (("engine", str), ("query", str))
+    else:
+        return None
+    if all(isinstance(layer.get(name), kind) for name, kind in fields):
+        return layer
+    return None
+
+
 class TorRelayNode(NetNode):
     """One onion router: peels a layer, forwards, seals the way back."""
 
@@ -84,9 +118,9 @@ class TorRelayNode(NetNode):
             layer = self.identity.rsa.decrypt(bytes(ctx.request.payload))
         except Exception:
             return  # malformed onion: drop
-        from repro.net import wire
-
-        inner = wire.decode(layer)
+        inner = _onion_layer(layer)
+        if inner is None:
+            return  # malformed layer: drop
         backward_key = AeadKey(inner["backward_key"])
 
         if inner["type"] == "forward":
@@ -129,8 +163,6 @@ class TorClientNode(NetNode):
     def search(self, query: str,
                on_result: Callable[[Dict[str, Any]], None]) -> None:
         """Send *query* through a fresh random circuit."""
-        from repro.net import wire
-
         issued_at = self.network.simulator.now
         circuit = self.rng.sample(self.relays, self.circuit_length)
         backward_keys = [AeadKey.generate(self.rng) for _ in circuit]
@@ -156,11 +188,18 @@ class TorClientNode(NetNode):
                 layer, rng=self.rng)
 
         def on_reply(response: Any) -> None:
+            if not isinstance(response, (bytes, bytearray)):
+                return
             payload = bytes(response)
-            # Peel the backward onion: guard layers first.
-            for key in backward_keys:
-                payload = aead_open(key, payload)
-            engine_response = wire.decode(payload)
+            try:
+                # Peel the backward onion: guard layers first.
+                for key in backward_keys:
+                    payload = aead_open(key, payload)
+                engine_response = wire.decode(payload)
+            except (AeadError, ValueError):
+                return  # not sealed by this circuit: drop
+            if not isinstance(engine_response, dict):
+                return
             on_result({
                 "query": query,
                 "status": engine_response.get("status", "ok"),

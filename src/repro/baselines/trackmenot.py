@@ -1,8 +1,10 @@
-"""TrackMeNot: periodic RSS-feed fake queries (§II-A2, Fig 2a).
+"""TrackMeNot: RSS-feed fake queries (§II-A2, Fig 2a).
 
 The browser extension sends fake queries *under the user's own
 identity*; over time the engine-side profile mixes real and fake
-interests. Two weaknesses the paper measures:
+interests. Its periodic background stream is modelled as a fixed
+number of fakes per real query (:class:`TrackMeNot`). Two weaknesses
+the paper measures:
 
 - no unlinkability: the engine still knows exactly who queries;
 - fakes come from RSS feeds, whose vocabulary rarely matches the
@@ -83,77 +85,3 @@ class TrackMeNot(PrivateSearchSystem):
                 identity=user_id, text=self._feed.next_fake(),
                 true_user=user_id, is_fake=True))
         return observations
-
-
-# ---------------------------------------------------------------------------
-# Network version: the periodic background extension
-# ---------------------------------------------------------------------------
-
-
-class TrackMeNotClientNode:
-    """The extension as it actually behaves: a timer, not a per-query
-    hook. Real queries go out when the user searches; fake queries go
-    out on a Poisson clock regardless — which is why an attacker with
-    timing can already correlate bursts of genuine activity.
-    """
-
-    def __init__(self, network, address: str, rng, engine_address: str,
-                 fake_interval: float = 40.0, seed: int = 0) -> None:
-        from repro.net.transport import NetNode
-
-        class _Client(NetNode):
-            def __init__(inner_self) -> None:
-                super().__init__(network, address)
-
-        self.node = _Client()
-        self.address = address
-        self.rng = rng
-        self.engine_address = engine_address
-        self.fake_interval = fake_interval
-        self._feed = RssFeedSource(seed=seed)
-        self.fakes_sent = 0
-        self._running = False
-
-    def start(self) -> None:
-        """Start the background fake-query clock."""
-        if self._running:
-            return
-        self._running = True
-        self._schedule_fake()
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _schedule_fake(self) -> None:
-        delay = self.rng.expovariate(1.0 / self.fake_interval)
-        self.node.network.simulator.post(delay, self._send_fake)
-
-    def _send_fake(self) -> None:
-        if not self._running:
-            return
-        self.node.request(
-            self.engine_address,
-            {"query": self._feed.next_fake(),
-             "meta": {"true_user": self.address, "is_fake": True}},
-            on_reply=lambda response: None,  # fake responses are ignored
-            timeout=60.0, kind="search")
-        self.fakes_sent += 1
-        self._schedule_fake()
-
-    def search(self, query: str, on_result) -> None:
-        """A real user search: direct to the engine, full accuracy."""
-        issued_at = self.node.network.simulator.now
-
-        def on_reply(response) -> None:
-            on_result({
-                "query": query,
-                "status": response.get("status", "ok"),
-                "hits": response.get("hits", []),
-                "latency": self.node.network.simulator.now - issued_at,
-                "k": 0,
-            })
-
-        self.node.request(
-            self.engine_address,
-            {"query": query, "meta": {"true_user": self.address}},
-            on_reply, timeout=60.0, kind="search")

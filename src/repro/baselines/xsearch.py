@@ -29,7 +29,12 @@ from repro.baselines.base import (
 )
 from repro.core.fake_queries import PastQueryTable
 from repro.net.transport import Network, NetNode, RequestContext
-from repro.net.tls import SecureChannelManager, SgxAuthenticator, SignatureAuthenticator
+from repro.net.tls import (
+    SecureChannelManager,
+    SgxAuthenticator,
+    SignatureAuthenticator,
+    TlsError,
+)
 from repro.searchengine.engine import SearchEngine
 from repro.sgx.enclave import Enclave, EnclaveHost, ecall
 
@@ -78,7 +83,7 @@ class XSearch(PrivateSearchSystem):
 
 
 # ---------------------------------------------------------------------------
-# Network version (Figs 8a, 8c, 8d)
+# Network version (Fig 8a; the enclave alone drives Fig 8c)
 # ---------------------------------------------------------------------------
 
 
@@ -106,18 +111,22 @@ class XSearchEnclave(Enclave):
 
     @ecall
     def obfuscate(self, src: str, sealed: bytes):
-        """Decrypt a client query, build the OR group. Returns
-        ``(query, group_text)`` — the group leaves the enclave only as
-        the engine request."""
+        """Decrypt a client query, build the OR group. Returns the query,
+        its meta, the group and the real sub-query's index — the group
+        leaves the enclave only as the engine request — or ``None`` for
+        a record that does not open or is malformed (clients are outside
+        input)."""
         channel = self.trusted["client_channels"].get(src)
         if channel is None:
             return None
-        from repro.net.tls import TlsError
-
         try:
             record = channel.open(sealed)
         except TlsError:
             return None
+        if not (isinstance(record, dict)
+                and isinstance(record.get("query"), str)
+                and isinstance(record.get("meta") or {}, dict)):
+            return None  # malformed client record: drop
         self.charge_crypto(len(sealed), operations=1)
         table: PastQueryTable = self.trusted["table"]
         query = record["query"]
@@ -254,7 +263,10 @@ class XSearchClientNode(NetNode):
         def on_reply(response: Any) -> None:
             if not isinstance(response, (bytes, bytearray)):
                 return
-            record = channel.open(bytes(response))
+            try:
+                record = channel.open(bytes(response))
+            except TlsError:
+                return  # not sealed by the proxy's enclave: drop
             on_result({
                 "query": query,
                 "status": record.get("status", "ok"),

@@ -260,18 +260,6 @@ class CyclosaNetwork:
                     node.address, replica.address,
                     LogNormalLatency(median=config.engine_link_median,
                                      sigma=0.3))
-            if config.peer_heterogeneity_sigma > 0:
-                # Heterogeneous access links: some homes are on fibre,
-                # some on congested DSL — scale this node's link model.
-                import math
-
-                factor = math.exp(
-                    config.peer_heterogeneity_sigma * rng.gauss(0.0, 1.0))
-                network.set_node_latency(
-                    node.address,
-                    LogNormalLatency(
-                        median=config.peer_link_median * factor,
-                        sigma=config.peer_link_sigma))
             nodes.append(node)
         for node in nodes:
             node.bootstrap()

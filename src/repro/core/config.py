@@ -68,11 +68,6 @@ class CyclosaConfig:
     #: Median / sigma of the residential peer-to-peer link (one way).
     peer_link_median: float = 0.105
     peer_link_sigma: float = 0.45
-    #: Heterogeneity of peer access links: each node's link model is
-    #: scaled by exp(N(0, this)) at deployment time. 0 = homogeneous
-    #: peers (the default, matching the paper's uniform testbed);
-    #: ~0.5 gives a realistic mix of fibre and congested-DSL homes.
-    peer_heterogeneity_sigma: float = 0.0
     #: Median one-way latency from a peer to the search engine.
     engine_link_median: float = 0.03
     #: Search-engine processing median / sigma.

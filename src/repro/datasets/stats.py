@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.datasets.aol import SyntheticAolLog
+from repro.datasets.aol import SyntheticAolLog, generate_aol_log
 from repro.text.tokenize import tokenize
 
 
@@ -97,14 +97,13 @@ def describe(log: SyntheticAolLog, overlap_sample: int = 20) -> LogStats:
 
 
 def main() -> None:
-    from repro.datasets.aol import generate_aol_log
-    from repro.experiments.common import print_table
-
     log = generate_aol_log(num_users=100, mean_queries_per_user=100,
                            seed=0)
-    stats = describe(log)
-    print_table("Default synthetic AOL-like log", ["statistic", "value"],
-                stats.rows())
+    rows = describe(log).rows()
+    width = max(len(label) for label, _ in rows)
+    print("== Default synthetic AOL-like log ==")
+    for label, value in rows:
+        print(f"{label.ljust(width)}  {value}")
     print("\nLow user-term overlap + heavy activity skew are what make "
           "SimAttack's\nprofile matching work — check these before "
           "trusting results on custom data.")

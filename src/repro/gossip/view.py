@@ -88,11 +88,6 @@ class PartialView:
         return max(self._entries.values(),
                    key=lambda d: (d.age, d.address)).address
 
-    def random_peer(self, rng) -> Optional[str]:
-        if not self._entries:
-            return None
-        return rng.choice(sorted(self._entries))
-
     def sample(self, count: int, rng,
                exclude: Sequence[str] = ()) -> List[str]:
         """Uniformly sample up to *count* distinct addresses."""

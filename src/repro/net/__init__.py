@@ -9,10 +9,10 @@ reproducible. Simulated time is the *only* clock in the repository —
 - :mod:`repro.net.simulator` — the event loop (binary-heap scheduler,
   deterministic FIFO tie-breaking).
 - :mod:`repro.net.latency`   — pluggable link/server latency models
-  (constant, uniform, log-normal WAN, heavy-tailed TOR-like).
+  (constant, log-normal WAN, heavy-tailed TOR-like).
 - :mod:`repro.net.transport` — addressable nodes, messages with byte
-  sizes, per-link latency + bandwidth, loss injection, and an RPC
-  helper with timeouts.
+  sizes, per-node and per-link latency overrides, and an RPC helper
+  with timeouts. Message loss is injected by :mod:`repro.faults`.
 - :mod:`repro.net.tls`       — authenticated secure channels (DH +
   identity signatures, optionally gated on SGX remote attestation)
   carrying AEAD-sealed application payloads.
@@ -25,12 +25,10 @@ reproducible. Simulated time is the *only* clock in the repository —
 """
 
 from repro.net.latency import (
-    CompositeLatency,
     ConstantLatency,
     HeavyTailLatency,
     LatencyModel,
     LogNormalLatency,
-    UniformLatency,
 )
 from repro.net.simulator import Simulator
 from repro.net.trace import MessageTrace, TracedMessage
@@ -38,12 +36,10 @@ from repro.net.transport import Message, NetworkError, Network, NetNode
 from repro.net.tls import SecureChannel, SecureChannelManager, TlsError
 
 __all__ = [
-    "CompositeLatency",
     "ConstantLatency",
     "HeavyTailLatency",
     "LatencyModel",
     "LogNormalLatency",
-    "UniformLatency",
     "Simulator",
     "MessageTrace",
     "TracedMessage",

@@ -4,20 +4,21 @@ Each model is a distribution over per-message delays, sampled with the
 caller's seeded RNG so simulations stay deterministic. The models used
 by the experiment calibrations:
 
-- LAN / same-region links: :class:`UniformLatency` around a few ms.
+- Unit tests and the transport's default link: :class:`ConstantLatency`.
 - WAN residential links (CYCLOSA peers): :class:`LogNormalLatency`,
-  median ≈ 40 ms with a moderate tail.
+  median ``CyclosaConfig.peer_link_median`` (105 ms) with a moderate
+  tail.
 - TOR circuits: :class:`HeavyTailLatency` (log-normal body with a
   Pareto tail), reproducing the multi-second medians and minute-scale
   tails the paper measures for full search round-trips over TOR.
-- Search-engine processing: :class:`LogNormalLatency` around 150 ms.
+- Search-engine processing: :class:`LogNormalLatency` around 320 ms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 
 class LatencyModel(Protocol):
@@ -39,21 +40,6 @@ class ConstantLatency:
 
     def sample(self, rng) -> float:
         return self.delay
-
-
-@dataclass(frozen=True)
-class UniformLatency:
-    """Uniform in [low, high]."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise ValueError("require 0 <= low <= high")
-
-    def sample(self, rng) -> float:
-        return rng.uniform(self.low, self.high)
 
 
 @dataclass(frozen=True)
@@ -105,28 +91,3 @@ class HeavyTailLatency:
             u = 1.0 - rng.random()
             return self.tail_scale * u ** (-1.0 / self.tail_alpha)
         return self.median * math.exp(self.sigma * rng.gauss(0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class CompositeLatency:
-    """Sum of independent component delays (e.g. link + processing)."""
-
-    components: Sequence[LatencyModel]
-
-    def sample(self, rng) -> float:
-        return sum(component.sample(rng) for component in self.components)
-
-
-@dataclass(frozen=True)
-class ScaledLatency:
-    """A wrapped model scaled by a constant factor (for calibration)."""
-
-    base: LatencyModel
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError("factor must be non-negative")
-
-    def sample(self, rng) -> float:
-        return self.factor * self.base.sample(rng)

@@ -15,8 +15,8 @@ transport node with:
 Two request flavours are served:
 
 - ``search`` — plaintext payload ``{"query", "meta"}``; the identity
-  logged is the transport source (used by Direct/TMN/GooPIR and by
-  relays that terminate TLS themselves).
+  logged is the transport source (used by Direct clients, TOR exits
+  and the X-Search proxy).
 - ``searchtls`` — payload is a sealed record on an established secure
   channel; the engine decrypts, serves and responds sealed.
 

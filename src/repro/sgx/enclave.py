@@ -275,14 +275,6 @@ class Enclave:
         """Grow the enclave heap (charged against the shared EPC)."""
         self._host.epc.allocate(self._enclave_id, nbytes)
 
-    def trusted_free(self, nbytes: int) -> None:
-        """Shrink the enclave heap."""
-        self._host.epc.free(self._enclave_id, nbytes)
-
-    def memory_usage(self) -> int:
-        """Total bytes charged to this enclave (code + heap)."""
-        return self._host.epc.usage(self._enclave_id)
-
     def charge_crypto(self, nbytes: int, operations: int = 1) -> None:
         """Charge the cost of *operations* AEAD ops over *nbytes* total."""
         if nbytes < 0 or operations < 0:

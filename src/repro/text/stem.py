@@ -57,18 +57,6 @@ def _ends_cvc(word: str) -> bool:
             and word[-1] not in "wxy")
 
 
-def _replace_suffix(word: str, suffix: str, replacement: str,
-                    min_measure: int) -> str | None:
-    """If *word* ends with *suffix* and the remaining stem has
-    m > *min_measure*, return the rewritten word; else None."""
-    if not word.endswith(suffix):
-        return None
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_measure:
-        return stem + replacement
-    return word  # suffix matched but condition failed: stop searching
-
-
 def _step1a(word: str) -> str:
     if word.endswith("sses"):
         return word[:-2]

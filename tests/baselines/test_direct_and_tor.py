@@ -10,6 +10,8 @@ from repro.baselines.tor import (
     TorSearch,
     build_tor_network,
 )
+from repro.crypto.aead import AeadKey, seal as aead_seal
+from repro.net import wire
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
@@ -33,6 +35,40 @@ class TestDirectAnalytic:
         returned = system.results_for(engine, "symptoms cancer", observations)
         reference = [h.url for h in engine.search("symptoms cancer")]
         assert returned == reference
+
+
+class TestDirectNetwork:
+    @pytest.fixture
+    def stack(self):
+        rng = random.Random(14)
+        sim = Simulator()
+        net = Network(sim, rng, default_latency=ConstantLatency(0.01))
+        engine_node = SearchEngineNode(
+            net, SearchEngine(build_corpus(docs_per_topic=8, seed=1)), rng,
+            processing=ConstantLatency(0.02))
+        client = DirectClientNode(net, "client", engine_node.address)
+        return sim, engine_node, client
+
+    def test_search_returns_the_engine_page(self, stack):
+        sim, engine_node, client = stack
+        results = []
+        client.search("symptoms cancer", results.append)
+        sim.run()
+        assert len(results) == 1
+        assert results[0]["status"] == "ok"
+        assert results[0]["k"] == 0
+        direct = engine_node.engine.search("symptoms cancer")
+        assert direct
+        assert [h["url"] for h in results[0]["hits"]] == \
+            [h.url for h in direct]
+
+    def test_engine_logs_the_client_address(self, stack):
+        sim, engine_node, client = stack
+        client.search("identity leak probe", lambda r: None)
+        sim.run()
+        [entry] = engine_node.tap.entries
+        assert entry.text == "identity leak probe"
+        assert entry.identity == client.address  # no unlinkability
 
 
 class TestTorAnalytic:
@@ -119,3 +155,58 @@ class TestTorNetwork:
         with pytest.raises(ValueError):
             TorClientNode(client.network, "c3", random.Random(0), relays[:1],
                           "engine", circuit_length=3)
+
+    @pytest.mark.parametrize("layer", [
+        b"not json",
+        b"\xff\xfe",
+        b'"a string"',
+        wire.encode({"backward_key": bytes(32)}),
+        wire.encode({"type": "exit", "engine": "engine", "query": "q"}),
+        wire.encode({"type": "exit", "engine": "engine", "query": "q",
+                     "backward_key": b"short"}),
+        wire.encode({"type": "exit", "engine": "engine", "query": "q",
+                     "backward_key": "k" * 32}),
+        wire.encode({"type": "exit", "query": "q",
+                     "backward_key": bytes(32)}),
+        wire.encode({"type": "forward", "onion": b"inner",
+                     "backward_key": bytes(32)}),
+    ], ids=["not-json", "not-utf8", "json-string", "no-type",
+            "no-backward-key", "short-backward-key", "str-backward-key",
+            "exit-without-engine", "forward-without-next"])
+    def test_relay_drops_a_malformed_layer(self, stack, layer):
+        sim, engine_node, relays, client = stack
+        onion = relays[0].identity.public.encrypt(layer, rng=client.rng)
+        outcomes = []
+        client.request(relays[0].address, onion, outcomes.append,
+                       timeout=5.0,
+                       on_timeout=lambda: outcomes.append("timeout"),
+                       kind="onion", size_bytes=len(onion))
+        sim.run()
+        assert outcomes == ["timeout"]
+        assert engine_node.tap.entries == []
+
+    @pytest.mark.parametrize("reply",
+                             ["garbage", "not-bytes", "sealed-string"])
+    def test_client_drops_a_reply_it_cannot_open(self, stack, reply):
+        sim, engine_node, relays, client = stack
+        guard = relays[0]
+        client.circuit_length = 1
+        client.relays = [guard]
+
+        def forge(ctx):
+            if reply == "garbage":
+                ctx.respond(b"forged reply")
+            elif reply == "not-bytes":
+                ctx.respond({"status": "ok", "hits": []})
+            else:
+                layer = wire.decode(guard.identity.rsa.decrypt(
+                    bytes(ctx.request.payload)))
+                ctx.respond(aead_seal(AeadKey(layer["backward_key"]),
+                                      wire.encode("a string"),
+                                      rng=random.Random(0)))
+
+        guard.handle_request = forge
+        results = []
+        client.search("forged reply probe", results.append)
+        sim.run()
+        assert results == []

@@ -115,3 +115,32 @@ class TestXSearchNetwork:
                        kind="xsearch")
         sim.run()
         assert outcomes == ["timeout"]
+
+    @pytest.mark.parametrize("record", [
+        "a string",
+        {"meta": {}},
+        {"query": 5},
+        {"query": "q", "meta": "not a dict"},
+    ], ids=["string", "no-query", "int-query", "str-meta"])
+    def test_malformed_client_record_dropped(self, xsearch_stack, record):
+        sim, net, engine_node, proxy, client = xsearch_stack
+        channel = client.tls.channel(proxy.address)
+        outcomes = []
+        client.request(proxy.address, channel.seal(record, rng=client.rng),
+                       outcomes.append, timeout=2.0,
+                       on_timeout=lambda: outcomes.append("timeout"),
+                       kind="xsearch")
+        sim.run()
+        assert outcomes == ["timeout"]
+        assert proxy.queries_proxied == 0
+        assert engine_node.tap.entries == []
+
+    def test_client_drops_a_reply_its_enclave_never_sealed(self,
+                                                            xsearch_stack):
+        # The proxy's host is untrusted: it can answer with anything.
+        sim, net, engine_node, proxy, client = xsearch_stack
+        proxy.handle_request = lambda ctx: ctx.respond(b"forged" * 8)
+        results = []
+        client.search("forged reply probe", results.append)
+        sim.run()
+        assert results == []

@@ -5,12 +5,9 @@ import random
 import pytest
 
 from repro.net.latency import (
-    CompositeLatency,
     ConstantLatency,
     HeavyTailLatency,
     LogNormalLatency,
-    ScaledLatency,
-    UniformLatency,
 )
 
 
@@ -31,18 +28,6 @@ class TestConstant:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-0.1)
-
-
-class TestUniform:
-    def test_within_bounds(self, rng):
-        model = UniformLatency(0.01, 0.02)
-        assert all(0.01 <= s <= 0.02 for s in _samples(model, rng))
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.05, 0.01)
-        with pytest.raises(ValueError):
-            UniformLatency(-0.1, 0.2)
 
 
 class TestLogNormal:
@@ -82,25 +67,6 @@ class TestHeavyTail:
             HeavyTailLatency(median=1.0, tail_prob=1.5)
         with pytest.raises(ValueError):
             HeavyTailLatency(median=1.0, tail_alpha=0.0)
-
-
-class TestComposite:
-    def test_sum_of_constants(self, rng):
-        model = CompositeLatency([ConstantLatency(0.1), ConstantLatency(0.2)])
-        assert model.sample(rng) == pytest.approx(0.3)
-
-    def test_empty_composite_is_zero(self, rng):
-        assert CompositeLatency([]).sample(rng) == 0.0
-
-
-class TestScaled:
-    def test_scaling(self, rng):
-        model = ScaledLatency(ConstantLatency(0.1), 3.0)
-        assert model.sample(rng) == pytest.approx(0.3)
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledLatency(ConstantLatency(0.1), -1.0)
 
 
 class TestDeterminism:
