@@ -4,11 +4,11 @@ CYCLOSA's design leans on cryptography in three places: TLS-like secure
 channels between enclaves and to the search engine, layered (onion)
 encryption for the TOR baseline, and signed attestation quotes. This
 package implements the needed primitives from scratch on top of the
-standard library's SHA-256:
+standard library's SHA-256 and SHAKE-256:
 
 - :mod:`repro.crypto.hashes` — SHA-256 / HMAC / HKDF-style derivation.
-- :mod:`repro.crypto.aead`   — authenticated encryption (encrypt-then-MAC
-  over an HMAC-CTR keystream).
+- :mod:`repro.crypto.aead`   — authenticated encryption (encrypt-then-MAC:
+  a SHAKE-256 keystream and an HMAC-SHA256 tag).
 - :mod:`repro.crypto.dh`     — finite-field Diffie-Hellman key agreement.
 - :mod:`repro.crypto.rsa`    — RSA keygen / encrypt / sign (Miller-Rabin
   primes, deterministic-padding hybrid encryption for onion layers).

@@ -1,29 +1,31 @@
-"""Authenticated encryption (encrypt-then-MAC over an HMAC-CTR keystream).
+"""Authenticated encryption (encrypt-then-MAC over a SHAKE-256 keystream).
 
 CYCLOSA encrypts every inter-enclave message and every enclave-to-search-
 engine payload. We build an AEAD from the primitives in
-:mod:`repro.crypto.hashes`:
+:mod:`repro.crypto.hashes` and :mod:`hashlib`:
 
-- The keystream is ``HMAC-SHA256(enc_key, nonce || counter)`` blocks,
-  with an 8-byte big-endian counter from 0, XORed with the plaintext (a
-  CTR-mode stream cipher with SHA-256 as the block function). Block 0
-  is one HMAC call; blocks 1, 2, ... come out of a single
-  one-iteration PBKDF2-HMAC-SHA256 call, so OpenSSL runs the block loop
-  (see :func:`_keystream`).
+- The keystream is ``SHAKE-256(enc_key || nonce)`` squeezed to the
+  plaintext's length and XORed with it (a stream cipher whose pad is
+  the output of the FIPS 202 extendable-output function). SHAKE-256 with
+  a secret prefix of fixed length is a PRF (the keyed sponge), and the
+  input is always the 32-byte subkey followed by the 16-byte nonce, so
+  the concatenation is unambiguous; :func:`_keystream` refuses any
+  other sizes. One C call squeezes the whole pad, whatever its length.
 - Integrity is an HMAC-SHA256 tag over ``nonce || associated_data ||
-  ciphertext`` under an independent MAC key; both keys are derived from
-  the AEAD key with distinct HKDF labels.
+  ciphertext`` under an independent MAC key, checked before anything is
+  decrypted; both keys are derived from the AEAD key with distinct HKDF
+  labels.
 
-The construction is IND-CPA + INT-CTXT under standard PRF assumptions —
-the point here is that every byte that crosses a trust boundary in the
-simulation is genuinely encrypted and authenticated, so tests can assert
-that tampering or key mismatch is *detected* rather than trusted.
+A unique nonce per key gives an independent pad, so the construction
+is IND-CPA + INT-CTXT under standard PRF assumptions — the point here
+is that every byte that crosses a trust boundary in the simulation is
+genuinely encrypted and authenticated, so tests can assert that
+tampering or key mismatch is *detected* rather than trusted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import os
 from dataclasses import dataclass, field
 
@@ -74,15 +76,17 @@ class AeadKey:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    first = _hmac.digest(enc_key, nonce + bytes(8), "sha256")
-    if length <= DIGEST_SIZE:
-        return first[:length]
-    # PBKDF2 with one iteration emits HMAC(P, S || i as 4 bytes BE) for
-    # i = 1, 2, ... (RFC 8018 5.2); with S = nonce || 4 zero bytes that is
-    # block i of this stream. The 4-byte index cannot wrap: pbkdf2_hmac
-    # rejects dklen >= 2**31.
-    return first + hashlib.pbkdf2_hmac(
-        "sha256", enc_key, nonce + bytes(4), 1, length - DIGEST_SIZE)
+    """The first *length* bytes of SHAKE-256 over ``enc_key || nonce``.
+
+    Keyed by prefix, which is a PRF only while the secret prefix has a
+    fixed length and the input splits one way: so the key must be
+    exactly 32 bytes and the nonce exactly 16. A shorter pad is a
+    prefix of a longer one under the same key and nonce.
+    """
+    if len(enc_key) != KEY_SIZE or len(nonce) != NONCE_SIZE:
+        raise ValueError(f"keystream takes a {KEY_SIZE}-byte key and a "
+                         f"{NONCE_SIZE}-byte nonce")
+    return hashlib.shake_256(enc_key + nonce).digest(length)
 
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:

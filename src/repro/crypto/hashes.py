@@ -2,7 +2,7 @@
 
 Thin, typed wrappers over :mod:`hashlib`'s SHA-256 plus an HMAC and an
 HKDF-style expand/extract built on it. Everything above this module
-(AEAD keystreams, TLS-like handshake transcripts, attestation
+(AEAD subkeys, TLS-like handshake transcripts, attestation
 measurements, sealed-storage keys) derives its keys here, so key
 separation labels are centralised in one place.
 """
@@ -25,10 +25,7 @@ def sha256(*chunks: bytes) -> bytes:
 
 def hmac_sha256(key: bytes, *chunks: bytes) -> bytes:
     """Return HMAC-SHA256 of the concatenated *chunks* under *key*."""
-    mac = _hmac.new(key, digestmod=hashlib.sha256)
-    for chunk in chunks:
-        mac.update(chunk)
-    return mac.digest()
+    return _hmac.digest(key, b"".join(chunks), "sha256")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
@@ -51,11 +48,10 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
         raise ValueError("HKDF output too long")
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
-        previous = hmac_sha256(prk, previous, info, bytes([counter]))
+    for counter in range(1, -(-length // DIGEST_SIZE) + 1):
+        previous = _hmac.digest(prk, previous + info + bytes([counter]),
+                                "sha256")
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

@@ -11,7 +11,7 @@ from repro.baselines.tor import (
     build_tor_network,
 )
 from repro.crypto.aead import AeadKey, seal as aead_seal
-from repro.net import wire
+from repro.net import MessageTrace, wire
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
@@ -138,14 +138,30 @@ class TestTorNetwork:
         # The relay handler decrypts one layer; a relay given a foreign
         # onion (not encrypted to it) must drop it silently.
         sim, engine_node, relays, client = stack
-        foreign = relays[0]
-        results = []
-        # Craft an onion for relay[1] but deliver it to relay[0].
-        client.circuit_length = 1
-        client.relays = [relays[1]]
-        client.search("misrouted", results.append)
-        sim.run()
-        assert results  # sanity: correct routing works
+        layer = wire.encode({"type": "exit", "engine": engine_node.address,
+                             "query": "misrouted",
+                             "backward_key": bytes(32)})
+        onion = relays[1].identity.public.encrypt(layer, rng=client.rng)
+
+        def deliver(relay):
+            outcomes = []
+            with MessageTrace(client.network, src=relay.address) as sent:
+                client.request(relay.address, onion, outcomes.append,
+                               timeout=5.0,
+                               on_timeout=lambda: outcomes.append("timeout"),
+                               kind="onion", size_bytes=len(onion))
+                sim.run()
+            return outcomes, list(sent)
+
+        outcomes, forwarded = deliver(relays[0])
+        assert outcomes == ["timeout"]
+        assert forwarded == []
+        assert engine_node.tap.entries == []
+        # The same onion at the relay it was built for reaches the engine.
+        outcomes, forwarded = deliver(relays[1])
+        assert len(outcomes) == 1 and outcomes[0] != "timeout"
+        assert forwarded
+        assert [e.text for e in engine_node.tap.entries] == ["misrouted"]
 
     def test_invalid_circuit_params(self, stack):
         sim, engine_node, relays, client = stack

@@ -17,7 +17,6 @@ from repro.crypto.aead import (
     seal,
     sealed_overhead,
 )
-from repro.crypto.hashes import hmac_sha256
 
 
 @pytest.fixture
@@ -110,32 +109,67 @@ class TestSealOpen:
 
 
 def _reference_keystream(enc_key, nonce, length):
-    # The keystream's definition, block by block: HMAC-SHA256 over the
-    # nonce and an 8-byte big-endian counter that starts at 0.
-    blocks = -(-length // 32)
-    return b"".join(hmac_sha256(enc_key, nonce, c.to_bytes(8, "big"))
-                    for c in range(blocks))[:length]
+    # The keystream's definition: SHAKE-256 absorbs the 32-byte key, then
+    # the 16-byte nonce, and is squeezed to *length* bytes, 136 bytes
+    # (its rate) per sponge block.
+    sponge = hashlib.shake_256()
+    sponge.update(enc_key)
+    sponge.update(nonce)
+    return sponge.digest(length)
+
+
+_keys = st.binary(min_size=KEY_SIZE, max_size=KEY_SIZE)
+_nonces = st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE)
 
 
 class TestKeystreamReference:
-    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 63, 64, 65, 4096])
+    # Either side of one and two 32-byte digests and of SHAKE-256's
+    # 136-byte rate.
+    @pytest.mark.parametrize(
+        "length", [0, 1, 31, 32, 33, 63, 64, 65, 135, 136, 137, 4096])
     def test_matches_block_definition(self, key, length):
         nonce = bytes(range(NONCE_SIZE))
         assert (_keystream(key._enc_key, nonce, length)
                 == _reference_keystream(key._enc_key, nonce, length))
 
-    @given(st.binary(max_size=80), st.binary(max_size=40),
-           st.integers(min_value=0, max_value=8192))
+    @given(_keys, _nonces, st.integers(min_value=0, max_value=8192))
     def test_property_matches_block_definition(self, enc_key, nonce, length):
         assert (_keystream(enc_key, nonce, length)
                 == _reference_keystream(enc_key, nonce, length))
 
+    @given(_keys, _nonces, st.integers(min_value=0, max_value=8192),
+           st.integers(min_value=0, max_value=8192))
+    def test_property_shorter_pad_is_a_prefix(self, enc_key, nonce, a, b):
+        # Seal and open squeeze the pad to the same length from either
+        # side, so they agree at every length.
+        short, long = sorted((a, b))
+        assert (_keystream(enc_key, nonce, short)
+                == _keystream(enc_key, nonce, long)[:short])
+
+    def test_nonce_and_key_each_change_the_pad(self, key):
+        nonce = bytes(NONCE_SIZE)
+        other_key = AeadKey.generate(random.Random(8))._enc_key
+        pad = _keystream(key._enc_key, nonce, 64)
+        assert _keystream(key._enc_key, b"\x01" + nonce[1:], 64) != pad
+        assert _keystream(other_key, nonce, 64) != pad
+
+    @pytest.mark.parametrize("key_size, nonce_size", [
+        (0, NONCE_SIZE), (KEY_SIZE - 1, NONCE_SIZE), (KEY_SIZE + 1, NONCE_SIZE),
+        (KEY_SIZE, 0), (KEY_SIZE, NONCE_SIZE - 1), (KEY_SIZE, NONCE_SIZE + 1),
+        (KEY_SIZE + NONCE_SIZE, 0),
+    ])
+    def test_other_key_or_nonce_sizes_rejected(self, key_size, nonce_size):
+        # key || nonce splits only one way when both sizes are fixed: a
+        # 48-byte key and no nonce would absorb the same bytes.
+        with pytest.raises(ValueError):
+            _keystream(bytes(key_size), bytes(nonce_size), 16)
+
     def test_known_answer(self):
-        # Recorded when the keystream was a per-block HMAC loop; any
-        # change to the construction changes these bytes.
+        # Recorded when the keystream became SHAKE-256(enc_key || nonce);
+        # any change to the construction changes these bytes.
         key = AeadKey.generate(random.Random(14))
         plaintext = random.Random(15).randbytes(5000)
         sealed = seal(key, plaintext, b"kat", rng=random.Random(16))
         assert hashlib.sha256(sealed).hexdigest() == (
-            "74c361faca75c8a14b1a95c55d09d68d170b1ed1eaa56e9faf12bdc92c85c370")
+            "67abc5baf4f9cc105314e8d1dbe94a32df515e3a002a70847c11c5d9c8b22ad2")
         assert open_(key, sealed, b"kat") == plaintext

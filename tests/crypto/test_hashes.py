@@ -77,6 +77,19 @@ class TestHkdf:
         with pytest.raises(ValueError):
             hkdf_expand(b"p" * 32, b"info", 255 * 32 + 1)
 
+    def test_rfc5869_case_1(self):
+        # RFC 5869 test case 1: basic test case with SHA-256.
+        ikm = b"\x0b" * 22
+        salt = bytes(range(0x0d))
+        info = bytes(range(0xf0, 0xfa))
+        prk = hkdf_extract(salt, ikm)
+        assert prk.hex() == (
+            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5")
+        assert hkdf_expand(prk, info, 42).hex() == (
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c"
+            "5db02d56ecc4c5bf34007208d5b887185865")
+        assert hkdf(ikm, info, 42, salt=salt) == hkdf_expand(prk, info, 42)
+
     def test_extract_empty_salt_uses_zero_block(self):
         assert hkdf_extract(b"", b"ikm") == hkdf_extract(b"\x00" * 32, b"ikm")
 
