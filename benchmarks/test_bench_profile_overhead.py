@@ -15,8 +15,9 @@ scheduler noise where the mean is not):
 1. pristine per-call cost, before any profiler existed;
 2. per-call cost after a full ``start()``/``stop()`` cycle — asserted
    within 5 % of pristine;
-3. per-call cost *while sampling* — reported for context (this one is
-   allowed to be expensive; profiling is opt-in and offline).
+3. per-call cost *while profiling*, every call event counted —
+   reported for context (this one is allowed to be expensive;
+   profiling is opt-in and offline).
 """
 
 from __future__ import annotations
@@ -57,15 +58,15 @@ def test_bench_profiler_disabled_overhead(benchmark, report):
     def measure():
         pristine = _per_call_seconds()
 
-        profiler = obs.DeterministicProfiler(sample_interval=64)
+        profiler = obs.DeterministicProfiler()
         with profiler:
-            sampling = _per_call_seconds()
+            profiling = _per_call_seconds()
         assert sys.getprofile() is None, "stop() left the hook installed"
 
         after = _per_call_seconds()
-        return pristine, sampling, after
+        return pristine, profiling, after
 
-    pristine, sampling, after = single_run(benchmark, measure)
+    pristine, profiling, after = single_run(benchmark, measure)
 
     ratio = after / pristine
     report("\n".join([
@@ -75,8 +76,8 @@ def test_bench_profiler_disabled_overhead(benchmark, report):
         f"after start/stop cycle       : {after * 1e9:.1f} ns",
         f"residual ratio               : {ratio:.4f}x  "
         f"(budget {1 + OVERHEAD_BUDGET:.2f}x)",
-        f"while sampling (interval 64) : {sampling * 1e9:.1f} ns  "
-        f"({sampling / pristine:.2f}x, opt-in only)",
+        f"while profiling              : {profiling * 1e9:.1f} ns  "
+        f"({profiling / pristine:.2f}x, opt-in only)",
     ]))
 
     assert ratio < 1 + OVERHEAD_BUDGET

@@ -13,10 +13,9 @@ Commands:
 - ``perf``                      — re-take the deterministic profile
   baseline, the ``profile`` section of ``BENCH_pipeline.json`` (speed
   is measured by ``python -m bench``; see ``docs/performance.md``).
-- ``profile <scenario>``        — deterministic sampling profile of a
-  named scenario: per-subsystem CPU/heap attribution, collapsed-stack
-  flamegraph files and a chrome-trace view with the sample track
-  merged in (see docs/observability.md).
+- ``profile <scenario>``        — deterministic profile of a named
+  scenario: every call event counted per subsystem, heap attribution
+  and collapsed-stack flamegraph files (see docs/observability.md).
 - ``lint [paths...]``           — run the trust-boundary / taint /
   determinism / layering analyzer over ``src/``; taint is one
   whole-program PDG pass (see ``docs/static-analysis.md``).
@@ -267,7 +266,7 @@ def _cmd_perf(output: str) -> int:
     import platform
     import time
 
-    from repro import perf
+    from repro import obs, perf
 
     params = dict(perf.DEFAULT_PARAMS)
     profile = perf.bench_profile(**params)
@@ -285,17 +284,10 @@ def _cmd_perf(output: str) -> int:
         json.dump(baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"profile ({profile['scenario']} scenario, {profile['nodes']} "
-          f"nodes, {profile['searches']} searches, 1 sample / "
-          f"{profile['sample_interval']} call events)")
-    print(f"  samples {profile['samples']}, call events "
-          f"{profile['call_events']}, distinct stacks "
+          f"nodes, {profile['searches']} searches): distinct stacks "
           f"{profile['distinct_stacks']}, collapsed sha256 "
           f"{profile['collapsed_sha256'][:16]}...")
-    shares = sorted(profile["subsystems"].items(),
-                    key=lambda item: (-item[1]["self_pct"], item[0]))
-    for subsystem, share in shares:
-        print(f"    {subsystem:<14} self {share['self_pct']:>6.2f}%  "
-              f"cum {share['cum_pct']:>6.2f}%")
+    print(obs.format_attribution(profile))
     print(f"\nwrote {output}")
     return 0
 
@@ -311,9 +303,9 @@ def _cmd_profile(args) -> int:
     try:
         report = profiling.run_scenario(
             args.scenario, seed=args.seed, nodes=args.nodes,
-            searches=args.searches, sample_interval=args.interval,
-            window_seconds=args.window, heap=not args.no_heap,
-            num_events=args.events, monitor_seconds=args.monitor_seconds)
+            searches=args.searches, window_seconds=args.window,
+            heap=not args.no_heap, num_events=args.events,
+            monitor_seconds=args.monitor_seconds)
     except ValueError as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
@@ -335,8 +327,7 @@ def _cmd_profile(args) -> int:
 
         print(_json.dumps(cpu, sort_keys=True, indent=2))
     else:
-        print(f"profile scenario {args.scenario!r} "
-              f"(seed {args.seed}, 1 sample / {args.interval} call events)")
+        print(f"profile scenario {args.scenario!r} (seed {args.seed})")
         print(obs.format_attribution(cpu))
         stacks = obs.parse_collapsed(report["collapsed"])
         if stacks:
@@ -366,10 +357,6 @@ def _cmd_profile(args) -> int:
                 handle.write(_json.dumps(report["heap"], sort_keys=True,
                                          indent=2) + "\n")
             written.append(f"{base}.heap.json")
-        if report["chrome"] is not None:
-            with open(f"{base}.chrome.json", "w", encoding="utf-8") as handle:
-                handle.write(report["chrome"] + "\n")
-            written.append(f"{base}.chrome.json")
         print("\nwrote " + ", ".join(written))
     return 0
 
@@ -477,7 +464,7 @@ def _cmd_monitor(args) -> int:
     if args.profile:
         from repro import obs
 
-        profiler = obs.DeterministicProfiler(sample_interval=256)
+        profiler = obs.DeterministicProfiler()
     report = monitor.run_scenario(
         num_nodes=args.nodes, seed=args.seed, plan_seed=args.plan_seed,
         duration=args.duration, window_seconds=args.window,
@@ -602,8 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_parser = subparsers.add_parser(
         "profile", help="run a seeded scenario under the deterministic "
-                        "sampling profiler and report per-subsystem "
-                        "CPU/heap attribution (docs/observability.md)")
+                        "profiler and report per-subsystem call-event "
+                        "counts and heap attribution "
+                        "(docs/observability.md)")
     profile_parser.add_argument(
         "scenario", nargs="?", default="search",
         choices=("search", "simulator", "sensitivity", "monitor"),
@@ -616,9 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--searches", type=int, default=6,
                                 help="protected searches in the search "
                                      "scenario (default 6)")
-    profile_parser.add_argument("--interval", type=int, default=256,
-                                help="sample every Nth call event "
-                                     "(default 256)")
     profile_parser.add_argument("--window", type=float, default=5.0,
                                 help="heap-snapshot window in simulated "
                                      "seconds (default 5)")
@@ -638,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the CPU attribution JSON (byte-identical for "
              "identical arguments) instead of the table")
     profile_parser.add_argument("--out", default="profiles",
-                                help="directory for the collapsed-stack / "
-                                     "attribution / chrome-trace artifacts "
+                                help="directory for the collapsed-stack, "
+                                     "attribution and heap artifacts "
                                      "(default ./profiles)")
     profile_parser.add_argument("--no-write", action="store_true",
                                 help="print the report without writing "

@@ -2,9 +2,8 @@
 
 Each scenario drives a fixed, seeded workload under the
 :class:`repro.obs.DeterministicProfiler` and returns one JSON-ready
-report: per-subsystem CPU attribution, collapsed-stack flamegraph
-text, windowed heap attribution and (where spans exist) a chrome-trace
-view with the profiler's sample track merged in.
+report: per-subsystem call-event counts, collapsed-stack flamegraph
+text and windowed heap attribution.
 
 Byte-identity contract: two same-seed runs of the same scenario emit
 identical ``collapsed`` text and identical ``cpu`` attribution JSON —
@@ -33,8 +32,8 @@ Scenarios:
 
 - ``search``  — protected searches end-to-end on a demo overlay
   (the per-subsystem cost of the full CYCLOSA pipeline);
-- ``simulator`` — the bare discrete-event loop on the bench workload
-  (ROADMAP item 1's sharding target);
+- ``simulator`` — the bare discrete-event loop on synthetic
+  rescheduling chains;
 - ``sensitivity`` — the §V-A text pipeline, cold caches;
 - ``monitor`` — a shortened churn+chaos soak through
   :func:`repro.experiments.monitor.run_scenario`.
@@ -48,10 +47,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.text.cache import clear_caches
-
-#: Default sampling interval for scenarios (denser than the profiler's
-#: own default — scenario workloads are short).
-DEFAULT_SAMPLE_INTERVAL = 256
 
 #: Heap window width in simulated seconds.
 DEFAULT_WINDOW_SECONDS = 5.0
@@ -78,8 +73,6 @@ def _scenario_search(params: Dict[str, Any], profiler, heap: bool
     deployment = CyclosaNetwork.create(
         num_nodes=params["nodes"], seed=params["seed"], observe=True)
     simulator = deployment.simulator
-    if profiler is not None:
-        profiler.clock = obs.SimulatedClock(simulator)
     queries = _queries(params["searches"], params["seed"])
 
     sampler = None
@@ -106,16 +99,12 @@ def _scenario_search(params: Dict[str, Any], profiler, heap: bool
         heap_final = sampler.snapshot_now()
         sampler.stop()
 
-    chrome = None
-    if profiler is not None:
-        spans = list(obs.OBS.tracer.sink.spans) + obs.OBS.router.all_spans()
-        chrome = obs.chrome_trace_with_samples(spans, profiler)
     obs.disable(reset=True)
     needles = list(queries) + [node.address for node in deployment.nodes] \
         + [node.user_id for node in deployment.nodes]
     return {"extra": {"searches": len(queries), "ok": ok},
             "heap_windows": heap_windows, "heap_final": heap_final,
-            "chrome": chrome, "audit_needles": needles}
+            "audit_needles": needles}
 
 
 def _scenario_simulator(params: Dict[str, Any], profiler, heap: bool
@@ -123,8 +112,6 @@ def _scenario_simulator(params: Dict[str, Any], profiler, heap: bool
     from repro.net.simulator import Simulator
 
     simulator = Simulator()
-    if profiler is not None:
-        profiler.clock = obs.SimulatedClock(simulator)
     rng = random.Random(params["seed"])
     state = {"remaining": params["num_events"], "cancelled": 0}
 
@@ -171,13 +158,10 @@ def _scenario_simulator(params: Dict[str, Any], profiler, heap: bool
         heap_final = sampler.snapshot_now()
         sampler.stop()
 
-    chrome = None
-    if profiler is not None:
-        chrome = obs.chrome_trace_with_samples([], profiler)
     return {"extra": {"events": simulator.events_processed,
                       "cancelled": state["cancelled"]},
             "heap_windows": heap_windows, "heap_final": heap_final,
-            "chrome": chrome, "audit_needles": []}
+            "audit_needles": []}
 
 
 def _scenario_sensitivity(params: Dict[str, Any], profiler, heap: bool
@@ -194,8 +178,8 @@ def _scenario_sensitivity(params: Dict[str, Any], profiler, heap: bool
     semantic = SemanticAssessor.from_resources(
         wordnet=SyntheticWordNet.build(seed=params["seed"]), mode="wordnet")
 
-    # No simulator here, so no windowed heap sampling and no timeline;
-    # the profile is the cold-cache CPU attribution of the pipeline.
+    # No simulator here, so no windowed heap sampling; the profile is
+    # the cold-cache CPU attribution of the pipeline.
     if profiler is not None:
         profiler.start()
     try:
@@ -207,7 +191,7 @@ def _scenario_sensitivity(params: Dict[str, Any], profiler, heap: bool
         if profiler is not None:
             profiler.stop()
     return {"extra": {"history_size": len(history), "probes": len(probes)},
-            "heap_windows": [], "heap_final": None, "chrome": None,
+            "heap_windows": [], "heap_final": None,
             "audit_needles": list(probes)}
 
 
@@ -228,7 +212,7 @@ def _scenario_monitor(params: Dict[str, Any], profiler, heap: bool
                for index in range(report["traffic"]["issued"])]
     return {"extra": {"issued": report["traffic"]["issued"],
                       "hung_searches": report["traffic"]["hung_searches"]},
-            "heap_windows": [], "heap_final": None, "chrome": None,
+            "heap_windows": [], "heap_final": None,
             "audit_needles": needles}
 
 
@@ -242,7 +226,6 @@ SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
 
 def run_scenario(name: str, seed: int = 0, nodes: int = 8,
                  searches: int = 6,
-                 sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  heap: bool = True, warmup: bool = True,
                  history_size: int = 600, probes: int = 30,
@@ -258,8 +241,6 @@ def run_scenario(name: str, seed: int = 0, nodes: int = 8,
     if body is None:
         raise ValueError(f"unknown profile scenario: {name!r} "
                          f"(known: {', '.join(SCENARIOS)})")
-    if sample_interval < 1:
-        raise ValueError("sample_interval must be >= 1")
     params = {
         "seed": seed, "nodes": nodes, "searches": searches,
         "window_seconds": window_seconds, "history_size": history_size,
@@ -275,12 +256,12 @@ def run_scenario(name: str, seed: int = 0, nodes: int = 8,
     # and any registered gc callback (hypothesis installs one to track
     # GC time, for example) is a Python function whose invocation
     # injects call events at those ambient-state-dependent points,
-    # shifting every later sample. Refcount-driven finalization is
-    # unaffected and stays deterministic.
+    # changing the counts. Refcount-driven finalization is unaffected
+    # and stays deterministic.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
-    profiler = obs.DeterministicProfiler(sample_interval=sample_interval)
+    profiler = obs.DeterministicProfiler()
     try:
         outcome = body(params, profiler, heap)
     finally:
@@ -288,15 +269,13 @@ def run_scenario(name: str, seed: int = 0, nodes: int = 8,
             gc.enable()
     report: Dict[str, Any] = {
         "scenario": name,
-        "params": dict(params, sample_interval=sample_interval,
-                       heap=heap, warmup=warmup),
+        "params": dict(params, heap=heap, warmup=warmup),
         "cpu": profiler.attribution(),
         "collapsed": profiler.collapsed_stacks(),
         "heap": {
             "windows": outcome["heap_windows"],
             "final": outcome["heap_final"],
         },
-        "chrome": outcome["chrome"],
         # Workload strings for audit_profile_output: everything that
         # must NOT appear in the profile. Callers use and drop this —
         # it never belongs in a written artifact.
@@ -307,7 +286,6 @@ def run_scenario(name: str, seed: int = 0, nodes: int = 8,
 
 
 __all__ = [
-    "DEFAULT_SAMPLE_INTERVAL",
     "DEFAULT_WINDOW_SECONDS",
     "SCENARIOS",
     "run_scenario",

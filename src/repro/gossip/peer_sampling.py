@@ -128,7 +128,7 @@ class PeerSamplingService:
                     exchange_span.set_attribute("outcome", outcome)
                     OBS.tracer.end_span(exchange_span)
                     # Mirror into this node's sink: gossip exchanges
-                    # appear in assembled deployment timelines next to
+                    # appear in assembled deployment traces next to
                     # the node's relay spans.
                     OBS.router.record(self.address, exchange_span)
 

@@ -98,5 +98,5 @@ class ChurnProcess:
             OBS.tracer.end_span(span)
             # Mirror into the departing node's own sink so the event
             # shows up next to that node's relay spans in assembled
-            # deployment timelines.
+            # deployment traces.
             OBS.router.record(victim.address, span)

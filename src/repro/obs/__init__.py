@@ -59,7 +59,6 @@ from repro.obs.export import (chrome_trace, parse_prometheus,
                               trace_to_jsonl)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
 from repro.obs.profile import (DeterministicProfiler, HeapSampler,
-                               chrome_trace_with_samples,
                                compare_attribution, format_attribution,
                                parse_collapsed, subsystem_of_module,
                                subsystem_of_path, top_stacks)
@@ -237,7 +236,6 @@ __all__ = [
     # deterministic profiling
     "DeterministicProfiler",
     "HeapSampler",
-    "chrome_trace_with_samples",
     "compare_attribution",
     "format_attribution",
     "parse_collapsed",

@@ -1,39 +1,38 @@
-"""Deterministic sampling profiler with per-subsystem attribution.
+"""Deterministic profiler with per-subsystem attribution.
 
 Wall-clock profilers (``cProfile`` timers, SIGPROF) produce different
 output on every run — useless for diffing across seeds and commits.
-This profiler samples on *interpreter event counts* instead: a
-``sys.setprofile`` hook counts python ``call`` events and captures the
-stack every ``sample_interval``-th one. Same seed, same code → same
-call sequence → byte-identical profiles, on any machine.
+This profiler counts *interpreter events* instead: a
+``sys.setprofile`` hook sees every python ``call`` event and charges
+it, with its stack, to the subsystems it runs in. Same seed, same
+code → same call sequence → byte-identical profiles, on any machine.
 
 What a profile contains:
 
 - **collapsed stacks** (``frame;frame;frame count`` — the flamegraph.pl
-  / speedscope "collapsed" format), frames rendered as
-  ``module:qualname`` only — never argument values, query text or
-  per-user identifiers (:func:`repro.obs.audit.audit_profile_output`
-  proves this, and the leak gate in ``tests/obs/test_audit.py``
-  checks it);
-- **subsystem attribution**: each sample's leaf frame charges one
-  *self* tick to its repro package (``core``, ``sgx``, ``net``,
+  / speedscope "collapsed" format), one count per call event, frames
+  rendered as ``module:qualname`` only — never argument values, query
+  text or per-user identifiers
+  (:func:`repro.obs.audit.audit_profile_output` proves this, and the
+  leak gate in ``tests/obs/test_audit.py`` checks it);
+- **subsystem attribution**: each call event charges one *self* count
+  to the repro package of its own frame (``core``, ``sgx``, ``net``,
   ``crypto``, ``searchengine``, ``gossip``, ``obs``, ...), and every
-  package present anywhere in the stack gets one *cumulative* tick;
-- an optional **timeline** of ``(simulated_time, leaf_subsystem)``
-  pairs when a clock is supplied, merged into the span view by
-  :func:`chrome_trace_with_samples`.
+  package present anywhere in its stack one *cumulative* count.
 
 Heap attribution rides alongside: :class:`HeapSampler` takes
 ``tracemalloc`` snapshots at absolute window boundaries (the same
 boundary rule as :class:`repro.obs.timeseries.TimeSeriesRecorder`) and
 groups live bytes by the subsystem that allocated them. The CPU hook
-is suspended while a snapshot is processed, so heap sampling never
-perturbs the call-event stream — CPU profiles stay byte-identical
-whether heap sampling is on or off.
+is suspended while a snapshot is processed, so tracemalloc's
+data-dependent work never enters the call-event stream. The scheduled
+flushes themselves do, a fixed number of call events per window, so
+CPU profiles are byte-identical across same-seed runs with the same
+heap setting (the profile gate runs with heap sampling off).
 
-Everything bounded: distinct stacks, timeline entries and heap windows
-all live in capped structures with overflow counters — a pathological
-workload degrades the profile, never the process.
+Everything bounded: distinct stacks and heap windows live in capped
+structures with overflow counters — a pathological workload degrades
+the profile, never the process.
 
 Like the rest of ``repro.obs``, the scheduler argument is duck-typed
 (``now`` / ``schedule`` / ``schedule_at``) so this module stays free
@@ -48,14 +47,9 @@ import re
 import sys
 import tracemalloc
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-#: Sample every N-th python ``call`` event. 512 keeps hook overhead in
-#: the low single digits while yielding thousands of samples per bench
-#: scenario.
-DEFAULT_SAMPLE_INTERVAL = 512
-
-#: Stack frames captured per sample (deeper stacks are cut at the
+#: Stack frames captured per call event (deeper stacks are cut at the
 #: root end and counted in :attr:`DeterministicProfiler.truncated`).
 DEFAULT_MAX_DEPTH = 64
 
@@ -63,13 +57,10 @@ DEFAULT_MAX_DEPTH = 64
 #: ``[overflow]`` pseudo-frame so memory stays bounded.
 DEFAULT_MAX_STACKS = 20_000
 
-#: Timeline entries retained when a clock is attached.
-DEFAULT_TIMELINE_CAP = 65_536
-
 #: Heap windows retained per :class:`HeapSampler`.
 DEFAULT_HEAP_RETENTION = 1_024
 
-#: First-level ``repro.*`` packages samples are attributed to.
+#: First-level ``repro.*`` packages call events are attributed to.
 #: Anything else under ``repro`` maps to ``other``; frames outside the
 #: repro tree map to ``stdlib``.
 KNOWN_SUBSYSTEMS = frozenset({
@@ -86,11 +77,11 @@ OVERFLOW_FRAME = "[overflow]"
 #: a frame is a code location, never data.
 CODE_LOCATION_RE = re.compile(r"^[A-Za-z_][\w.]*:[\w.<>\[\]]+$")
 
-#: Modules at which the stack walk stops (scenario entry points).
-#: Cutting here makes collapsed stacks independent of *how* the
-#: scenario was launched — `repro profile`, `repro perf` and pytest
-#: all produce identical stacks, which is what lets the profile gate
-#: diff against a committed baseline.
+#: Modules at which stacks start (scenario entry points). Cutting
+#: here makes collapsed stacks independent of *how* the scenario was
+#: launched — `repro profile`, `repro perf` and pytest all produce
+#: identical stacks, which is what lets the profile gate diff against
+#: a committed baseline.
 DEFAULT_STACK_ROOTS = ("repro.experiments.profiling",)
 
 
@@ -120,54 +111,46 @@ def subsystem_of_path(filename: str) -> str:
 
 
 class DeterministicProfiler:
-    """Event-count sampling profiler (see module docstring).
+    """Call-event counting profiler (see module docstring).
+
+    A call's stack runs from the outermost *stack root* frame (or the
+    bottom of the thread's stack when there is none) down to the
+    called frame. Stacks longer than ``max_depth`` keep their innermost
+    frames and are counted in :attr:`truncated`.
 
     Parameters
     ----------
-    sample_interval:
-        Capture one stack every N python ``call`` events. Lower means
-        more samples and more overhead; determinism is unaffected.
-    clock:
-        Optional :class:`repro.obs.clock.Clock`; when given, each
-        sample is stamped (for :func:`chrome_trace_with_samples`).
-        Stamps never influence *which* events are sampled.
-    max_depth / max_stacks / timeline_cap:
+    max_depth / max_stacks:
         Bounds; see the module constants.
     stack_roots:
-        Module prefixes at which the stack walk stops (the frame is
-        kept, its callers are dropped), so profiles are identical no
-        matter which entry point launched the scenario.
+        Module prefixes at which stacks start (the root frame is kept,
+        its callers are dropped), so profiles are identical no matter
+        which entry point launched the scenario.
     """
 
-    def __init__(self, sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
-                 clock=None, max_depth: int = DEFAULT_MAX_DEPTH,
+    def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH,
                  max_stacks: int = DEFAULT_MAX_STACKS,
-                 timeline_cap: int = DEFAULT_TIMELINE_CAP,
                  stack_roots: Sequence[str] = DEFAULT_STACK_ROOTS) -> None:
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        self.sample_interval = int(sample_interval)
-        self.clock = clock
         self.max_depth = int(max_depth)
         self.max_stacks = int(max_stacks)
         self.stack_roots = tuple(stack_roots)
         self.call_events = 0
-        self.samples = 0
         self.truncated = 0
         self.stack_overflows = 0
         self.active = False
         self._stacks: Dict[Tuple[str, ...], int] = {}
         self._self: Dict[str, int] = {}
         self._cum: Dict[str, int] = {}
-        self._timeline: Deque[Tuple[float, str]] = deque(maxlen=timeline_cap)
-        self.timeline_dropped = 0
-        #: code object -> "module:qualname" memo (bounded by the number
-        #: of distinct code objects the workload touches).
-        self._labels: Dict[Any, str] = {}
-        self._subsystems: Dict[str, str] = {}
-        self._countdown = self.sample_interval
+        #: code object -> (label, subsystem, is a stack root), bounded
+        #: by the number of distinct code objects the workload touches.
+        self._codes: Dict[Any, Tuple[str, str, bool]] = {}
+        #: One entry per frame whose call the hook saw and whose return
+        #: it has not: (frame, stack, subsystems, rooted, truncated). A
+        #: call's entry extends its caller's, so no event walks the
+        #: whole stack.
+        self._path: List[tuple] = []
 
     # -- lifecycle -----------------------------------------------------
 
@@ -178,7 +161,6 @@ class DeterministicProfiler:
         if sys.getprofile() is not None:
             raise RuntimeError("another profile hook is installed")
         self.active = True
-        self._countdown = self.sample_interval
         sys.setprofile(self._hook)
 
     def stop(self) -> None:
@@ -186,6 +168,7 @@ class DeterministicProfiler:
         if self.active:
             sys.setprofile(None)
             self.active = False
+            self._path.clear()
 
     def __enter__(self) -> "DeterministicProfiler":
         self.start()
@@ -198,90 +181,85 @@ class DeterministicProfiler:
 
     def _hook(self, frame, event: str, arg) -> None:
         # Python disables profiling while the hook runs, so nothing
-        # below recurses. Only `call` events advance the sample clock:
-        # they are pure interpreter state, identical across same-seed
-        # runs and machines (wall time never enters the picture).
-        if event != "call":
-            return
+        # below recurses. Only `call` events are counted: they are pure
+        # interpreter state, identical across same-seed runs and
+        # machines (wall time never enters the picture). A `return`
+        # also ends a frame that raised, and a generator's yield
+        # returns and its resumption calls again.
+        if event == "call":
+            self._count(frame)
+        elif event == "return":
+            path = self._path
+            if path and path[-1][0] is frame:
+                path.pop()
+
+    def _count(self, frame) -> None:
+        path = self._path
+        caller = frame.f_back
+        # The caller has no entry on top when it was entered before the
+        # hook saw it: before start(), or while the hook was off.
+        entry = self._enter(
+            path[-1] if path and path[-1][0] is caller
+            else self._entry_of(caller), frame)
+        path.append(entry)
+        _, stack, subsystems, _, truncated = entry
         self.call_events += 1
-        self._countdown -= 1
-        if self._countdown:
-            return
-        self._countdown = self.sample_interval
-        self._sample(frame)
-
-    def _label(self, frame) -> str:
-        code = frame.f_code
-        label = self._labels.get(code)
-        if label is None:
-            module = frame.f_globals.get("__name__", "<unknown>")
-            qualname = getattr(code, "co_qualname", code.co_name)
-            label = f"{module}:{qualname}"
-            self._labels[code] = label
-        return label
-
-    def _sample(self, frame) -> None:
-        frames: List[str] = []
-        cursor = frame
-        depth = 0
-        cut_at = -1
-        while cursor is not None and depth < self.max_depth:
-            label = self._label(cursor)
-            frames.append(label)
-            if label.partition(":")[0].startswith(self.stack_roots):
-                # Remember the *outermost* scenario frame seen so far;
-                # everything beyond it (CLI, pytest — whatever
-                # launched the scenario) is trimmed below.
-                cut_at = depth
-            cursor = cursor.f_back
-            depth += 1
-        if cut_at >= 0:
-            frames = frames[:cut_at + 1]
-        elif cursor is not None:
+        if truncated:
             self.truncated += 1
-        frames.reverse()  # root first, flamegraph convention
-        stack = tuple(frames)
         count = self._stacks.get(stack)
         if count is None and len(self._stacks) >= self.max_stacks:
             self.stack_overflows += 1
             stack = (OVERFLOW_FRAME,)
             count = self._stacks.get(stack)
         self._stacks[stack] = (count or 0) + 1
-        self.samples += 1
+        leaf = self._codes[frame.f_code][1]
+        self._self[leaf] = self._self.get(leaf, 0) + 1
+        for sub in subsystems:
+            self._cum[sub] = self._cum.get(sub, 0) + 1
 
-        leaf_sub = self._subsystem(frames[-1])
-        self._self[leaf_sub] = self._self.get(leaf_sub, 0) + 1
-        seen = set()
-        for label in frames:
-            sub = self._subsystem(label)
-            if sub not in seen:
-                seen.add(sub)
-                self._cum[sub] = self._cum.get(sub, 0) + 1
+    def _entry_of(self, frame) -> tuple:
+        """The entry of a frame that was running before the hook saw
+        any of its calls (``frame`` may be None: the empty entry)."""
+        frames = []
+        while frame is not None:
+            frames.append(frame)
+            frame = frame.f_back
+        entry: tuple = (None, (), frozenset(), False, False)
+        for outer in reversed(frames):
+            entry = self._enter(entry, outer)
+        return entry
 
-        if self.clock is not None:
-            if len(self._timeline) == self._timeline.maxlen:
-                self.timeline_dropped += 1
-            self._timeline.append((self.clock.now(), leaf_sub))
-
-    def _subsystem(self, label: str) -> str:
-        sub = self._subsystems.get(label)
-        if sub is None:
-            if label == OVERFLOW_FRAME:
-                sub = "other"
-            else:
-                sub = subsystem_of_module(label.partition(":")[0])
-            self._subsystems[label] = sub
-        return sub
+    def _enter(self, caller: tuple, frame) -> tuple:
+        """*frame*'s entry, one frame below its caller's entry."""
+        code = frame.f_code
+        described = self._codes.get(code)
+        if described is None:
+            module = frame.f_globals.get("__name__", "<unknown>")
+            qualname = getattr(code, "co_qualname", code.co_name)
+            described = (f"{module}:{qualname}", subsystem_of_module(module),
+                         module.startswith(self.stack_roots))
+            self._codes[code] = described
+        label, sub, is_root = described
+        _, stack, subsystems, rooted, truncated = caller
+        if is_root and not rooted:
+            # The outermost scenario frame: whatever launched the
+            # scenario (CLI, pytest) is cut off above it.
+            return (frame, (label,), frozenset((sub,)), True, False)
+        stack += (label,)
+        if len(stack) > self.max_depth:
+            stack = stack[1:]
+            truncated = True
+            subsystems = frozenset(
+                subsystem_of_module(kept.partition(":")[0]) for kept in stack)
+        elif sub not in subsystems:
+            subsystems = subsystems | {sub}
+        return (frame, stack, subsystems, rooted, truncated)
 
     # -- reading -------------------------------------------------------
 
     @property
     def stacks(self) -> Dict[Tuple[str, ...], int]:
         return dict(self._stacks)
-
-    @property
-    def timeline(self) -> List[Tuple[float, str]]:
-        return list(self._timeline)
 
     def collapsed_stacks(self) -> str:
         """The profile in collapsed-stack ("folded") flamegraph format.
@@ -295,31 +273,20 @@ class DeterministicProfiler:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def attribution(self) -> dict:
-        """Per-subsystem self/cumulative sample counts and percentages.
+        """Per-subsystem self and cumulative call-event counts.
 
-        ``self`` ticks sum to ``samples`` exactly; ``cum`` counts each
-        subsystem at most once per sample (so percentages can overlap).
-        Percentages are rounded to 4 decimals for stable JSON.
+        ``self`` counts sum to ``call_events`` exactly; ``cum`` counts
+        each subsystem at most once per event, so the cum counts of
+        different subsystems overlap.
         """
-        rows: Dict[str, dict] = {}
-        total = self.samples
-        for sub in sorted(set(self._self) | set(self._cum)):
-            self_ticks = self._self.get(sub, 0)
-            cum_ticks = self._cum.get(sub, 0)
-            rows[sub] = {
-                "self": self_ticks,
-                "cum": cum_ticks,
-                "self_pct": round(100.0 * self_ticks / total, 4) if total else 0.0,
-                "cum_pct": round(100.0 * cum_ticks / total, 4) if total else 0.0,
-            }
         return {
-            "sample_interval": self.sample_interval,
             "call_events": self.call_events,
-            "samples": total,
             "distinct_stacks": len(self._stacks),
             "truncated": self.truncated,
             "stack_overflows": self.stack_overflows,
-            "subsystems": rows,
+            "subsystems": {
+                sub: {"self": self._self.get(sub, 0), "cum": cum}
+                for sub, cum in sorted(self._cum.items())},
         }
 
     def attribution_json(self) -> str:
@@ -342,19 +309,23 @@ def parse_collapsed(text: str) -> Dict[Tuple[str, ...], int]:
 
 
 def format_attribution(attribution: dict, title: str = "subsystem") -> str:
-    """Human-readable table of an :meth:`attribution` dict."""
+    """Human-readable table of an :meth:`attribution` dict, each count
+    also shown as its share of all call events."""
     rows = attribution.get("subsystems", {})
+    total = attribution.get("call_events", 0)
+
+    def share(count: int) -> float:
+        return 100.0 * count / total if total else 0.0
+
     lines = [
-        f"samples: {attribution.get('samples', 0)}  "
-        f"(1 per {attribution.get('sample_interval', '?')} call events, "
-        f"{attribution.get('call_events', 0)} events total)",
+        f"call events: {total}",
         f"  {title:<14} {'self%':>8} {'cum%':>8} {'self':>8} {'cum':>8}",
     ]
     ordered = sorted(rows.items(),
                      key=lambda item: (-item[1]["self"], item[0]))
     for sub, row in ordered:
-        lines.append(f"  {sub:<14} {row['self_pct']:>8.2f} "
-                     f"{row['cum_pct']:>8.2f} {row['self']:>8} "
+        lines.append(f"  {sub:<14} {share(row['self']):>8.2f} "
+                     f"{share(row['cum']):>8.2f} {row['self']:>8} "
                      f"{row['cum']:>8}")
     return "\n".join(lines)
 
@@ -372,37 +343,26 @@ def top_stacks(stacks: Dict[Tuple[str, ...], int], limit: int = 10) -> str:
 # -- attribution comparison (the profile gate core) ---------------------
 
 
-def compare_attribution(baseline: dict, fresh: dict,
-                        tolerance_pct: float = 5.0) -> List[dict]:
-    """Diff two attribution dicts subsystem by subsystem.
+def compare_attribution(baseline: dict, fresh: dict
+                        ) -> Dict[str, Tuple[int, int]]:
+    """The subsystems whose self call-event count moved, each mapped to
+    its ``(baseline, fresh)`` counts.
 
-    A row *drifts* when its self% or cum% moved by more than
-    *tolerance_pct* percentage points (absolute). Subsystems present on
-    only one side count with 0 on the other — a subsystem appearing
-    from nowhere at 6% is exactly the kind of silent cost creep the
-    gate exists to catch. Shares, not raw sample counts, are compared,
-    so the gate is insensitive to workload-size changes that scale all
-    subsystems equally.
+    Counts are exact, so there is no tolerance: a layer's self count
+    moves only when its own frames did more or less work. A subsystem
+    present on one side only counts 0 on the other. Cum counts are not
+    compared, because they move in every layer that calls the one
+    whose work changed.
     """
     base_rows = baseline.get("subsystems", {})
     fresh_rows = fresh.get("subsystems", {})
-    rows: List[dict] = []
+    moved: Dict[str, Tuple[int, int]] = {}
     for sub in sorted(set(base_rows) | set(fresh_rows)):
-        base = base_rows.get(sub, {})
-        new = fresh_rows.get(sub, {})
-        row = {"subsystem": sub}
-        drifted = False
-        for kind in ("self_pct", "cum_pct"):
-            before = float(base.get(kind, 0.0))
-            after = float(new.get(kind, 0.0))
-            row[f"{kind}_baseline"] = before
-            row[f"{kind}_fresh"] = after
-            row[f"{kind}_drift"] = round(after - before, 4)
-            if abs(after - before) > tolerance_pct:
-                drifted = True
-        row["drifted"] = drifted
-        rows.append(row)
-    return rows
+        before = base_rows.get(sub, {}).get("self", 0)
+        after = fresh_rows.get(sub, {}).get("self", 0)
+        if before != after:
+            moved[sub] = (before, after)
+    return moved
 
 
 # -- heap attribution ---------------------------------------------------
@@ -507,60 +467,15 @@ class HeapSampler:
         }
 
 
-# -- chrome-trace merge -------------------------------------------------
-
-
-def chrome_trace_with_samples(spans, profiler: DeterministicProfiler,
-                              trace_id: Optional[str] = None) -> str:
-    """Span swimlanes plus a profiler counter track, one JSON document.
-
-    Extends :func:`repro.obs.export.chrome_trace` with a synthetic
-    ``profiler`` process carrying Chrome counter events (``ph: "C"``):
-    at each sampled instant, the running per-subsystem sample totals.
-    Loaded in Perfetto/chrome://tracing this renders a stacked area
-    chart of where samples accrue *while* the spans execute — the
-    merged view the flamegraph alone cannot give.
-    """
-    from repro.obs.export import chrome_trace
-
-    document = json.loads(chrome_trace(spans, trace_id))
-    events = document["traceEvents"]
-    pid = max((event["pid"] for event in events), default=-1) + 1
-    events.append({
-        "args": {"name": "profiler"},
-        "name": "process_name",
-        "ph": "M",
-        "pid": pid,
-        "tid": 0,
-    })
-    running: Dict[str, int] = {}
-    for when, leaf_sub in profiler.timeline:
-        running[leaf_sub] = running.get(leaf_sub, 0) + 1
-        events.append({
-            "args": {sub: count for sub, count in sorted(running.items())},
-            "name": "profile_samples",
-            "ph": "C",
-            "pid": pid,
-            "tid": 0,
-            "ts": round(when * 1e6, 3),
-        })
-    events.sort(key=lambda e: (e["ph"] != "M", e.get("ts", 0.0),
-                               e["pid"], e["tid"], e["name"]))
-    return json.dumps({"displayTimeUnit": "ms", "traceEvents": events},
-                      sort_keys=True, indent=2)
-
-
 __all__ = [
     "CODE_LOCATION_RE",
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_MAX_STACKS",
-    "DEFAULT_SAMPLE_INTERVAL",
     "DEFAULT_STACK_ROOTS",
     "DeterministicProfiler",
     "HeapSampler",
     "KNOWN_SUBSYSTEMS",
     "OVERFLOW_FRAME",
-    "chrome_trace_with_samples",
     "compare_attribution",
     "format_attribution",
     "parse_collapsed",

@@ -13,9 +13,9 @@ This module keeps the two pieces the rest of the tree imports:
   of the search scenario. ``python -m repro perf`` writes it as the
   ``profile`` section of ``BENCH_pipeline.json``, and the profile gate
   (``tests/obs/test_profile.py::TestBaselineDrift``) replays it against
-  that section. Its samples are counted in interpreter call events,
-  not seconds, so the section is byte-identical across runs and
-  machines for one python version.
+  that section. It counts interpreter call events, not seconds, so
+  the section is byte-identical across runs and machines for one
+  python version.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ DEFAULT_BASELINE_NAME = "BENCH_pipeline.json"
 DEFAULT_PARAMS: Dict[str, Any] = {
     "profile_nodes": 8,
     "profile_searches": 6,
-    "profile_sample_interval": 256,
     "seed": 0,
 }
 
@@ -50,33 +49,28 @@ def workload_queries(count: int, seed: int = 0) -> List[str]:
 
 
 def bench_profile(profile_nodes: int = 8, profile_searches: int = 6,
-                  profile_sample_interval: int = 256, seed: int = 0
-                  ) -> Dict[str, Any]:
-    """Per-subsystem CPU attribution of the end-to-end search scenario.
+                  seed: int = 0) -> Dict[str, Any]:
+    """Per-subsystem call-event counts of the end-to-end search scenario.
 
-    Nothing here is a wall-clock number: samples are taken on
-    interpreter call-event counts (:mod:`repro.obs.profile`), so the
-    subsystem shares — and the collapsed-stack digest — are
-    byte-identical across runs *and machines* for one python version.
-    That is what lets the profile gate diff shares against the
-    committed baseline with a tight tolerance.
+    Nothing here is a wall-clock number: every interpreter call event
+    is counted (:mod:`repro.obs.profile`), so the subsystem counts —
+    and the collapsed-stack digest — are byte-identical across runs
+    *and machines* for one python version. That is what lets the
+    profile gate require each subsystem's self count to equal the
+    committed baseline's exactly.
     """
     import hashlib
 
     from repro.experiments.profiling import run_scenario
 
     report = run_scenario("search", seed=seed, nodes=profile_nodes,
-                          searches=profile_searches,
-                          sample_interval=profile_sample_interval,
-                          heap=False)
+                          searches=profile_searches, heap=False)
     cpu = report["cpu"]
     digest = hashlib.sha256(report["collapsed"].encode("utf-8")).hexdigest()
     return {
         "scenario": "search",
         "nodes": profile_nodes,
         "searches": profile_searches,
-        "sample_interval": profile_sample_interval,
-        "samples": cpu["samples"],
         "call_events": cpu["call_events"],
         "distinct_stacks": cpu["distinct_stacks"],
         "collapsed_sha256": digest,

@@ -46,10 +46,6 @@ class EpcRegion:
     enclave_id: int
     pages: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return self.pages * PAGE_SIZE
-
 
 @dataclass
 class EnclavePageCache:
@@ -116,25 +112,6 @@ class EnclavePageCache:
                     "cyclosa_sgx_epc_evictions_total",
                     "EPC pages evicted to untrusted RAM (EWB analogue)"
                 ).inc(evicted)
-
-    def free(self, enclave_id: int, nbytes: int) -> None:
-        """Return *nbytes* worth of pages from an enclave."""
-        if nbytes < 0:
-            raise EpcError("free size must be non-negative")
-        region = self._regions.get(enclave_id)
-        if region is None:
-            raise EpcError(f"enclave {enclave_id} not registered")
-        pages = -(-nbytes // PAGE_SIZE)
-        if pages > region.pages:
-            raise EpcError("freeing more pages than allocated")
-        region.pages -= pages
-
-    def usage(self, enclave_id: int) -> int:
-        """Bytes currently charged to *enclave_id*."""
-        region = self._regions.get(enclave_id)
-        if region is None:
-            raise EpcError(f"enclave {enclave_id} not registered")
-        return region.size_bytes
 
     def paging_ratio(self) -> float:
         """Fraction of committed pages that live outside the EPC."""

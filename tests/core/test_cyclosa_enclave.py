@@ -69,9 +69,9 @@ class TestTable:
         assert enclave.table_size() == 2
 
     def test_seeding_charges_epc(self, enclave, host):
-        before = host.epc.usage(enclave.enclave_id)
+        before = host.epc.committed_bytes
         enclave.seed_table([f"query number {i}" for i in range(300)])
-        assert host.epc.usage(enclave.enclave_id) > before
+        assert host.epc.committed_bytes > before
 
 
 class TestProtection:

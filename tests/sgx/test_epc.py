@@ -26,33 +26,19 @@ class TestAccounting:
 
     def test_allocation_rounds_to_pages(self, epc):
         epc.allocate(1, 1)
-        assert epc.usage(1) == PAGE_SIZE
+        assert epc.committed_bytes == PAGE_SIZE
 
     def test_allocate_zero_is_noop(self, epc):
         epc.allocate(1, 0)
-        assert epc.usage(1) == 0
-
-    def test_free_returns_pages(self, epc):
-        epc.allocate(1, 10 * PAGE_SIZE)
-        epc.free(1, 4 * PAGE_SIZE)
-        assert epc.usage(1) == 6 * PAGE_SIZE
-
-    def test_over_free_rejected(self, epc):
-        epc.allocate(1, PAGE_SIZE)
-        with pytest.raises(EpcError):
-            epc.free(1, 2 * PAGE_SIZE)
+        assert epc.committed_bytes == 0
 
     def test_negative_sizes_rejected(self, epc):
         with pytest.raises(EpcError):
             epc.allocate(1, -1)
-        with pytest.raises(EpcError):
-            epc.free(1, -1)
 
     def test_unregistered_enclave_rejected(self, epc):
         with pytest.raises(EpcError):
             epc.allocate(99, PAGE_SIZE)
-        with pytest.raises(EpcError):
-            epc.usage(99)
 
     def test_double_register_rejected(self, epc):
         with pytest.raises(EpcError):
@@ -82,7 +68,7 @@ class TestPagingCliff:
     def test_overcommit_allowed(self, epc):
         # SGX v1 over-commits and pages; allocation never fails.
         epc.allocate(1, 10_000 * PAGE_SIZE)
-        assert epc.usage(1) == 10_000 * PAGE_SIZE
+        assert epc.committed_bytes == 10_000 * PAGE_SIZE
 
     def test_access_cost_resident(self, epc):
         epc.allocate(1, 10 * PAGE_SIZE)
@@ -111,14 +97,3 @@ class TestPagingCliff:
         epc.register(1)
         epc.allocate(1, pages * PAGE_SIZE)
         assert 0.0 <= epc.paging_ratio() < 1.0
-
-    @given(st.lists(st.integers(min_value=1, max_value=64), min_size=1,
-                    max_size=20))
-    def test_property_alloc_free_balance(self, sizes):
-        epc = EnclavePageCache(capacity_bytes=1024 * PAGE_SIZE)
-        epc.register(1)
-        for size in sizes:
-            epc.allocate(1, size * PAGE_SIZE)
-        for size in sizes:
-            epc.free(1, size * PAGE_SIZE)
-        assert epc.usage(1) == 0
