@@ -128,7 +128,7 @@ def hits_as_dicts(engine: SearchEngine, query: str) -> List[dict]:
     Unlike the network engine node's page dicts (``doc_id``, ``url``,
     ``score``, ``title``), these also carry the hit's ``snippet`` terms,
     so :func:`filter_by_query_terms` keeps more here than the network
-    X-Search proxy does (ROADMAP item 11 records the difference; making
+    X-Search proxy does (ROADMAP item 4 records the difference; making
     them agree moves Fig 8a).
     """
     return [

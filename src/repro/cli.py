@@ -460,16 +460,10 @@ def _cmd_monitor(args) -> int:
     """Run the churn+chaos soak under the flight recorder."""
     from repro.experiments import monitor
 
-    profiler = None
-    if args.profile:
-        from repro import obs
-
-        profiler = obs.DeterministicProfiler()
     report = monitor.run_scenario(
         num_nodes=args.nodes, seed=args.seed, plan_seed=args.plan_seed,
         duration=args.duration, window_seconds=args.window,
-        query_interval=args.interval, clients=args.clients, k=args.k,
-        profiler=profiler)
+        query_interval=args.interval, clients=args.clients, k=args.k)
     if args.format == "json":
         print(monitor.report_json(report))
     elif args.format == "openmetrics":
@@ -479,11 +473,6 @@ def _cmd_monitor(args) -> int:
         print(obs.openmetrics_timeseries(windows), end="")
     else:
         print(monitor.format_dashboard(report))
-        if profiler is not None:
-            from repro import obs
-
-            print("\nCPU attribution (traffic + drain phase):")
-            print(obs.format_attribution(report["profile"]))
     if report["traffic"]["hung_searches"]:
         print(f"\nBROKEN INVARIANT: "
               f"{report['traffic']['hung_searches']} hung searches",
@@ -711,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit 1 when the SLO verdict is breached (hung searches "
              "always exit 1)")
-    monitor_parser.add_argument(
-        "--profile", action="store_true",
-        help="run the soak under the deterministic profiler and append "
-             "the per-subsystem CPU attribution (dash format only; the "
-             "json report gains a 'profile' section)")
 
     scale_parser = subparsers.add_parser(
         "scale", help="run a city-scale churn+chaos overlay "

@@ -104,10 +104,6 @@ class CyclosaEnclave(Enclave):
         return peer in self.trusted["peer_channels"]
 
     @ecall
-    def has_engine_channel(self) -> bool:
-        return self.trusted["engine_channel"] is not None
-
-    @ecall
     def drop_peer_channel(self, peer: str) -> None:
         """Forget a (blacklisted) peer's channel."""
         self.trusted["peer_channels"].pop(peer, None)

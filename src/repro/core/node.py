@@ -246,10 +246,6 @@ class CyclosaNode(NetNode):
         keep on disk but cannot read."""
         return self.enclave.seal_table(self.sealing)
 
-    def restore_table(self, blob) -> int:
-        """Restore a sealed table blob; returns entries restored."""
-        return self.enclave.unseal_table(self.sealing, blob)
-
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------

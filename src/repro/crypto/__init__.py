@@ -26,9 +26,9 @@ verification paths rather than pretending with no-ops.
 """
 
 from repro.crypto.aead import AeadKey, AeadError, seal, open_ as open_sealed
-from repro.crypto.dh import DhKeyPair, DhParams, derive_shared_key
+from repro.crypto.dh import DhKeyPair, DhParams
 from repro.crypto.hashes import hkdf, hmac_sha256, sha256
-from repro.crypto.keys import IdentityKeyPair, SymmetricKey
+from repro.crypto.keys import IdentityKeyPair
 from repro.crypto.rng import system_rng
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, RsaError
 
@@ -39,12 +39,10 @@ __all__ = [
     "open_sealed",
     "DhKeyPair",
     "DhParams",
-    "derive_shared_key",
     "hkdf",
     "hmac_sha256",
     "sha256",
     "IdentityKeyPair",
-    "SymmetricKey",
     "RsaKeyPair",
     "RsaPublicKey",
     "RsaError",

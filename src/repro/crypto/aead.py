@@ -69,11 +69,6 @@ class AeadKey:
             return cls(os.urandom(KEY_SIZE))
         return cls(random_bytes(rng, KEY_SIZE))
 
-    @classmethod
-    def from_secret(cls, secret: bytes, label: bytes = b"repro.aead.key") -> "AeadKey":
-        """Derive an AEAD key from an arbitrary shared secret."""
-        return cls(hkdf(secret, label, KEY_SIZE))
-
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
     """The first *length* bytes of SHAKE-256 over ``enc_key || nonce``.
@@ -131,8 +126,3 @@ def open_(key: AeadKey, sealed: bytes, associated_data: bytes = b"") -> bytes:
         raise AeadError("authentication failed")
     stream = _keystream(key._enc_key, nonce, len(ciphertext))
     return _xor_bytes(ciphertext, stream)
-
-
-def sealed_overhead() -> int:
-    """Bytes added by :func:`seal` over the plaintext length."""
-    return NONCE_SIZE + TAG_SIZE

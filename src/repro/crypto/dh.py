@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 from repro.crypto.bignum import powmod
-from repro.crypto.hashes import hkdf
 
 # RFC 3526, group 14 (2048-bit MODP). Generator 2.
 _MODP_2048_HEX = (
@@ -91,9 +90,3 @@ class DhKeyPair:
         secret = powmod(peer_public, self.private, self.params.p)
         length = (self.params.p.bit_length() + 7) // 8
         return secret.to_bytes(length, "big")
-
-
-def derive_shared_key(keypair: DhKeyPair, peer_public: int,
-                      label: bytes = b"repro.dh.session") -> bytes:
-    """Agree on a 32-byte session key with *peer_public* under *label*."""
-    return hkdf(keypair.shared_secret(peer_public), label, 32)

@@ -1,4 +1,4 @@
-"""Key containers: node identities and symmetric keys.
+"""Key containers: node identities.
 
 Every simulated node (CYCLOSA peers, TOR relays, PEAS servers, the
 search engine front-end) owns an :class:`IdentityKeyPair` — a long-term
@@ -10,26 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.aead import AeadKey
-from repro.crypto.hashes import hkdf
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-
-
-@dataclass(frozen=True)
-class SymmetricKey:
-    """A labelled symmetric key with cheap sub-key derivation."""
-
-    key: bytes
-    label: str = "unlabelled"
-
-    def derive(self, purpose: str) -> "SymmetricKey":
-        """Derive an independent sub-key for *purpose*."""
-        material = hkdf(self.key, purpose.encode("utf-8"), len(self.key))
-        return SymmetricKey(key=material, label=f"{self.label}/{purpose}")
-
-    def as_aead(self) -> AeadKey:
-        """View this key as an AEAD key (must be 32 bytes)."""
-        return AeadKey(self.key)
 
 
 @dataclass(frozen=True)
@@ -50,7 +31,3 @@ class IdentityKeyPair:
     @property
     def public(self) -> RsaPublicKey:
         return self.rsa.public
-
-    def short_id(self) -> str:
-        """Human-readable 8-hex-char identity, for logs and test output."""
-        return self.fingerprint[:4].hex()

@@ -98,13 +98,6 @@ class SyntheticAolLog:
             return 0.0
         return sum(r.is_sensitive for r in self.records) / len(self.records)
 
-    def restricted_to(self, user_ids: Sequence[str]) -> "SyntheticAolLog":
-        """A sub-log containing only the given users."""
-        keep = set(user_ids)
-        records = [r for r in self.records if r.user_id in keep]
-        return SyntheticAolLog(records=records,
-                               users=[u for u in self.users if u in keep])
-
 
 def _zipf_weights(count: int, exponent: float) -> List[float]:
     weights = [1.0 / (rank ** exponent) for rank in range(1, count + 1)]

@@ -86,12 +86,10 @@ def run_scenario(num_nodes: int = 12, seed: int = 11, plan_seed: int = 3,
                  ) -> Dict[str, Any]:
     """Run the churn+chaos soak and return the full windowed report.
 
-    When a :class:`~repro.obs.DeterministicProfiler` is passed
-    (``repro monitor --profile``), it is armed around the traffic +
-    drain phase and the report gains a ``profile`` section with the
-    per-subsystem attribution; the caller keeps the profiler, so it
-    can also export collapsed stacks. Without one, the report is
-    byte-identical to previous releases (the SLO gate's contract).
+    When a :class:`~repro.obs.DeterministicProfiler` is passed (``repro
+    profile monitor``), it is armed around the traffic + drain phase;
+    the caller keeps the profiler and reads its attribution. The report
+    is the same with or without one (the SLO gate's contract).
     """
     if clients < 1 or clients > num_nodes:
         raise ValueError("need 1 <= clients <= num_nodes")
@@ -192,8 +190,6 @@ def run_scenario(num_nodes: int = 12, seed: int = 11, plan_seed: int = 3,
         "windows_evicted": recorder.evicted,
         "slo": slo_report.to_dict(),
     }
-    if profiler is not None:
-        report["profile"] = profiler.attribution()
     return report
 
 

@@ -199,8 +199,7 @@ def _scenario_monitor(params: Dict[str, Any], profiler, heap: bool
                       ) -> Dict[str, Any]:
     from repro.experiments import monitor
 
-    # A shortened soak: the profiler rides inside run_scenario so the
-    # report's `profile` section and our attribution agree exactly.
+    # A shortened soak, armed only around its traffic + drain phase.
     report = monitor.run_scenario(
         num_nodes=params["nodes"], seed=params["seed"],
         duration=params["monitor_seconds"],

@@ -222,7 +222,7 @@ class _StormRateLimiter:
         return self.inner.check(identity, now)
 
     def __getattr__(self, name):
-        # admitted()/rejected()/is_blocked() pass through to the real
+        # admitted()/rejected() pass through to the real
         # limiter when one exists.
         if self.inner is None:
             raise AttributeError(name)

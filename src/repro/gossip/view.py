@@ -52,9 +52,6 @@ class PartialView:
         """The entry held for *address* (``KeyError`` if none)."""
         return self._entries[address]
 
-    def is_empty(self) -> bool:
-        return not self._entries
-
     # -- mutation --------------------------------------------------------
 
     def insert(self, descriptor: NodeDescriptor) -> None:

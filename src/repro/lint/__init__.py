@@ -27,10 +27,9 @@ Four per-module checkers run next to it:
 
 - :mod:`repro.lint.taint` — ``span-forbidden-key``: literal span and
   metric attribute keys the telemetry audit forbids.
-- :mod:`repro.lint.enclave` — the ecall/ocall discipline of
+- :mod:`repro.lint.enclave` — the ecall discipline of
   :mod:`repro.sgx`: enclave-private state (``self.trusted``) only
-  inside ``@ecall`` gates, no imports of enclave-internal symbols, no
-  ocall-table bypasses.
+  inside ``@ecall`` gates, and no imports of enclave-internal symbols.
 - :mod:`repro.lint.determinism` — the byte-identical-figures
   contract: no wall clocks, no system entropy, no module-global
   ``random`` outside the sanctioned scopes (``repro.crypto``,

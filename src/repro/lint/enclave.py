@@ -15,10 +15,6 @@ this checker proves the discipline over all of them:
 - **internal imports** — modules outside :mod:`repro.sgx` must not
   import underscore-prefixed (enclave-internal) symbols from it, nor
   star-import it.
-- **ocall discipline** — untrusted code reaches enclave-external
-  services only through ``Enclave.ocall`` (which charges crossings
-  and flips the inside flag); direct ``ocall_handler``/`` _ocalls``
-  access bypasses the gate and its cost model.
 
 :mod:`repro.sgx` itself is exempt — it *implements* the gates.
 """
@@ -32,7 +28,6 @@ from repro.lint.engine import SourceModule
 from repro.lint.findings import Finding, make_finding
 
 TRUSTED_STATE_ATTRS = frozenset({"trusted", "_trusted"})
-_OCALL_INTERNALS = frozenset({"ocall_handler", "_ocalls"})
 
 
 def _is_ecall_decorated(node: ast.FunctionDef) -> bool:
@@ -125,14 +120,6 @@ def check_enclave_boundary(module: SourceModule) -> List[Finding]:
                         module, node, "enclave-internal-import",
                         f"imports enclave-internal symbol "
                         f"{alias.name!r} from {node.module}"))
-
-        # -- ocall bypass ----------------------------------------------
-        if not inside_sgx and isinstance(node, ast.Attribute) \
-                and node.attr in _OCALL_INTERNALS:
-            out.append(make_finding(
-                module, node, "enclave-ocall-bypass",
-                f"touches the ocall table via .{node.attr} instead of "
-                f"Enclave.ocall"))
 
         # -- trusted-state discipline ----------------------------------
         if inside_sgx or not isinstance(node, ast.ClassDef) \

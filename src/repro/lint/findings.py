@@ -64,10 +64,6 @@ RULES = {
         "untrusted module imports an enclave-internal symbol",
         "use the public repro.sgx API; underscore symbols are "
         "trusted-side implementation"),
-    "enclave-ocall-bypass": (
-        "ocall table accessed directly instead of via Enclave.ocall",
-        "route through Enclave.ocall so crossings are gated and "
-        "charged"),
     # -- determinism (repro.lint.determinism) ------------------------
     "det-wall-clock": (
         "wall-clock read in simulation code",

@@ -95,29 +95,3 @@ def _anonymous_single(attack: SimAttack,
                 and attributed == obs.true_user:
             successes += 1
     return successes / len(observations)
-
-
-def per_user_exposure(attack: SimAttack,
-                      observations: Iterable[EngineObservation]
-                      ) -> "dict[str, float]":
-    """Per-user breakdown of the anonymous-single game.
-
-    §VII-B motivates studying "the most active users ... the ones that
-    exposed the most information through their past queries, which
-    makes them also the most difficult to protect". This returns, for
-    each user, the fraction of their *real* queries the attacker
-    correctly attributed — the per-user residual risk under any
-    unlinkability system.
-    """
-    real_counts: "dict[str, int]" = {}
-    hit_counts: "dict[str, int]" = {}
-    for obs in observations:
-        if obs.is_fake:
-            continue
-        real_counts[obs.true_user] = real_counts.get(obs.true_user, 0) + 1
-        if attack.attribute(obs.text) == obs.true_user:
-            hit_counts[obs.true_user] = hit_counts.get(obs.true_user, 0) + 1
-    return {
-        user: hit_counts.get(user, 0) / count
-        for user, count in real_counts.items()
-    }

@@ -2,29 +2,17 @@
 
 §IV argues that in PEAS/X-Search "an adversary can infer whether an
 outgoing message is a real query or an obfuscated one from the request
-size", while CYCLOSA's per-query records are uniform. These helpers
-quantify that claim for any two populations of wire sizes:
-
-- :func:`ks_statistic` — the two-sample Kolmogorov-Smirnov distance
-  between the size distributions (0 = indistinguishable, 1 = perfectly
-  separable).
-- :func:`size_advantage` — the best single-threshold classifier's
-  advantage over guessing, i.e. the operational risk of the leak.
+size", while CYCLOSA's per-query records are uniform.
+:func:`size_advantage` quantifies that claim for any two populations of
+wire sizes: the best single-threshold classifier's advantage over
+guessing, i.e. the operational risk of the leak (equal to the
+two-sample Kolmogorov-Smirnov distance between the size
+distributions: 0 = indistinguishable, 1 = perfectly separable).
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
-
-
-def ks_statistic(sizes_a: Sequence[int], sizes_b: Sequence[int]) -> float:
-    """Two-sample KS distance between two size populations.
-
-    Equal to the best single-threshold classifier's advantage (the KS
-    distance *is* the supremum of |CDF_a(t) - CDF_b(t)| over t).
-    """
-    advantage, _threshold = size_advantage(sizes_a, sizes_b)
-    return advantage
 
 
 def size_advantage(sizes_a: Sequence[int], sizes_b: Sequence[int]

@@ -20,9 +20,7 @@ heap length over-reports the actual backlog whenever timeouts are
 cancelled in bulk — e.g. every answered RPC in
 :mod:`repro.net.transport`. :attr:`Simulator.pending` therefore counts
 live (not-yet-fired, not-cancelled) events only — that is what the
-``cyclosa_net_pending_events`` gauge reports — while
-:attr:`Simulator.heap_size` exposes the raw entry count (live +
-tombstones) for run-away valves and memory reasoning.
+``cyclosa_net_pending_events`` gauge reports.
 
 Absolute-time scheduling is exact: :meth:`Simulator.schedule_at`
 stores *when* itself in the entry (never ``now + (when - now)``, which
@@ -103,12 +101,6 @@ class Simulator:
         are excluded — this is the honest backlog number the
         ``cyclosa_net_pending_events`` gauge reports."""
         return self._live
-
-    @property
-    def heap_size(self) -> int:
-        """Raw heap entry count, live events plus cancelled tombstones
-        awaiting their lazy pop (the memory-side run-away valve)."""
-        return len(self._heap)
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Run *callback* after *delay* simulated seconds."""

@@ -157,6 +157,3 @@ class MessageTrace:
 
     def sizes(self) -> List[int]:
         return [record.size_bytes for record in self._records]
-
-    def between(self, src: str, dst: str) -> List[TracedMessage]:
-        return [r for r in self._records if r.src == src and r.dst == dst]

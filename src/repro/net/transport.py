@@ -109,9 +109,6 @@ class Network:
         except KeyError:
             raise NetworkError(f"unknown address {address!r}")
 
-    def knows(self, address: str) -> bool:
-        return address in self._nodes
-
     def addresses(self):
         return list(self._nodes)
 

@@ -53,8 +53,7 @@ from repro.obs.distributed import (AssembledTrace, SpanRouter, TraceContext,
                                    assemble, close_remote_span,
                                    open_remote_span, query_hash_bucket,
                                    trace_sources)
-from repro.obs.export import (chrome_trace, parse_prometheus,
-                              parse_sample_name, parse_trace_jsonl,
+from repro.obs.export import (chrome_trace, parse_sample_name,
                               prometheus_snapshot, sample_key,
                               trace_to_jsonl)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
@@ -65,7 +64,7 @@ from repro.obs.profile import (DeterministicProfiler, HeapSampler,
 from repro.obs.sinks import FORBIDDEN_ATTRIBUTE_KEYS, PATH_SCOPED_SPANS
 from repro.obs.slo import (BoundedGaugeSlo, BurnRatePolicy, LatencyQuantileSlo,
                            RuleReport, SloReport, SloRule, SloSpec,
-                           SuccessRateSlo, evaluate_slo, format_slo_report)
+                           SuccessRateSlo, evaluate_slo)
 from repro.obs.timeseries import (TimeSeriesRecorder, Window, WindowHistogram,
                                   openmetrics_timeseries)
 from repro.obs.trace import NullSink, Span, Tracer, TraceSink
@@ -78,7 +77,7 @@ class ObsState:
     ``registry``, ``router`` and ``remote`` are only dereferenced
     behind that guard. ``router`` holds the per-node span sinks of
     distributed tracing; ``remote`` is the propagated
-    ``(node, TraceContext)`` the sgx layer tags ecall/ocall spans
+    ``(node, TraceContext)`` the sgx layer tags ecall spans
     with while an enclave call runs on a context's behalf (see
     :func:`remote_context`).
     """
@@ -157,7 +156,7 @@ def disable(*, reset: bool = False) -> None:
 def remote_context(node: str, ctx):
     """Tag enclave crossings made on behalf of a propagated context.
 
-    While active, :mod:`repro.sgx` attributes ecall/ocall spans to
+    While active, :mod:`repro.sgx` attributes ecall spans to
     *node* with *ctx*'s trace id and path — that is how enclave
     transitions show up inside the distributed trace instead of as
     anonymous local work. A ``None`` *ctx* (obs off, or no trace to
@@ -174,10 +173,6 @@ def remote_context(node: str, ctx):
         OBS.remote = previous
 
 
-def is_enabled() -> bool:
-    return OBS.enabled
-
-
 def get_tracer() -> Tracer:
     return OBS.tracer
 
@@ -191,7 +186,6 @@ __all__ = [
     "ObsState",
     "enable",
     "disable",
-    "is_enabled",
     "get_tracer",
     "get_registry",
     "remote_context",
@@ -227,9 +221,7 @@ __all__ = [
     "format_breakdown",
     "root_span",
     "trace_to_jsonl",
-    "parse_trace_jsonl",
     "prometheus_snapshot",
-    "parse_prometheus",
     "sample_key",
     "parse_sample_name",
     "chrome_trace",
@@ -256,7 +248,6 @@ __all__ = [
     "RuleReport",
     "SloReport",
     "evaluate_slo",
-    "format_slo_report",
     # distributed tracing
     "TraceContext",
     "SpanRouter",

@@ -231,15 +231,6 @@ class AssembledTrace:
             grouped.setdefault(node, []).append(span)
         return grouped
 
-    def by_path(self) -> Dict[int, List[Span]]:
-        """Path-tagged spans grouped by fan-out leg."""
-        grouped: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            path = span.attributes.get("path")
-            if isinstance(path, int):
-                grouped.setdefault(path, []).append(span)
-        return grouped
-
     @property
     def nodes(self) -> List[str]:
         return sorted(self.by_node())

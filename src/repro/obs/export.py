@@ -2,9 +2,8 @@
 
 Both formats are meant for machines first:
 
-- ``trace_to_jsonl`` writes one JSON object per finished span;
-  ``parse_trace_jsonl`` reads them back into :class:`Span` objects, so
-  a dumped trace can be re-analysed (or diffed across runs) without the
+- ``trace_to_jsonl`` writes one JSON object per finished span, so a
+  dumped trace can be re-analysed (or diffed across runs) without the
   process that produced it.
 - ``prometheus_snapshot`` renders every instrument of a
   :class:`MetricsRegistry` in the Prometheus text exposition format
@@ -40,25 +39,6 @@ def trace_to_jsonl(spans: Iterable[Span]) -> str:
     """One JSON object per span, newline-delimited."""
     return "\n".join(
         json.dumps(span_to_dict(span), sort_keys=True) for span in spans)
-
-
-def parse_trace_jsonl(text: str) -> List[Span]:
-    """Inverse of :func:`trace_to_jsonl`."""
-    spans: List[Span] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        spans.append(Span(
-            name=record["name"],
-            trace_id=record["trace_id"],
-            span_id=record["span_id"],
-            parent_id=record.get("parent_id"),
-            start=record["start"],
-            end=record.get("end"),
-            attributes=record.get("attributes") or {}))
-    return spans
 
 
 # -- Chrome trace-event format -----------------------------------------
@@ -168,8 +148,8 @@ def sample_key(name: str, labels=()) -> str:
 
     Accepts a dict or an iterable of ``(key, value)`` pairs; labels are
     sorted so the key is stable however the caller assembled them. This
-    is the key format :func:`parse_prometheus` returns and the
-    time-series layer uses for per-window series.
+    is the key format of the Prometheus samples and of the time-series
+    layer's per-window series.
     """
     if isinstance(labels, dict):
         pairs = sorted(labels.items())
@@ -269,20 +249,3 @@ def _openmetrics_family(name: str, kind: str) -> str:
     if kind == "counter" and name.endswith("_total"):
         return name[:-len("_total")]
     return name
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse a snapshot back into ``{sample_name{labels}: value}``.
-
-    A convenience for round-trip tests and quick assertions — not a
-    full exposition-format parser (no exemplars, no timestamps).
-    """
-    samples: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.rpartition(" ")
-        value = math.inf if raw == "+Inf" else float(raw)
-        samples[key] = value
-    return samples

@@ -41,7 +41,6 @@ of ``repro.net`` imports, and nothing here reads a wall clock.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -288,11 +287,6 @@ class DeterministicProfiler:
                 sub: {"self": self._self.get(sub, 0), "cum": cum}
                 for sub, cum in sorted(self._cum.items())},
         }
-
-    def attribution_json(self) -> str:
-        """Canonical JSON rendering of :meth:`attribution` —
-        byte-identical across same-seed runs."""
-        return json.dumps(self.attribution(), sort_keys=True, indent=2)
 
 
 def parse_collapsed(text: str) -> Dict[Tuple[str, ...], int]:

@@ -41,7 +41,7 @@ FORBIDDEN_ATTRIBUTE_KEYS = frozenset({
 #: paths of one protected search.
 PATH_SCOPED_SPANS = frozenset({
     "path", "relay.forward", "relay.unwrap", "relay.respond",
-    "engine.serve", "sgx.ecall", "sgx.ocall",
+    "engine.serve", "sgx.ecall",
 })
 
 # -- wire egress ----------------------------------------------------------
@@ -78,10 +78,6 @@ LOG_METHOD_CALLS = frozenset({
 LOG_RECEIVER_NAMES = frozenset({"logging", "logger", "log", "LOGGER", "LOG"})
 
 # -- telemetry sinks ------------------------------------------------------
-
-#: Span-attribute writers: ``Span.set_attribute(key, value)`` and
-#: ``Span.set_attributes({...})``.
-SPAN_ATTRIBUTE_CALLS = frozenset({"set_attribute", "set_attributes"})
 
 #: Span factories accepting an ``attributes=`` mapping.
 SPAN_FACTORY_CALLS = frozenset({"start_span", "open_remote_span"})

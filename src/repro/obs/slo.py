@@ -31,7 +31,6 @@ access, no imports outside ``repro.obs``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -227,10 +226,6 @@ class SloReport:
     rules: Tuple[RuleReport, ...]
     verdict: str  #: "ok" | "breached"
 
-    @property
-    def healthy(self) -> bool:
-        return self.verdict == "ok"
-
     def rule(self, name: str) -> RuleReport:
         for report in self.rules:
             if report.rule == name:
@@ -244,9 +239,6 @@ class SloReport:
             "rules": [report.to_dict() for report in self.rules],
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _burn(good: float, bad: float, budget: float) -> float:
@@ -325,30 +317,13 @@ def evaluate_slo(spec: SloSpec, windows: Sequence[Window]) -> SloReport:
     """Evaluate every rule of *spec* over *windows*.
 
     Pure and deterministic: the same windows always produce the same
-    report, so same-seed runs yield byte-identical ``to_json()``.
+    report, so same-seed runs yield byte-identical ``to_dict()``.
     """
     reports = tuple(_evaluate_rule(rule, windows, spec.policy)
                     for rule in spec.rules)
     verdict = "ok" if all(r.verdict == "ok" for r in reports) else "breached"
     return SloReport(spec=spec.name, windows=len(windows),
                      rules=reports, verdict=verdict)
-
-
-def format_slo_report(report: SloReport) -> str:
-    """A compact terminal rendering of the verdict."""
-    lines = [f"SLO spec {report.spec!r}: {report.verdict.upper()} "
-             f"({report.windows} windows)"]
-    for rule in report.rules:
-        mark = "PASS" if rule.verdict == "ok" else "FAIL"
-        lines.append(
-            f"  [{mark}] {rule.rule}: {rule.objective}  "
-            f"attained={rule.attained:.4f} target={rule.target:.4f} "
-            f"max_burn={rule.max_burn:.2f}")
-        if rule.alert_ranges:
-            spans = ", ".join(f"windows {lo}..{hi}"
-                              for lo, hi in rule.alert_ranges)
-            lines.append(f"         burn-rate alerts: {spans}")
-    return "\n".join(lines)
 
 
 __all__ = [
@@ -362,5 +337,4 @@ __all__ = [
     "SloSpec",
     "SuccessRateSlo",
     "evaluate_slo",
-    "format_slo_report",
 ]

@@ -27,7 +27,6 @@ scheduler argument is duck-typed (``now``, ``schedule``,
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -228,33 +227,8 @@ class TimeSeriesRecorder:
     def windows(self) -> List[Window]:
         return list(self._windows)
 
-    def window_at(self, when: float) -> Optional[Window]:
-        """The retained window covering simulated instant *when*."""
-        index = int(math.floor(when / self.window_seconds + 1e-9))
-        for window in self._windows:
-            if window.index == index:
-                return window
-        return None
-
-    def counter_series(self, name: str, **labels: str) -> List[Tuple[int, float]]:
-        """Per-window ``(index, delta)`` pairs for one counter sample."""
-        key = sample_key(name, labels)
-        return [(w.index, w.counters[key])
-                for w in self._windows if key in w.counters]
-
-    def gauge_series(self, name: str, **labels: str) -> List[Tuple[int, float]]:
-        """Per-window ``(index, value)`` pairs for one gauge sample."""
-        key = sample_key(name, labels)
-        return [(w.index, w.gauges[key])
-                for w in self._windows if key in w.gauges]
-
     def to_dicts(self) -> List[dict]:
         return [window.to_dict() for window in self._windows]
-
-    def to_json(self) -> str:
-        """The retained series as canonical JSON (byte-identical across
-        same-seed runs)."""
-        return json.dumps(self.to_dicts(), sort_keys=True, indent=2)
 
     # -- flushing ------------------------------------------------------
 

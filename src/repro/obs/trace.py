@@ -83,10 +83,6 @@ class TraceSink:
     def spans(self) -> List[Span]:
         return list(self._spans)
 
-    def for_trace(self, trace_id: str) -> List[Span]:
-        """Spans of one trace, in completion order."""
-        return [s for s in self._spans if s.trace_id == trace_id]
-
     def trace_ids(self) -> List[str]:
         """Distinct trace ids present, oldest first."""
         seen: Dict[str, None] = {}
@@ -115,9 +111,6 @@ class NullSink:
 
     @property
     def spans(self) -> List[Span]:
-        return []
-
-    def for_trace(self, trace_id: str) -> List[Span]:
         return []
 
     def trace_ids(self) -> List[str]:

@@ -110,7 +110,3 @@ class RateLimiter:
     def rejected(self, identity: str) -> int:
         state = self._states.get(identity)
         return state.rejected if state else 0
-
-    def is_blocked(self, identity: str, now: float) -> bool:
-        state = self._states.get(identity)
-        return bool(state and now < state.blocked_until)

@@ -7,8 +7,7 @@ properties the rest of the system (and the evaluation) depends on:
 
 - **Isolation discipline** (:mod:`repro.sgx.enclave`): trusted state is
   only reachable through registered ``ecall`` gates; reading it from
-  untrusted code raises. ``ocall``\\ s let trusted code invoke untrusted
-  services (e.g. the network).
+  untrusted code raises.
 - **Cost model** (:mod:`repro.sgx.enclave`, :mod:`repro.sgx.epc`): each
   enclave crossing charges a calibrated latency, and enclave memory is
   accounted against the 128 MB EPC — exceeding it triggers a severe

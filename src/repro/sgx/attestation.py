@@ -10,14 +10,15 @@ attestation:
 2. The platform's quoting facility signs the report into a
    :class:`Quote` with its provisioned attestation key.
 3. The verifier submits the quote to the :class:`IntelAttestationService`
-   (IAS), which checks the platform signature and revocation state.
+   (IAS), which checks the platform signature.
 4. The verifier separately pins the measurement against its own list of
    known-good enclave builds (IAS vouches for *genuineness*, not for
    *which code* — that check is the relying party's).
 
 Byzantine peers in the evaluation exercise every failure branch:
-unknown platforms, revoked platforms, forged signatures and unknown
-measurements are all rejected before any query material flows.
+unknown platforms, forged signatures, unknown measurements and (under
+the fault injector's IAS denial) revoked platforms are all rejected
+before any query material flows.
 """
 
 from __future__ import annotations
@@ -83,13 +84,11 @@ class IntelAttestationService:
 
     Platforms register their attestation public key out of band (in
     reality: during manufacturing / EPID provisioning). Verification
-    checks the quote signature against the registered key and the
-    platform's revocation status.
+    checks the quote signature against the registered key.
     """
 
     def __init__(self) -> None:
         self._platforms: Dict[int, RsaPublicKey] = {}
-        self._revoked: Set[int] = set()
 
     def provision(self, platform_id: int, attestation_public: RsaPublicKey) -> None:
         """Register a platform's attestation key."""
@@ -99,17 +98,11 @@ class IntelAttestationService:
         """Convenience: provision an :class:`~repro.sgx.enclave.EnclaveHost`."""
         self.provision(host.platform_id, host.attestation_key.public)
 
-    def revoke(self, platform_id: int) -> None:
-        """Add a platform to the revocation list (e.g. key compromise)."""
-        self._revoked.add(platform_id)
-
     def verify(self, quote: Quote) -> VerificationReport:
         """Check one quote; never raises — always returns a report."""
         key = self._platforms.get(quote.platform_id)
         if key is None:
             status = QuoteStatus.UNKNOWN_PLATFORM
-        elif quote.platform_id in self._revoked:
-            status = QuoteStatus.GROUP_REVOKED
         else:
             body = Quote.body_bytes(
                 quote.platform_id, quote.measurement, quote.report_data)
@@ -129,9 +122,6 @@ class MeasurementPolicy:
 
     def __init__(self, allowed: Iterable[bytes] = ()) -> None:
         self._allowed: Set[bytes] = set(allowed)
-
-    def allow(self, measurement: bytes) -> None:
-        self._allowed.add(measurement)
 
     def allow_class(self, enclave_cls) -> None:
         """Allow every instance of an :class:`Enclave` subclass."""

@@ -1,15 +1,14 @@
-"""Enclave lifecycle, ecall/ocall gates and the crossing cost model.
+"""Enclave lifecycle, the ecall gate and the crossing cost model.
 
 An :class:`Enclave` subclass is the simulation's unit of trusted code.
 Methods decorated with :func:`ecall` are its only entry points; inside
-them, ``self.trusted`` exposes the enclave's private state and
-:meth:`Enclave.ocall` reaches back out to untrusted services registered
-on the :class:`EnclaveHost`. Touching ``trusted`` from outside an ecall
-raises :class:`~repro.sgx.errors.EnclaveIsolationError` — the simulated
+them, ``self.trusted`` exposes the enclave's private state. Touching
+``trusted`` from outside an ecall raises
+:class:`~repro.sgx.errors.EnclaveIsolationError` — the simulated
 equivalent of the MEE returning ciphertext to a curious host.
 
-Costs: every gate crossing (ecall enter/exit, ocall exit/re-enter)
-charges :data:`CROSSING_COST` simulated seconds to the host's meter, and
+Costs: every gate crossing (ecall enter and exit) charges
+:data:`CROSSING_COST` simulated seconds to the host's meter, and
 trusted-memory traffic is charged through the shared
 :class:`~repro.sgx.epc.EnclavePageCache`. The network layer reads the
 meter to advance simulated time, which is how SGX overheads end up in
@@ -31,7 +30,7 @@ from repro.sgx.epc import EnclavePageCache
 from repro.sgx.errors import EnclaveError, EnclaveIsolationError
 
 # One gate crossing is ~8,000-12,000 cycles on Skylake (≈3 µs at 3 GHz);
-# an ecall round-trip is two crossings, an ocall from inside adds two more.
+# an ecall round-trip is two crossings.
 CROSSING_COST = 3e-6
 
 # In-enclave crypto: a fixed setup cost per AEAD operation plus a
@@ -221,53 +220,9 @@ class Enclave:
                 "attempt to read enclave memory from untrusted code")
         return self._trusted
 
-    @property
-    def inside(self) -> bool:
-        """True while executing trusted code."""
-        return self._depth > 0
-
     def _check_alive(self) -> None:
         if self._destroyed:
             raise EnclaveError("ecall into destroyed enclave")
-
-    # -- ocalls -------------------------------------------------------
-
-    def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke an untrusted service registered on the host.
-
-        Only legal from inside an ecall (real ocalls are proxied through
-        the call gate). Charges two crossings (exit + re-enter).
-        """
-        if self._depth == 0:
-            raise EnclaveError("ocall outside of trusted execution")
-        handler = self._host.ocall_handler(name)
-        remote = None
-        meter_before = 0.0
-        if OBS.enabled:
-            registry = OBS.registry
-            registry.counter(
-                "cyclosa_sgx_ocalls_total",
-                "ocalls from trusted code to untrusted services",
-                service=name).inc()
-            registry.counter(
-                "cyclosa_sgx_crossings_total",
-                "gate crossings (ecall enter/exit, ocall exit/re-enter)").inc(2)
-            registry.counter(
-                "cyclosa_sgx_crossing_seconds_total",
-                "simulated seconds spent crossing the call gate").inc(
-                    2 * CROSSING_COST)
-            remote = OBS.remote
-            if remote is not None:
-                meter_before = self._host.meter.total
-        self._host.meter.charge(2 * CROSSING_COST)
-        self._depth -= 1  # untrusted code must not see trusted state
-        try:
-            return handler(*args, **kwargs)
-        finally:
-            self._depth += 1
-            if remote is not None and OBS.enabled:
-                _emit_gate_span("sgx.ocall", name, remote,
-                                self._host.meter.total - meter_before)
 
     # -- memory -------------------------------------------------------
 
@@ -323,7 +278,7 @@ class LocalReport:
 
 
 class EnclaveHost:
-    """One SGX-capable platform: EPC, cost meter, ocall table, quoting.
+    """One SGX-capable platform: EPC, cost meter, quoting.
 
     The host is the *untrusted* side — it can observe everything except
     enclave-private state, can refuse service (DoS is out of scope per
@@ -337,7 +292,6 @@ class EnclaveHost:
         self.epc = epc if epc is not None else EnclavePageCache()
         self.meter = CostMeter()
         self._rng = rng
-        self._ocalls: Dict[str, Callable] = {}
         self._enclaves: Dict[int, Enclave] = {}
         self._next_enclave_id = itertools.count(1)
         # Platform attestation key, provisioned to the (simulated) IAS
@@ -366,22 +320,6 @@ class EnclaveHost:
         enclave._trusted.clear()
         self.epc.release(enclave.enclave_id)
         self._enclaves.pop(enclave.enclave_id, None)
-
-    def enclaves(self):
-        """Live enclaves on this platform."""
-        return list(self._enclaves.values())
-
-    # -- ocalls -------------------------------------------------------
-
-    def register_ocall(self, name: str, handler: Callable) -> None:
-        """Expose an untrusted service to trusted code under *name*."""
-        self._ocalls[name] = handler
-
-    def ocall_handler(self, name: str) -> Callable:
-        try:
-            return self._ocalls[name]
-        except KeyError:
-            raise EnclaveError(f"no ocall handler registered for {name!r}")
 
     # -- quoting ------------------------------------------------------
 

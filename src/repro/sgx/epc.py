@@ -75,10 +75,6 @@ class EnclavePageCache:
     def committed_pages(self) -> int:
         return sum(region.pages for region in self._regions.values())
 
-    @property
-    def committed_bytes(self) -> int:
-        return self.committed_pages * PAGE_SIZE
-
     def register(self, enclave_id: int) -> None:
         """Create an (empty) accounting region for a new enclave."""
         if enclave_id in self._regions:

@@ -32,13 +32,8 @@ from repro.text.cache import (
 )
 from repro.text.smoothing import exponential_smoothing, smoothed_similarity
 from repro.text.stem import porter_stem
-from repro.text.tokenize import STOPWORDS, stemmed_terms, stemmed_tokens, tokenize
-from repro.text.vectorize import (
-    TermVector,
-    cosine_binary,
-    cosine_sparse,
-    query_vector,
-)
+from repro.text.tokenize import STOPWORDS, stemmed_terms, tokenize
+from repro.text.vectorize import cosine_binary, query_vector
 
 __all__ = [
     "exponential_smoothing",
@@ -47,14 +42,11 @@ __all__ = [
     "STOPWORDS",
     "tokenize",
     "stemmed_terms",
-    "stemmed_tokens",
     "LruCache",
     "cache_stats",
     "clear_caches",
     "install_metrics",
     "publish_metrics",
-    "TermVector",
     "cosine_binary",
-    "cosine_sparse",
     "query_vector",
 ]

@@ -122,11 +122,6 @@ class LruCache:
         }
 
 
-def all_caches() -> Dict[str, LruCache]:
-    """The registered :class:`LruCache` instances, by name."""
-    return dict(_CACHES)
-
-
 def cache_stats() -> Dict[str, Dict[str, int]]:
     """Stats of every text cache, including the ``porter_stem``
     ``lru_cache`` (reported under the name ``porter_stem``)."""

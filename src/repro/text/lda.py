@@ -18,8 +18,8 @@ dictionaries (top-weight terms above a probability threshold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -35,28 +35,11 @@ class LdaModel:
     topic_word_counts: np.ndarray  # shape (K, V)
     topic_totals: np.ndarray       # shape (K,)
     document_frequency: np.ndarray = None  # shape (V,), fraction of docs
-    _word_index: Dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._word_index:
-            self._word_index = {
-                word: index for index, word in enumerate(self.vocabulary)}
 
     def topic_term_distribution(self, topic: int) -> np.ndarray:
         """phi_k: the term distribution of one topic."""
         counts = self.topic_word_counts[topic] + self.beta
         return counts / counts.sum()
-
-    def top_terms(self, topic: int, topn: int = 20) -> List[Tuple[str, float]]:
-        """The *topn* most probable terms of a topic with probabilities."""
-        phi = self.topic_term_distribution(topic)
-        order = np.argsort(phi)[::-1][:topn]
-        return [(self.vocabulary[i], float(phi[i])) for i in order]
-
-    def corpus_term_probability(self) -> np.ndarray:
-        """Unigram probability of every vocabulary term in the corpus."""
-        totals = self.topic_word_counts.sum(axis=0) + self.beta
-        return totals / totals.sum()
 
     def term_dictionary(self, topn_per_topic: int = 25,
                         min_probability: float = 0.0,
@@ -87,30 +70,6 @@ class LdaModel:
                     continue
                 terms.add(self.vocabulary[index])
         return terms
-
-    def infer_topic_mixture(self, tokens: Sequence[str],
-                            iterations: int = 20, rng=None) -> np.ndarray:
-        """Fold-in inference: estimate theta_d for an unseen document."""
-        rng = rng or np.random.default_rng(0)
-        ids = [self._word_index[t] for t in tokens if t in self._word_index]
-        if not ids:
-            return np.full(self.num_topics, 1.0 / self.num_topics)
-        assignments = rng.integers(0, self.num_topics, size=len(ids))
-        doc_counts = np.bincount(assignments, minlength=self.num_topics).astype(float)
-        phi_cache = (self.topic_word_counts + self.beta)
-        phi_cache = phi_cache / phi_cache.sum(axis=1, keepdims=True)
-        for _ in range(iterations):
-            for position, word_id in enumerate(ids):
-                topic = assignments[position]
-                doc_counts[topic] -= 1
-                weights = (doc_counts + self.alpha) * phi_cache[:, word_id]
-                cumulative = np.cumsum(weights)
-                topic = int(np.searchsorted(
-                    cumulative, rng.random() * cumulative[-1]))
-                assignments[position] = topic
-                doc_counts[topic] += 1
-        theta = doc_counts + self.alpha
-        return theta / theta.sum()
 
 
 def fit_lda(documents: Sequence[Sequence[str]], num_topics: int,
@@ -208,5 +167,4 @@ def fit_lda(documents: Sequence[Sequence[str]], num_topics: int,
         topic_word_counts=topic_word,
         topic_totals=topic_totals,
         document_frequency=doc_frequency,
-        _word_index=word_index,
     )

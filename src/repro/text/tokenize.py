@@ -68,11 +68,3 @@ def stemmed_terms(text: str) -> Tuple[str, ...]:
 
         terms = tuple(porter_stem(token) for token in tokenize(text))
         return _STEMMED_CACHE.store(text, terms)
-
-
-def stemmed_tokens(text: str) -> List[str]:
-    """Tokenise then Porter-stem (the canonical profile representation).
-
-    A list-returning convenience over :func:`stemmed_terms` (the list
-    is fresh per call; the underlying tuple is cached)."""
-    return list(stemmed_terms(text))

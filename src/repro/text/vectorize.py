@@ -2,20 +2,16 @@
 
 The paper's linkability assessment (§V-A2) and SimAttack (§VII-E) both
 represent a query as a *binary* vector over its terms and compare with
-cosine similarity; user profiles additionally use weighted (count)
-vectors. Both representations are provided here as lightweight sparse
-structures.
+cosine similarity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, Mapping
+from typing import FrozenSet
 
 from repro.text.cache import DEFAULT_QUERY_CACHE_SIZE, LruCache
 from repro.text.tokenize import stemmed_terms, tokenize
-
-TermVector = Dict[str, float]
 
 #: (query text, stem?) -> frozenset vector. Immutable values, shared.
 _VECTOR_CACHE = LruCache("query_vectors", DEFAULT_QUERY_CACHE_SIZE)
@@ -37,14 +33,6 @@ def query_vector(text: str, stem: bool = True) -> FrozenSet[str]:
         return _VECTOR_CACHE.store(key, frozenset(terms))
 
 
-def count_vector(tokens: Iterable[str]) -> TermVector:
-    """Sparse term-count vector."""
-    vector: TermVector = {}
-    for token in tokens:
-        vector[token] = vector.get(token, 0.0) + 1.0
-    return vector
-
-
 def cosine_binary(a: FrozenSet[str], b: FrozenSet[str]) -> float:
     """Cosine similarity between two binary term sets.
 
@@ -58,23 +46,3 @@ def cosine_binary(a: FrozenSet[str], b: FrozenSet[str]) -> float:
     if overlap == 0:
         return 0.0
     return overlap / math.sqrt(len(a) * len(b))
-
-
-def cosine_sparse(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    """Cosine similarity between two sparse weighted vectors."""
-    if not a or not b:
-        return 0.0
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    dot = sum(weight * large.get(term, 0.0) for term, weight in small.items())
-    if dot == 0.0:
-        return 0.0
-    norm_a = math.sqrt(sum(weight * weight for weight in a.values()))
-    norm_b = math.sqrt(sum(weight * weight for weight in b.values()))
-    return dot / (norm_a * norm_b)
-
-
-def add_into(target: TermVector, source: Mapping[str, float],
-             scale: float = 1.0) -> None:
-    """In-place ``target += scale * source`` (profile accumulation)."""
-    for term, weight in source.items():
-        target[term] = target.get(term, 0.0) + scale * weight

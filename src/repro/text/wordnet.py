@@ -43,16 +43,12 @@ class SyntheticWordNet:
     """Lexical database: lemma → synsets → domains.
 
     Use :meth:`build` to construct one over the standard topic
-    vocabularies. Lookup methods mirror what the sensitivity analysis
-    needs: ``domains_of`` for tagging and ``synonyms`` for expansion.
+    vocabularies; :meth:`sensitive_dictionary` is the lookup the
+    sensitivity analysis needs.
     """
 
     def __init__(self, synsets: List[Synset]) -> None:
         self.synsets = synsets
-        self._by_lemma: Dict[str, List[Synset]] = {}
-        for synset in synsets:
-            for lemma in synset.lemmas:
-                self._by_lemma.setdefault(lemma, []).append(synset)
 
     @classmethod
     def build(cls, vocabularies: Optional[Dict[str, TopicVocabulary]] = None,
@@ -92,24 +88,6 @@ class SyntheticWordNet:
         return cls(synsets)
 
     # -- lookups ---------------------------------------------------------
-
-    def synsets_of(self, lemma: str) -> List[Synset]:
-        return list(self._by_lemma.get(lemma, []))
-
-    def domains_of(self, lemma: str) -> FrozenSet[str]:
-        """Union of the domain labels of every synset containing *lemma*."""
-        domains: Set[str] = set()
-        for synset in self._by_lemma.get(lemma, []):
-            domains.update(synset.domains)
-        return frozenset(domains)
-
-    def synonyms(self, lemma: str) -> FrozenSet[str]:
-        """All lemmas sharing a synset with *lemma* (excluding itself)."""
-        related: Set[str] = set()
-        for synset in self._by_lemma.get(lemma, []):
-            related.update(synset.lemmas)
-        related.discard(lemma)
-        return frozenset(related)
 
     def sensitive_dictionary(self, topics: Tuple[str, ...] = SENSITIVE_TOPICS
                              ) -> FrozenSet[str]:

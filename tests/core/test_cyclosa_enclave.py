@@ -51,12 +51,6 @@ class TestChannels:
         enclave.drop_peer_channel("n2")
         assert not enclave.has_peer_channel("n2")
 
-    def test_engine_channel(self, enclave, rng):
-        assert not enclave.has_engine_channel()
-        a, _ = paired_channels(b"x" * 32, "relay", "engine")
-        enclave.install_engine_channel(a)
-        assert enclave.has_engine_channel()
-
     def test_trusted_state_isolated(self, enclave):
         with pytest.raises(EnclaveIsolationError):
             _ = enclave.trusted
@@ -69,9 +63,9 @@ class TestTable:
         assert enclave.table_size() == 2
 
     def test_seeding_charges_epc(self, enclave, host):
-        before = host.epc.committed_bytes
+        before = host.epc.committed_pages
         enclave.seed_table([f"query number {i}" for i in range(300)])
-        assert host.epc.committed_bytes > before
+        assert host.epc.committed_pages > before
 
 
 class TestProtection:

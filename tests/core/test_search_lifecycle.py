@@ -153,7 +153,7 @@ class SearchLifecycleMachine(RuleBasedStateMachine):
     @rule(relay=st.integers(0, 5))
     def churn_out(self, relay):
         node = self.relays[relay]
-        if self.deployment.network.knows(node.address):
+        if node.address in self.deployment.network.addresses():
             node.pss.stop()
             self.deployment.network.unregister(node.address)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.dh import DhKeyPair, DhParams, derive_shared_key
+from repro.crypto.dh import DhKeyPair, DhParams
 
 
 @pytest.fixture
@@ -32,20 +32,6 @@ class TestKeyAgreement:
         alice = DhKeyPair.generate(params, rng=rng)
         bob = DhKeyPair.generate(params, rng=rng)
         assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
-
-    def test_derived_keys_agree(self, params):
-        rng = random.Random(2)
-        alice = DhKeyPair.generate(params, rng=rng)
-        bob = DhKeyPair.generate(params, rng=rng)
-        assert (derive_shared_key(alice, bob.public)
-                == derive_shared_key(bob, alice.public))
-
-    def test_derived_key_label_separation(self, params):
-        rng = random.Random(3)
-        alice = DhKeyPair.generate(params, rng=rng)
-        bob = DhKeyPair.generate(params, rng=rng)
-        assert (derive_shared_key(alice, bob.public, b"a")
-                != derive_shared_key(alice, bob.public, b"b"))
 
     def test_third_party_disagrees(self, params):
         rng = random.Random(4)

@@ -2,27 +2,7 @@
 
 import random
 
-from repro.crypto.keys import IdentityKeyPair, SymmetricKey
-
-
-class TestSymmetricKey:
-    def test_derive_is_deterministic(self):
-        key = SymmetricKey(b"k" * 32, label="root")
-        assert key.derive("x").key == key.derive("x").key
-
-    def test_derive_purpose_separation(self):
-        key = SymmetricKey(b"k" * 32)
-        assert key.derive("a").key != key.derive("b").key
-
-    def test_derive_tracks_label(self):
-        key = SymmetricKey(b"k" * 32, label="root")
-        assert key.derive("child").label == "root/child"
-
-    def test_as_aead_roundtrip(self):
-        from repro.crypto.aead import open_, seal
-
-        key = SymmetricKey(b"k" * 32).as_aead()
-        assert open_(key, seal(key, b"data")) == b"data"
+from repro.crypto.keys import IdentityKeyPair
 
 
 class TestIdentityKeyPair:
@@ -35,8 +15,3 @@ class TestIdentityKeyPair:
         a = IdentityKeyPair.generate(bits=512, rng=rng)
         b = IdentityKeyPair.generate(bits=512, rng=rng)
         assert a.fingerprint != b.fingerprint
-
-    def test_short_id_is_hex_prefix(self):
-        identity = IdentityKeyPair.generate(bits=512, rng=random.Random(3))
-        assert identity.short_id() == identity.fingerprint[:4].hex()
-        assert len(identity.short_id()) == 8

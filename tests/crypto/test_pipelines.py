@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import AeadKey, open_ as aead_open, seal as aead_seal
-from repro.crypto.dh import DhKeyPair, DhParams, derive_shared_key
+from repro.crypto.dh import DhKeyPair, DhParams
+from repro.crypto.hashes import hkdf
 from repro.crypto.rsa import RsaKeyPair
 
 
@@ -18,8 +19,8 @@ class TestDhToAead:
         params = DhParams.small_test_group()
         alice = DhKeyPair.generate(params, rng=rng)
         bob = DhKeyPair.generate(params, rng=rng)
-        key_a = AeadKey(derive_shared_key(alice, bob.public))
-        key_b = AeadKey(derive_shared_key(bob, alice.public))
+        key_a = AeadKey(hkdf(alice.shared_secret(bob.public), b"s", 32))
+        key_b = AeadKey(hkdf(bob.shared_secret(alice.public), b"s", 32))
         sealed = aead_seal(key_a, b"session traffic", rng=rng)
         assert aead_open(key_b, sealed) == b"session traffic"
 
@@ -29,8 +30,8 @@ class TestDhToAead:
         alice = DhKeyPair.generate(params, rng=rng)
         bob = DhKeyPair.generate(params, rng=rng)
         eve = DhKeyPair.generate(params, rng=rng)
-        key_ab = AeadKey(derive_shared_key(alice, bob.public))
-        key_eb = AeadKey(derive_shared_key(eve, bob.public))
+        key_ab = AeadKey(hkdf(alice.shared_secret(bob.public), b"s", 32))
+        key_eb = AeadKey(hkdf(eve.shared_secret(bob.public), b"s", 32))
         sealed = aead_seal(key_ab, b"secret", rng=rng)
         from repro.crypto.aead import AeadError
 

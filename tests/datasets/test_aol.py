@@ -82,11 +82,6 @@ class TestLogApi:
         assert counts == sorted(counts, reverse=True)
         assert len(ranked) == 10
 
-    def test_restricted_to(self, log):
-        subset = log.restricted_to(log.users[:5])
-        assert set(r.user_id for r in subset.records) <= set(log.users[:5])
-        assert subset.users == log.users[:5]
-
     def test_empty_log(self):
         empty = SyntheticAolLog(records=[], users=[])
         assert empty.sensitive_rate() == 0.0

@@ -91,7 +91,7 @@ class TestPartialView:
         view = PartialView(capacity=4)
         view.insert(NodeDescriptor("a", age=0))
         view.remove("a")
-        assert view.is_empty()
+        assert len(view) == 0
         view.remove("ghost")  # idempotent
 
 

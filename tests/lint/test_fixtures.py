@@ -26,7 +26,6 @@ EXPECTED = {
     "bad_span_taint.py": "taint-telemetry",
     "bad_trusted.py": "enclave-trusted-outside-ecall",
     "bad_internal_import.py": "enclave-internal-import",
-    "bad_ocall.py": "enclave-ocall-bypass",
     "bad_clock.py": "det-wall-clock",
     "bad_entropy.py": "det-system-entropy",
     "bad_random.py": "det-global-random",

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.traffic import ks_statistic, size_advantage
+from repro.metrics.traffic import size_advantage
 
 
 class TestSizeAdvantage:
@@ -39,13 +39,3 @@ class TestSizeAdvantage:
         advantage_ba, _ = size_advantage(b, a)
         assert 0.0 <= advantage_ab <= 1.0
         assert advantage_ab == pytest.approx(advantage_ba)
-
-
-class TestKsStatistic:
-    def test_equals_threshold_advantage(self):
-        a = [1, 5, 9, 12]
-        b = [3, 5, 20]
-        assert ks_statistic(a, b) == size_advantage(a, b)[0]
-
-    def test_identical_zero(self):
-        assert ks_statistic([7, 7, 7], [7, 7]) == 0.0

@@ -29,7 +29,7 @@ class TestChurnProcess:
         deployment.run(15.0)
         assert sorted(departed) == sorted(v.address for v in victims)
         for victim in victims:
-            assert not deployment.network.knows(victim.address)
+            assert victim.address not in deployment.network.addresses()
 
     def test_graceful_departure_retires_from_repo(self, deployment):
         churn = ChurnProcess(deployment.network, deployment.rng,

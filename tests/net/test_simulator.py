@@ -122,7 +122,7 @@ class TestScheduleAtExact:
 
 class TestPendingCount:
     """`pending` counts live events only; tombstones left by `cancel`
-    stay in the heap (visible as `heap_size`) but must not inflate the
+    stay in the heap (`sim._heap`) but must not inflate the
     backlog number the deployment gauge reports."""
 
     def test_pending_excludes_cancelled(self):
@@ -133,7 +133,7 @@ class TestPendingCount:
         for handle in handles[::2]:
             handle.cancel()
         assert sim.pending == 5
-        assert sim.heap_size == 10  # tombstones still queued
+        assert len(sim._heap) == 10  # tombstones still queued
 
     def test_double_cancel_decrements_once(self):
         sim = Simulator()
@@ -179,12 +179,12 @@ class TestPendingCount:
             live += 1
             if index % 3 == 0:
                 handles[index // 2].cancel()
-            assert sim.heap_size == index + 1
+            assert len(sim._heap) == index + 1
         cancelled = sum(1 for handle in handles if handle.cancelled)
         assert sim.pending == 300 - cancelled
         sim.run()
         assert sim.pending == 0
-        assert sim.heap_size == 0
+        assert len(sim._heap) == 0
         assert sim.events_processed == 300 - cancelled
 
 
@@ -366,11 +366,11 @@ class TestStopWhen:
         sim.schedule(2.0, lambda: fired.append(2)).cancel()
         sim.schedule(3.0, lambda: fired.append(3))
         sim.run(stop_when=lambda: fired == [1])
-        assert sim.heap_size == 2  # the tombstone at 2.0 is still queued
+        assert len(sim._heap) == 2  # the tombstone at 2.0 is still queued
         assert sim.pending == 1
         sim.run(stop_when=lambda: False)
         assert fired == [1, 3]
-        assert sim.heap_size == 0
+        assert len(sim._heap) == 0
         assert sim.events_processed == 2
 
     def test_only_cancelled_entries_left(self):
@@ -378,7 +378,7 @@ class TestStopWhen:
         sim.schedule(1.0, lambda: None).cancel()
         sim.schedule(2.0, lambda: None).cancel()
         sim.run(stop_when=lambda: False)
-        assert sim.heap_size == 0
+        assert len(sim._heap) == 0
         assert sim.now == 0.0
         assert sim.events_processed == 0
 
@@ -407,7 +407,7 @@ class TestStopWhen:
                     handle.cancel()
             deadline = sim.now + max_wait
             wait(sim, lambda: len(fired) >= done_after, deadline)
-            return (fired, _bits(sim.now), sim.pending, sim.heap_size,
+            return (fired, _bits(sim.now), sim.pending, len(sim._heap),
                     sim.events_processed)
 
         def step_loop(sim, done, deadline):

@@ -247,20 +247,6 @@ class TestSgxAuthenticatedChannels:
         assert failures
         assert responder.tls.channel("a") is None
 
-    def test_revoked_platform_rejected(self, net, sim, rng):
-        ias = IntelAttestationService()
-        policy = MeasurementPolicy()
-        policy.allow_class(self.PeerEnclave)
-        factory = self._sgx_factory(rng, ias, policy)
-        a = TlsNode(net, "a", factory)
-        b = TlsNode(net, "b", factory)
-        ias.revoke(b.host.platform_id)
-        failures = []
-        a.tls.establish("b", on_ready=lambda ch: None,
-                        on_fail=failures.append, timeout=2.0)
-        sim.run()
-        assert failures == ["peer credential rejected"]
-
 
 def _signed_credential(rng, sender, receiver, dh_public):
     # A genuine signature over the handshake context: any key passes the

@@ -44,7 +44,7 @@ class TestRegistration:
     def test_register_and_lookup(self, net):
         node = EchoNode(net, "a")
         assert net.node("a") is node
-        assert net.knows("a")
+        assert "a" in net.addresses()
 
     def test_duplicate_address_rejected(self, net):
         EchoNode(net, "a")

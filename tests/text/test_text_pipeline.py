@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 
 from repro.text.smoothing import smoothed_similarity
 from repro.text.stem import porter_stem
-from repro.text.tokenize import stemmed_tokens, tokenize
+from repro.text.tokenize import stemmed_terms, tokenize
 from repro.text.vectorize import cosine_binary, query_vector
 
 
 class TestPipelineConsistency:
-    def test_query_vector_equals_stemmed_tokens(self):
+    def test_query_vector_equals_stemmed_terms(self):
         query = "Searching for the BEST flu treatments!"
-        assert query_vector(query) == frozenset(stemmed_tokens(query))
+        assert query_vector(query) == frozenset(stemmed_terms(query))
 
     def test_morphological_variants_converge(self):
         # The whole point of stemming in this pipeline: variants of the

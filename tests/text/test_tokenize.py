@@ -1,6 +1,6 @@
 """Tests for repro.text.tokenize."""
 
-from repro.text.tokenize import STOPWORDS, stemmed_tokens, tokenize
+from repro.text.tokenize import STOPWORDS, stemmed_terms, tokenize
 
 
 class TestTokenize:
@@ -32,6 +32,6 @@ class TestTokenize:
         assert "the" in STOPWORDS and "flu" not in STOPWORDS
 
 
-class TestStemmedTokens:
+class TestStemmedTerms:
     def test_pipeline(self):
-        assert stemmed_tokens("searching searches") == ["search", "search"]
+        assert stemmed_terms("searching searches") == ("search", "search")

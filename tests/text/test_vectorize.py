@@ -1,17 +1,9 @@
 """Tests for repro.text.vectorize."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.text.vectorize import (
-    add_into,
-    cosine_binary,
-    cosine_sparse,
-    count_vector,
-    query_vector,
-)
+from repro.text.vectorize import cosine_binary, query_vector
 
 
 class TestQueryVector:
@@ -54,30 +46,3 @@ class TestCosineBinary:
         value = cosine_binary(a, b)
         assert 0.0 <= value <= 1.0 + 1e-12
         assert value == cosine_binary(b, a)
-
-
-class TestCosineSparse:
-    def test_identical(self):
-        v = {"a": 2.0, "b": 1.0}
-        assert cosine_sparse(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_sparse({"a": 1.0}, {"b": 1.0}) == 0.0
-
-    def test_known_value(self):
-        a = {"x": 1.0, "y": 1.0}
-        b = {"x": 1.0}
-        assert cosine_sparse(a, b) == pytest.approx(1 / math.sqrt(2))
-
-    def test_empty(self):
-        assert cosine_sparse({}, {"a": 1.0}) == 0.0
-
-
-class TestHelpers:
-    def test_count_vector(self):
-        assert count_vector(["a", "b", "a"]) == {"a": 2.0, "b": 1.0}
-
-    def test_add_into(self):
-        target = {"a": 1.0}
-        add_into(target, {"a": 2.0, "b": 3.0}, scale=0.5)
-        assert target == {"a": 2.0, "b": 1.5}

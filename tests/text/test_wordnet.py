@@ -14,23 +14,11 @@ def wordnet():
 class TestStructure:
     def test_every_term_has_a_synset(self, wordnet):
         vocabularies = build_topic_vocabularies()
+        lemmas = {lemma for synset in wordnet.synsets
+                  for lemma in synset.lemmas}
         for vocabulary in vocabularies.values():
             for term in vocabulary.terms[:20]:
-                assert wordnet.synsets_of(term), term
-
-    def test_synonyms_share_synset(self, wordnet):
-        synset = wordnet.synsets[0]
-        if len(synset.lemmas) >= 2:
-            first, second = synset.lemmas[:2]
-            assert second in wordnet.synonyms(first)
-
-    def test_synonyms_exclude_self(self, wordnet):
-        lemma = wordnet.synsets[0].lemmas[0]
-        assert lemma not in wordnet.synonyms(lemma)
-
-    def test_unknown_lemma(self, wordnet):
-        assert wordnet.domains_of("nonexistentterm") == frozenset()
-        assert wordnet.synonyms("nonexistentterm") == frozenset()
+                assert term in lemmas, term
 
 
 class TestDomains:
