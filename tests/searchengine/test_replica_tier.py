@@ -17,6 +17,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.tls import SecureChannelManager, SignatureAuthenticator
 from repro.net.transport import Network, NetNode
+from repro.perf import workload_queries
 from repro.searchengine.cache import ResultCache
 from repro.searchengine.corpus import build_corpus
 from repro.searchengine.engine import SearchEngine, query_plan
@@ -28,6 +29,11 @@ QUERIES = [
     "cheap flights travel hotel",
     "symptoms cancer OR football league",
 ]
+
+#: The wire-page check's queries: the tier's own, a three-way OR and a
+#: seeded workload mix.
+WIRE_QUERIES = (QUERIES + ["vaccine OR mortgage OR laptop"]
+                + workload_queries(20, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +121,28 @@ class TestScatterGather:
             pages = fire(sim, net, address, QUERIES)
             assert [p["hits"] for p in pages] == \
                 [p["hits"] for p in reference_pages]
+
+    @pytest.mark.parametrize("num_replicas", [1, 2, 3])
+    def test_wire_hits_match_the_engine(self, corpus, num_replicas):
+        """Every wire hit against the unsharded engine's page and the
+        document's title. The coordinator builds the page at every
+        replica count, so comparing replica counts with each other
+        would pass a fault they all share."""
+        engine = SearchEngine(corpus)
+        sim, net, _ = build_tier(corpus, num_replicas)
+        pages = fire(sim, net, "engine", WIRE_QUERIES)
+        sibling_hits = 0
+        for query, page in zip(WIRE_QUERIES, pages):
+            assert page["status"] == "ok"
+            assert [(hit["doc_id"], hit["url"], hit["score"].hex(),
+                     hit["title"]) for hit in page["hits"]] == \
+                [(hit.doc_id, hit.url, hit.score.hex(),
+                  list(engine.document(hit.doc_id).title_terms))
+                 for hit in engine.search(query)], query
+            sibling_hits += sum(hit["doc_id"] % num_replicas != 0
+                                for hit in page["hits"])
+        # Replica "engine" holds shard 0; the rest came from siblings.
+        assert (sibling_hits > 0) == (num_replicas > 1)
 
     def test_sibling_exchange_is_sealed(self, corpus):
         sim, net, nodes = build_tier(corpus, 2)
