@@ -21,21 +21,26 @@ corpus or N replicas each index one shard
 
 1. *Plan* — :func:`query_plan` turns the query into term lists, one per
    sub-query of a native-OR query, otherwise one bag of words.
-2. *Rank* — every shard ranks each term list into a partial top-k.
-   A shard scores with corpus-global IDF, so a document accumulates
-   exactly the same terms with exactly the same weights whichever index
-   ranks it, and its partial carries bit-identical scores.
-3. *Merge* — :func:`merge_partials` orders each sub-query's partials by
-   ``(-score, doc_id)``, a total order, and keeps the top k: a global
-   top-k document is in its own shard's top k.
-4. *Union* — :func:`or_union` merges the sub-queries' pages. Each page
-   is cut to the global top k first: a document can sneak into a small
-   shard's partial while missing its sub-query's page.
+2. *Rank* — every shard ranks each term list into a partial top-k of
+   ``(-score, doc_id)`` keys (:data:`RankKey`). A shard scores with
+   corpus-global IDF, so a document accumulates exactly the same terms
+   with exactly the same weights whichever index ranks it, and its key
+   carries bit-identical scores.
+3. *Merge* — :func:`merge_partials` sorts each sub-query's partial keys,
+   a total order, and keeps the first k: a global top-k document is in
+   its own shard's top k.
+4. *Union* — :func:`or_union` merges the sub-queries' pages, each
+   document at its best key. Each page is cut to the global top k
+   first: a document can sneak into a small shard's partial while
+   missing its sub-query's page.
 
-:func:`result_page` runs steps 3–4; :meth:`SearchEngine.search` runs it
-over its own ranking, and a replica coordinator over its own and its
-siblings' partials (:mod:`repro.searchengine.node`), so the page is
-byte-identical at any shard count.
+:func:`result_page` runs steps 3–4 on keys alone. Hits are built once,
+from the page's keys: :meth:`SearchEngine.search` runs the path over its
+own ranking and builds a :class:`SearchHit` for each page key, with the
+snippet of the sub-query whose score won it; a replica coordinator runs
+it over its own and its siblings' partials and builds wire hits
+(:mod:`repro.searchengine.node`). So the page is byte-identical at any
+shard count.
 
 The ranking kernel: each term's postings are two arrays, document ids
 (``array("q")``, ascending, since the index is built in doc-id order)
@@ -60,9 +65,10 @@ of the term, left to right, exactly what ``0.0 + contrib`` and each
 further ``+=`` give. Either way only the documents at or above the k-th
 best value are sorted by ``(-score, doc_id)``. Keeping every tie at the
 k-th value makes that order's first k entries exactly those of a full
-sort. The hit lists are byte-identical to the earlier tuple-posting,
-full-sort kernel, which ``tests/searchengine/test_rank_kernel.py`` keeps
-as its oracle.
+sort, and those pairs are the ranked keys: no hit and no snippet is
+built per ranking. The keys carry the doc ids and score bits of the
+earlier tuple-posting, full-sort kernel's hit lists, which
+``tests/searchengine/test_rank_kernel.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import chain
+from itertools import chain, islice
 from operator import add, attrgetter, truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -93,6 +99,11 @@ class SearchHit:
     snippet_terms: Tuple[str, ...]
 
 
+#: A ranked document as ``(-score, doc_id)``: plain tuple order is page
+#: order, the best score first and the lower doc id on a tie.
+RankKey = Tuple[float, int]
+
+
 def query_plan(query: str, or_support: str) -> List[List[str]]:
     """The term lists *query* is ranked by: one per sub-query of a
     native-OR query, otherwise one bag of words (a plain query, or OR
@@ -105,49 +116,46 @@ def query_plan(query: str, or_support: str) -> List[List[str]]:
     return [tokenize(query.replace(OR_SEPARATOR, " "))]
 
 
-def merge_partials(partials: Sequence[Sequence[SearchHit]],
-                   topk: int) -> List[SearchHit]:
-    """Merge per-shard partial top-k lists into the global top-k.
+def merge_partials(partials: Sequence[Sequence[RankKey]],
+                   topk: int) -> List[RankKey]:
+    """Merge per-shard partial top-k keys into the global top-k.
 
-    Byte-deterministic: ordered by ``(-score, doc_id)``, the same total
-    order every shard ranks under. Each document appears in at most one
-    partial, so no dedup is needed.
+    Byte-deterministic: keys sort in ``(-score, doc_id)`` order, the
+    same total order every shard ranks under. Each document appears in
+    at most one partial, so no dedup is needed.
     """
-    merged = sorted((hit for partial in partials for hit in partial),
-                    key=lambda h: (-h.score, h.doc_id))
-    return merged[:topk]
+    return sorted(chain.from_iterable(partials))[:topk]
 
 
-def or_union(rankings: Iterable[Sequence[SearchHit]],
-             topk: int) -> List[SearchHit]:
+def or_union(rankings: Iterable[Sequence[RankKey]],
+             topk: int) -> List[RankKey]:
     """Union of per-subquery rankings, merged by score.
 
     An OR query matches more documents, so the engine returns a
     proportionally larger result page (up to ``2 * topk``). The client
     still cannot tell which document answered which sub-query —
     recovering the real answer from this merged list is the filtering
-    problem that costs OR systems accuracy (Fig 6). A document hit by
-    several sub-queries keeps its best score (first sub-query wins
-    ties, matching iteration order).
+    problem that costs OR systems accuracy (Fig 6). A document ranked
+    by several sub-queries keeps its best score: its first key in
+    sorted order. Tied keys are equal, so which sub-query won a tie
+    matters only to the snippet, which :meth:`SearchEngine.search`
+    takes from the first.
     """
-    best: Dict[int, SearchHit] = {}
-    for ranking in rankings:
-        for hit in ranking:
-            existing = best.get(hit.doc_id)
-            if existing is None or hit.score > existing.score:
-                best[hit.doc_id] = hit
-    merged = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))
+    best: Dict[int, float] = {}
+    for negated, doc_id in sorted(chain.from_iterable(rankings)):
+        best.setdefault(doc_id, negated)
     # The engine's OR result page is larger than a plain page but
     # not k+1 pages: sub-queries compete for the slots. This is the
     # completeness loss OR systems pay (and it worsens with k).
-    return merged[: 2 * topk]
+    return [(negated, doc_id)
+            for doc_id, negated in islice(best.items(), 2 * topk)]
 
 
-def result_page(partials: Sequence[Sequence[Sequence[SearchHit]]],
-                topk: int) -> List[SearchHit]:
-    """The result page from each planned sub-query's shard partials:
-    every sub-query's partials merged into its global top-k, then, for
-    more than one sub-query, the OR union of those pages."""
+def result_page(partials: Sequence[Sequence[Sequence[RankKey]]],
+                topk: int) -> List[RankKey]:
+    """The result page's keys from each planned sub-query's shard
+    partials: every sub-query's partials merged into its global top-k,
+    then, for more than one sub-query, the OR union of those pages."""
     rankings = [merge_partials(shard_partials, topk)
                 for shard_partials in partials]
     if len(rankings) == 1:
@@ -234,11 +242,19 @@ class SearchEngine:
 
     def search(self, query: str, topk: int | None = None) -> List[SearchHit]:
         """Answer *query*; handles the OR operator per ``or_support``.
-        The whole index is the one shard of :func:`result_page`."""
+        The whole index is the one shard of :func:`result_page`, and
+        only the page's keys become hits, each with the snippet of the
+        first sub-query that ranks it at its page score."""
         topk = topk if topk is not None else self.results_per_query
-        return result_page([[self._rank(terms, topk)]
-                            for terms in query_plan(query, self.or_support)],
-                           topk)
+        plan = query_plan(query, self.or_support)
+        rankings = [self._rank(terms, topk) for terms in plan]
+        ranked_by: Dict[RankKey, Sequence[str]] = {}
+        for terms, ranking in zip(plan, rankings):
+            for key in ranking:
+                ranked_by.setdefault(key, terms)
+        return [self._hit(key, ranked_by[key])
+                for key in result_page([[ranking] for ranking in rankings],
+                                       topk)]
 
     def search_batch(self, queries: Sequence[str],
                      topk: int | None = None) -> List[List[SearchHit]]:
@@ -255,12 +271,12 @@ class SearchEngine:
             results.append(list(ranked))
         return results
 
-    def rank_terms(self, terms: Sequence[str], topk: int) -> List[SearchHit]:
-        """Rank a pre-tokenised term list — the partial top-k a shard
-        serves to scatter-gather coordinators."""
+    def rank_terms(self, terms: Sequence[str], topk: int) -> List[RankKey]:
+        """Rank a pre-tokenised term list into its top-k keys — the
+        partial a shard serves to scatter-gather coordinators."""
         return self._rank(terms, topk)
 
-    def _rank(self, terms: Sequence[str], topk: int) -> List[SearchHit]:
+    def _rank(self, terms: Sequence[str], topk: int) -> List[RankKey]:
         if topk < 0:
             raise ValueError("topk must be >= 0")
         postings = self._postings
@@ -280,10 +296,10 @@ class SearchEngine:
         if repeats == 1 and len(scores) >= topk:
             values, cut = self._kth(scores, topk)
             if self._bound(longest) < cut:
-                return self._hits(scores, values, cut, topk, query_terms)
+                return self._top(scores, values, cut, topk)
         scores = self._complete(scores, longest, repeats)
         values, cut = self._kth(scores, topk)
-        return self._hits(scores, values, cut, topk, query_terms)
+        return self._top(scores, values, cut, topk)
 
     def _scores(self, query_terms: Sequence[str],
                 longest: str) -> Dict[int, float]:
@@ -348,24 +364,26 @@ class SearchEngine:
                 truediv, contribs, map(self._doc_norms.__getitem__, ids)))
         return bound
 
-    def _hits(self, scores: Dict[int, float], values: List[float],
-              cut: float, topk: int,
-              query_terms: Sequence[str]) -> List[SearchHit]:
+    @staticmethod
+    def _top(scores: Dict[int, float], values: List[float], cut: float,
+             topk: int) -> List[RankKey]:
         # Every document scoring at least the k-th best value, ties at
         # slot k included: the (-score, doc_id) order of these few
         # starts with the top k of a full sort.
-        ranked = sorted([(-score, doc_id)
-                         for score, doc_id in zip(values, scores)
-                         if score >= cut])
-        hits = []
-        for negated, doc_id in ranked[:topk]:
-            document = self._documents[doc_id]
-            tokens = set(document.tokens)
-            hits.append(SearchHit(
-                doc_id=doc_id, url=document.url, score=-negated,
-                snippet_terms=tuple(t for t in query_terms
-                                    if t in tokens)[:5]))
-        return hits
+        return sorted([(-score, doc_id)
+                       for score, doc_id in zip(values, scores)
+                       if score >= cut])[:topk]
+
+    def _hit(self, key: RankKey, terms: Sequence[str]) -> SearchHit:
+        """The hit of a ranked key; its snippet is the first five of
+        *terms* the document holds (a term the index lacks is in no
+        document)."""
+        negated, doc_id = key
+        document = self._documents[doc_id]
+        tokens = set(document.tokens)
+        return SearchHit(doc_id=doc_id, url=document.url, score=-negated,
+                         snippet_terms=tuple(t for t in terms
+                                             if t in tokens)[:5])
 
     def document(self, doc_id: int) -> Document:
         return self._documents[doc_id]

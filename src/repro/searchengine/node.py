@@ -32,11 +32,16 @@ every replica address, ``None`` for a lone replica; *engine* holds this
 replica's shard — see :mod:`repro.searchengine.sharding`). Every query
 takes one serving path. The replica that receives it acts as its
 coordinator: it plans the query
-(:func:`~repro.searchengine.engine.query_plan`), ranks its own shard,
-scatter-gathers partial top-k lists from the sibling replicas over
-sealed channels (kind ``shard``), and builds the page with the engine's
-own :func:`~repro.searchengine.engine.result_page`, so it is
-byte-identical to the unsharded engine's. A lone replica has no
+(:func:`~repro.searchengine.engine.query_plan`), ranks its own shard
+into ``(-score, doc_id)`` keys, scatter-gathers partial top-k lists
+from the sibling replicas over sealed channels (kind ``shard``), turns
+each sibling's wire hit into a key, and merges the keys with the
+engine's own :func:`~repro.searchengine.engine.result_page`, so the page
+is byte-identical to the unsharded engine's. Each wire hit is built
+once, where it is sent: a shard partial's ``d/u/s/t`` hits from this
+shard's keys, and a page's ``doc_id/url/score/title`` hits from the
+page's keys, with the url and title a sibling sent for its own
+documents. No hit carries a snippet. A lone replica has no
 siblings: its round ends at once, on its own partials. A sibling that
 stays silent past *shard_timeout*, or whose reply is malformed, is
 skipped (degraded page from the surviving shards — the chaos matrix's
@@ -49,7 +54,7 @@ timing are identical either way; only wall-clock ranking work is
 skipped):
 
 - *response_cache* — final result pages per query at the coordinator;
-- *partial_cache* — per-shard partial top-k lists per term tuple;
+- *partial_cache* — per-shard partial top-k keys per term tuple;
 - *batch_window* > 0 queues admitted queries on the simulated clock
   and serves each flush together: duplicates are ranked once and the
   whole batch shares one scatter-gather round per sibling.
@@ -68,7 +73,7 @@ from repro.obs import (OBS, TraceContext, close_remote_span,
                        open_remote_span, query_hash_bucket)
 from repro.searchengine.adversary import QueryLogTap
 from repro.searchengine.cache import ResultCache
-from repro.searchengine.engine import (SearchEngine, SearchHit, query_plan,
+from repro.searchengine.engine import (RankKey, SearchEngine, query_plan,
                                        result_page)
 from repro.searchengine.ratelimit import RateLimiter, RateLimitVerdict
 
@@ -388,13 +393,13 @@ class SearchEngineNode(NetNode):
         ctx.respond(channel.seal({"p": partials}, rng=self.rng))
 
     def _partial_rank(self, terms: Sequence[str],
-                      topk: int) -> List[SearchHit]:
-        """This replica's shard partial for *terms*, through the
+                      topk: int) -> List[RankKey]:
+        """This replica's shard partial keys for *terms*, through the
         partial cache when one is configured."""
         if self.partial_cache is None:
             return self.engine.rank_terms(terms, topk)
         key = (tuple(terms), topk)
-        found, hits = self.partial_cache.get(key)
+        found, keys = self.partial_cache.get(key)
         if OBS.enabled:
             OBS.registry.counter(
                 "cyclosa_engine_shard_lookups_total",
@@ -402,44 +407,51 @@ class SearchEngineNode(NetNode):
                 replica=self.address,
                 result="hit" if found else "miss").inc()
         if not found:
-            hits = self.engine.rank_terms(terms, topk)
-            self.partial_cache.put(key, hits)
-        return hits
+            keys = self.engine.rank_terms(terms, topk)
+            self.partial_cache.put(key, keys)
+        return keys
 
-    def _encode_hits(self, hits: Sequence[SearchHit]) -> List[Dict[str, Any]]:
-        return [
-            {"d": hit.doc_id, "u": hit.url, "s": hit.score,
-             "t": list(self.engine.document(hit.doc_id).title_terms)}
-            for hit in hits
-        ]
+    def _encode_hits(self, keys: Sequence[RankKey]) -> List[Dict[str, Any]]:
+        """This shard's partial keys as wire hits: doc id, url, score
+        and title terms."""
+        hits = []
+        for negated, doc_id in keys:
+            document = self.engine.document(doc_id)
+            hits.append({"d": doc_id, "u": document.url, "s": -negated,
+                         "t": list(document.title_terms)})
+        return hits
 
     def _result_page(self, plan: Sequence[Sequence[str]],
                      partials: Sequence[Sequence[Any]]
                      ) -> List[Dict[str, Any]]:
         """The final ``hits`` page for one planned query (coordinator
-        side): this replica's partial and each answering sibling's
-        *partials*, one wire hit list per sub-query, through
-        :func:`result_page`. A sibling's hit keeps the title terms it
-        sent; this replica looks up its own."""
+        side): this replica's partial keys and each answering sibling's
+        *partials*, one wire hit list per sub-query taken as keys,
+        through :func:`result_page`. A sibling's hit keeps the url and
+        title terms it sent; this replica looks up its own."""
         topk = self.engine.results_per_query
-        titles: Dict[int, List[str]] = {}
+        sent: Dict[int, Dict[str, Any]] = {}
         subquery_partials = []
         for sub_index, terms in enumerate(plan):
             shard_partials = [self._partial_rank(terms, topk)]
             for partial in partials:
-                hits = []
+                keys = []
                 for hit in partial[sub_index]:
-                    titles[hit["d"]] = hit["t"]
-                    hits.append(SearchHit(doc_id=hit["d"], url=hit["u"],
-                                          score=hit["s"], snippet_terms=()))
-                shard_partials.append(hits)
+                    sent[hit["d"]] = hit
+                    keys.append((-hit["s"], hit["d"]))
+                shard_partials.append(keys)
             subquery_partials.append(shard_partials)
-        return [
-            {"doc_id": hit.doc_id, "url": hit.url, "score": hit.score,
-             "title": list(titles[hit.doc_id] if hit.doc_id in titles else
-                           self.engine.document(hit.doc_id).title_terms)}
-            for hit in result_page(subquery_partials, topk)
-        ]
+        page = []
+        for negated, doc_id in result_page(subquery_partials, topk):
+            hit = sent.get(doc_id)
+            if hit is None:
+                document = self.engine.document(doc_id)
+                url, title = document.url, document.title_terms
+            else:
+                url, title = hit["u"], hit["t"]
+            page.append({"doc_id": doc_id, "url": url, "score": -negated,
+                         "title": list(title)})
+        return page
 
     def _finish_jobs(self, jobs: List[_PendingQuery], unique: List[str],
                      plans: List[List[List[str]]],

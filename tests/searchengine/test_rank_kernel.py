@@ -8,8 +8,10 @@ checked against code the engine does not share. The engine keeps array
 postings, scores the documents of every term but the longest first,
 completes them with the rest of the longest list only when its skip
 bound does not rule it out, and sorts only the candidates at or above
-the k-th best score. Every hit list must match the reference exactly:
-doc id, url, the score's bits and type, and the snippet.
+the k-th best score. Every ranking must match the reference exactly:
+``rank_terms`` keys by doc id and the score's bits and type, and
+``search`` hit lists by doc id, url, the score's bits and type, and the
+snippet.
 """
 
 import hashlib
@@ -153,6 +155,19 @@ def exact(hits):
             for hit in hits]
 
 
+def exact_keys(keys):
+    """Ranked ``(-score, doc_id)`` keys with every score spelled out bit
+    for bit."""
+    return [(type(doc_id) is int, doc_id, type(negated) is float,
+             (-negated).hex())
+            for negated, doc_id in keys]
+
+
+def reference_keys(hits):
+    """:func:`exact_keys` of a reference hit list's keys."""
+    return exact_keys([(-hit.score, hit.doc_id) for hit in hits])
+
+
 # -- a tiny corpus where exact ties are the norm --------------------------
 
 VOCABULARY = ["flu", "fever", "cough", "hotel", "flight", "paris"]
@@ -188,8 +203,8 @@ class TestAgainstReference:
     def test_rank_terms(self, documents, terms, topk):
         engine = SearchEngine(Corpus(documents=documents))
         reference = ReferenceEngine(documents)
-        assert exact(engine.rank_terms(terms, topk)) == \
-            exact(reference.rank_terms(terms, topk))
+        assert exact_keys(engine.rank_terms(terms, topk)) == \
+            reference_keys(reference.rank_terms(terms, topk))
 
     @settings(max_examples=100, deadline=None)
     @given(documents=tied_corpora(),
@@ -215,8 +230,8 @@ class TestAgainstReference:
         for shard, members in zip(shards,
                                   shard_documents(corpus, num_shards)):
             reference = ReferenceEngine(members, idf=idf)
-            assert exact(shard.rank_terms(terms, topk)) == \
-                exact(reference.rank_terms(terms, topk))
+            assert exact_keys(shard.rank_terms(terms, topk)) == \
+                reference_keys(reference.rank_terms(terms, topk))
 
     def test_generated_corpus(self):
         corpus = build_corpus(docs_per_topic=40, seed=5)
@@ -283,10 +298,10 @@ def spied_kernel():
 
 
 def rank_with_branch(engine, terms, topk):
-    """The page *engine* ranks for *terms*, and the branch it took."""
+    """The keys *engine* ranks for *terms*, and the branch it took."""
     with spied_kernel() as steps:
-        hits = engine.rank_terms(terms, topk)
-    return hits, BRANCHES.get(tuple(steps), "no indexed term")
+        keys = engine.rank_terms(terms, topk)
+    return keys, BRANCHES.get(tuple(steps), "no indexed term")
 
 
 @st.composite
@@ -354,10 +369,10 @@ class TestSkipBound:
            topk=st.sampled_from(SKEWED_TOPKS))
     def test_rank_terms(self, documents, terms, topk):
         engine = SearchEngine(Corpus(documents=documents))
-        hits, branch = rank_with_branch(engine, terms, topk)
+        keys, branch = rank_with_branch(engine, terms, topk)
         event(branch)
-        assert exact(hits) == \
-            exact(ReferenceEngine(documents).rank_terms(terms, topk))
+        assert exact_keys(keys) == \
+            reference_keys(ReferenceEngine(documents).rank_terms(terms, topk))
 
     @settings(max_examples=100, deadline=None)
     @given(documents=skewed_corpora(), terms=skewed_terms,
@@ -369,11 +384,10 @@ class TestSkipBound:
         shards = build_shard_engines(corpus, num_shards)
         for shard, members in zip(shards,
                                   shard_documents(corpus, num_shards)):
-            hits, branch = rank_with_branch(shard, terms, topk)
+            keys, branch = rank_with_branch(shard, terms, topk)
             event(branch)
-            assert exact(hits) == \
-                exact(ReferenceEngine(members, idf=idf).rank_terms(terms,
-                                                                   topk))
+            assert exact_keys(keys) == reference_keys(
+                ReferenceEngine(members, idf=idf).rank_terms(terms, topk))
 
     @pytest.mark.parametrize("token_lists, terms, topk, idf, branch", [
         # The rare term's one document beats every long one.
@@ -400,10 +414,10 @@ class TestSkipBound:
         documents = documents_of(*token_lists,
                                  doc_ids=range(len(token_lists), 0, -1))
         engine = SearchEngine(Corpus(documents=documents), idf=idf)
-        hits, taken = rank_with_branch(engine, terms, topk)
+        keys, taken = rank_with_branch(engine, terms, topk)
         assert taken == branch
-        assert exact(hits) == \
-            exact(ReferenceEngine(documents, idf=idf).rank_terms(terms, topk))
+        assert exact_keys(keys) == reference_keys(
+            ReferenceEngine(documents, idf=idf).rank_terms(terms, topk))
 
     def test_exact_tie_at_slot_k(self):
         """Document 0 holds only the longest term and scores 1/sqrt(2),
@@ -416,9 +430,10 @@ class TestSkipBound:
         ranked = reference.rank_terms(["flu", "common"], 3)
         assert [hit.doc_id for hit in ranked] == [4, 0, 5]
         assert ranked[1].score.hex() == ranked[2].score.hex()
-        hits, branch = rank_with_branch(engine, ["flu", "common"], 2)
+        keys, branch = rank_with_branch(engine, ["flu", "common"], 2)
         assert branch == "bound not below"
-        assert exact(hits) == exact(reference.rank_terms(["flu", "common"], 2))
+        assert exact_keys(keys) == \
+            reference_keys(reference.rank_terms(["flu", "common"], 2))
 
     def test_bound_skips_the_longest_list(self):
         """The guard: on a generated corpus, most multi-term calls that
@@ -458,7 +473,8 @@ def pages_digest(pages):
 KNOWN_PAGES_SHA256 = (
     "89a2d516cd591ab824a6e70be748d6ae2141cf3eea9572dd223ea6adc78a17b5")
 #: The two engine-miss shards' rank_terms pages, recorded with the
-#: kernel that accumulated every posting list in full.
+#: kernel that accumulated every posting list in full, when it returned
+#: hits; its keys now become hits through the engine's own builder.
 KNOWN_SHARD_PAGES_SHA256 = (
     "f54a85ccb2daef22292e71645935267837859039f6366f28f6f8f7900d84afa3")
 
@@ -477,7 +493,8 @@ def test_known_answer_pages(engine_miss_corpus):
 
 def test_known_answer_shard_pages(engine_miss_corpus):
     engines = build_shard_engines(engine_miss_corpus, 2)
-    queries = workload_queries(200, seed=0)
-    assert pages_digest(engine.rank_terms(tokenize(query), 10)
-                        for engine in engines for query in queries) == \
+    plans = [tokenize(query) for query in workload_queries(200, seed=0)]
+    assert pages_digest([engine._hit(key, terms)
+                         for key in engine.rank_terms(terms, 10)]
+                        for engine in engines for terms in plans) == \
         KNOWN_SHARD_PAGES_SHA256

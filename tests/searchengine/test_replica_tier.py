@@ -9,6 +9,7 @@ sibling goes silent.
 
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.net.transport import Network, NetNode
 from repro.perf import workload_queries
 from repro.searchengine.cache import ResultCache
 from repro.searchengine.corpus import build_corpus
-from repro.searchengine.engine import SearchEngine, query_plan
+from repro.searchengine.engine import SearchEngine, SearchHit, query_plan
 from repro.searchengine.node import SearchEngineNode
 from repro.searchengine.sharding import build_shard_engines, replica_addresses
 
@@ -197,6 +198,27 @@ class TestCaching:
         pages = fire(sim, net, "engine", [query] * 3, spacing=2.0)
         assert nodes[0].response_cache.hits >= 2
         assert all(p["hits"] == pages[0]["hits"] for p in pages)
+
+    def test_serving_builds_no_search_hit(self, corpus):
+        """The guard: replicas rank to keys and build each wire hit once
+        from its key, so serving builds no :class:`SearchHit`. A snippet
+        is computed only for a ``SearchHit`` (``SearchEngine._hit``),
+        so none is computed either."""
+        sim, net, nodes = build_tier(corpus, 3, cache_size=64)
+        built = []
+        init = SearchHit.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("doc_id"))
+            init(self, *args, **kwargs)
+
+        with patch.object(SearchHit, "__init__", spy):
+            pages = fire(sim, net, "engine", QUERIES + QUERIES, spacing=1.0)
+            fire(sim, net, "engine1", QUERIES, start=20.0)
+        assert all(page["hits"] for page in pages)
+        assert nodes[0].response_cache.hits == len(QUERIES)
+        assert nodes[1].partial_cache.hits > 0
+        assert built == []
 
     def test_partial_cache_spares_repeat_shard_rankings(self, corpus):
         sim, net, nodes = build_tier(corpus, 2, cache_size=64)

@@ -5,19 +5,22 @@ The whole engine scale-out rests on one promise (see
 byte-identical to the unsharded engine's top-k at any shard count.
 These tests pin that promise in-process, through
 :func:`~repro.searchengine.engine.result_page`, the page function a
-replica coordinator runs, for plain and OR queries, including a
-Hypothesis sweep of native-OR queries against the reference engine.
+replica coordinator runs, for plain and OR queries, including
+Hypothesis sweeps of native-OR queries against the reference engine,
+one of them over a corpus where exact ties straddle slot k across
+shards. A page is ``(-score, doc_id)`` keys, compared by doc id and
+score bits.
 """
 
 import functools
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.searchengine.corpus import build_corpus
-from repro.searchengine.engine import (OR_SEPARATOR, SearchEngine, SearchHit,
+from repro.searchengine.corpus import Corpus, build_corpus
+from repro.searchengine.engine import (OR_SEPARATOR, SearchEngine,
                                        merge_partials, query_plan,
                                        result_page)
 from repro.searchengine.sharding import (
@@ -27,7 +30,9 @@ from repro.searchengine.sharding import (
     shard_documents,
     shard_of,
 )
-from tests.searchengine.test_rank_kernel import ReferenceEngine, exact
+from tests.searchengine.test_rank_kernel import (ReferenceEngine, exact_keys,
+                                                 reference_keys, term_lists,
+                                                 tied_corpora)
 
 QUERIES = [
     "symptoms cancer treatment",
@@ -67,8 +72,8 @@ def shards(corpus):
 
 
 def sharded_page(shard_engines, query, topk=10):
-    """The page a coordinator builds for *query* from every shard's
-    partial top-k of each planned sub-query."""
+    """The page keys a coordinator merges for *query* from every
+    shard's partial top-k of each planned sub-query."""
     return result_page(
         [[shard.rank_terms(terms, topk) for shard in shard_engines]
          for terms in query_plan(query, "native")], topk)
@@ -104,13 +109,13 @@ class TestByteIdentity:
     def test_search_identical_at_any_shard_count(self, shards, reference,
                                                  num_shards):
         for query in QUERIES:
-            assert sharded_page(shards(num_shards), query) == \
-                reference.search(query), \
+            assert exact_keys(sharded_page(shards(num_shards), query)) == \
+                reference_keys(reference.search(query)), \
                 f"divergence at N={num_shards} for {query!r}"
 
     def test_topk_override_respected(self, shards, reference):
-        assert sharded_page(shards(3), QUERIES[0], topk=4) == \
-            reference.search(QUERIES[0], topk=4)
+        assert exact_keys(sharded_page(shards(3), QUERIES[0], topk=4)) == \
+            reference_keys(reference.search(QUERIES[0], topk=4))
 
     def test_search_batch_matches_individual_searches(self, reference):
         batch = reference.search_batch(QUERIES + QUERIES)
@@ -125,8 +130,33 @@ class TestByteIdentity:
                                                     groups, num_shards,
                                                     topk):
         query = OR_SEPARATOR.join(" ".join(terms) for terms in groups)
-        assert exact(sharded_page(shards(num_shards), query, topk)) == \
-            exact(oracle.search(query, topk))
+        assert exact_keys(sharded_page(shards(num_shards), query, topk)) == \
+            reference_keys(oracle.search(query, topk))
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents=tied_corpora(),
+           groups=st.lists(term_lists, min_size=1, max_size=3),
+           num_shards=st.integers(min_value=2, max_value=4),
+           topk=st.integers(min_value=1, max_value=4))
+    def test_ties_across_shards(self, documents, groups, num_shards, topk):
+        """Duplicated documents under shuffled ids score the same bits
+        in different shards, so exact ties straddle slot k across
+        shards: the merge must keep the lower doc id, as the oracle's
+        full sort does. A small k makes the straddle common (about a
+        third of the examples)."""
+        query = OR_SEPARATOR.join(" ".join(terms) for terms in groups)
+        oracle = ReferenceEngine(documents)
+        for terms in query_plan(query, "native"):
+            ranked = oracle.rank_terms(terms, len(documents))
+            if 0 < topk < len(ranked) and \
+                    ranked[topk - 1].score == ranked[topk].score and \
+                    ranked[topk - 1].doc_id % num_shards != \
+                    ranked[topk].doc_id % num_shards:
+                event("a tie straddles slot k across shards")
+        shard_engines = build_shard_engines(Corpus(documents=documents),
+                                            num_shards)
+        assert exact_keys(sharded_page(shard_engines, query, topk)) == \
+            reference_keys(oracle.search(query, topk))
 
     def test_document_lookup_resolves_through_owning_shard(self, corpus,
                                                           shards):
@@ -136,17 +166,12 @@ class TestByteIdentity:
 
 class TestMergePartials:
     def test_orders_by_score_then_doc_id(self):
-        mk = lambda d, s: SearchHit(doc_id=d, url=f"u{d}", score=s,
-                                    snippet_terms=())
         merged = merge_partials(
-            [[mk(4, 1.0), mk(9, 0.5)], [mk(2, 1.0), mk(7, 2.0)]], topk=3)
-        assert [(h.doc_id, h.score) for h in merged] == \
-            [(7, 2.0), (2, 1.0), (4, 1.0)]
+            [[(-1.0, 4), (-0.5, 9)], [(-2.0, 7), (-1.0, 2)]], topk=3)
+        assert merged == [(-2.0, 7), (-1.0, 2), (-1.0, 4)]
 
     def test_truncates_to_topk(self):
-        mk = lambda d, s: SearchHit(doc_id=d, url=f"u{d}", score=s,
-                                    snippet_terms=())
-        merged = merge_partials([[mk(i, float(i)) for i in range(5)]],
+        merged = merge_partials([[(-float(i), i) for i in range(5)]],
                                 topk=2)
         assert len(merged) == 2
 
