@@ -26,14 +26,12 @@ import numpy as np
 
 @dataclass
 class LdaModel:
-    """A fitted LDA model (vocabulary, counts, hyper-parameters)."""
+    """A fitted LDA model (vocabulary, counts, the topic-term prior)."""
 
     num_topics: int
-    alpha: float
     beta: float
     vocabulary: List[str]
     topic_word_counts: np.ndarray  # shape (K, V)
-    topic_totals: np.ndarray       # shape (K,)
     document_frequency: np.ndarray = None  # shape (V,), fraction of docs
 
     def topic_term_distribution(self, topic: int) -> np.ndarray:
@@ -161,10 +159,8 @@ def fit_lda(documents: Sequence[Sequence[str]], num_topics: int,
 
     return LdaModel(
         num_topics=num_topics,
-        alpha=alpha,
         beta=beta,
         vocabulary=vocabulary,
         topic_word_counts=topic_word,
-        topic_totals=topic_totals,
         document_frequency=doc_frequency,
     )
