@@ -233,6 +233,20 @@ class TestAgainstReference:
             assert exact_keys(shard.rank_terms(terms, topk)) == \
                 reference_keys(reference.rank_terms(terms, topk))
 
+    @pytest.mark.parametrize("first, second", [("flu", "common"),
+                                               ("common", "flu")])
+    def test_or_tie_takes_the_first_snippet(self, first, second):
+        """Both sub-queries rank document 0 at the same score bits, each
+        with its own snippet: the first sub-query wins the tie, as the
+        reference's union keeps the first of equal scores."""
+        documents = documents_of("flu common", "flu x", "common y")
+        engine = SearchEngine(Corpus(documents=documents), idf=UNIT_IDF)
+        query = f"{first}{OR_SEPARATOR}{second}"
+        hits = engine.search(query, 3)
+        assert (hits[0].doc_id, hits[0].snippet_terms) == (0, (first,))
+        assert exact(hits) == \
+            exact(ReferenceEngine(documents, idf=UNIT_IDF).search(query, 3))
+
     def test_generated_corpus(self):
         corpus = build_corpus(docs_per_topic=40, seed=5)
         engine = SearchEngine(corpus)
