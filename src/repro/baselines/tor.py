@@ -85,7 +85,7 @@ def _onion_layer(plaintext: bytes) -> Optional[Dict[str, Any]]:
     are volunteers: what reaches one is outside input."""
     try:
         layer = wire.decode(plaintext)
-    except ValueError:
+    except wire.DECODE_ERRORS:
         return None
     if not isinstance(layer, dict):
         return None
@@ -196,7 +196,7 @@ class TorClientNode(NetNode):
                 for key in backward_keys:
                     payload = aead_open(key, payload)
                 engine_response = wire.decode(payload)
-            except (AeadError, ValueError):
+            except (AeadError, *wire.DECODE_ERRORS):
                 return  # not sealed by this circuit: drop
             if not isinstance(engine_response, dict):
                 return

@@ -10,13 +10,15 @@ Everything that touches *other users'* data runs behind ecall gates:
 - query protection: choosing fakes, binding each query to its relay,
   sealing one record per relay (§V-C);
 - relay forwarding: unwrapping a peer's record, storing its query in
-  the table, re-sealing it for the engine, and re-sealing the engine's
-  answer for the requester — the plaintext of a relayed query exists
-  *only* inside the enclave;
-- response filtering: only the record carrying the real query's token
-  surfaces results; fake responses are decrypted and dropped inside
-  the enclave, so even the local host cannot tell which response
-  mattered.
+  the table, re-sealing it for the engine, and passing the engine's
+  answer back to the requester unread — the page's bytes get the
+  requester's token appended and are re-sealed, never parsed. The
+  plaintext of a relayed query exists *only* inside the enclave;
+- response filtering: every response is decrypted and authenticated,
+  and its token read from the page's last member; only the record
+  carrying the real query's token is decoded and surfaces results.
+  Fake responses are dropped unread inside the enclave, so even the
+  local host cannot tell which response mattered.
 
 The untrusted node (:mod:`repro.core.node`) moves sealed bytes around
 and runs everything that only involves the local user's own data
@@ -42,12 +44,23 @@ from repro.sgx.enclave import Enclave, ecall
 #: OR-groups are visibly larger than plain queries.
 RECORD_ENVELOPE_BYTES = 512
 
+_EMPTY_PAD = b'"pad":""'
 
-def _pad_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Pad a wire-encodable record up to the envelope boundary."""
-    base = len(wire.encode({**record, "pad": ""}))
-    target = ((base // RECORD_ENVELOPE_BYTES) + 1) * RECORD_ENVELOPE_BYTES
-    return {**record, "pad": "0" * (target - base)}
+
+def _padded_record(record: Dict[str, Any]) -> bytes:
+    """The encoding of *record* with a ``pad`` string of zeros that
+    fills it up to the next envelope boundary.
+
+    Encoded once: ``{**record, "pad": ""}`` is measured, then the zeros
+    are written into its empty ``pad`` string. That is the encoding of
+    ``{**record, "pad": "0" * n}``, because every member after ``pad``
+    (``query``, ``token``, ``tp``) is a string and ``"`` is escaped
+    inside a string, so the last ``"pad":""`` is the record's own.
+    """
+    base = wire.encode({**record, "pad": ""})
+    target = ((len(base) // RECORD_ENVELOPE_BYTES) + 1) * RECORD_ENVELOPE_BYTES
+    cut = base.rindex(_EMPTY_PAD) + len(_EMPTY_PAD) - 1
+    return b"".join((base[:cut], b"0" * (target - len(base)), base[cut:]))
 
 
 class CyclosaEnclave(Enclave):
@@ -235,9 +248,9 @@ class CyclosaEnclave(Enclave):
             }
             if trace_contexts and relay in trace_contexts:
                 fields["tp"] = trace_contexts[relay]
-            record = _pad_record(fields)
             pending[token] = {"real": not is_fake, "query": query}
-            sealed = channels[relay].seal(record, rng=self._rng)
+            sealed = channels[relay].seal_bytes(_padded_record(fields),
+                                                rng=self._rng)
             self.charge_crypto(len(sealed), operations=1)
             batch.append((relay, sealed))
         self._evict_stale("pending")
@@ -263,9 +276,9 @@ class CyclosaEnclave(Enclave):
         }
         if traceparent is not None:
             fields["tp"] = traceparent
-        record = _pad_record(fields)
         pending[new_token] = {"real": True, "query": entry["query"]}
-        sealed = channels[new_relay].seal(record, rng=self._rng)
+        sealed = channels[new_relay].seal_bytes(_padded_record(fields),
+                                                rng=self._rng)
         return new_token, sealed
 
     @ecall
@@ -273,26 +286,41 @@ class CyclosaEnclave(Enclave):
                             ) -> Optional[Dict[str, Any]]:
         """Decrypt a relay's response; surface it only for the real query.
 
-        Returns ``{"hits": [...], "query": ...}`` when the response
+        Returns ``{"query", "status", "hits"}`` when the response
         answers the user's real query, ``None`` when it answered a fake
-        (dropped inside the enclave, §IV step 8) or fails to decrypt.
+        (dropped inside the enclave, §IV step 8), fails to decrypt, or
+        is a real answer that does not decode.
+
+        Every response is opened and authenticated, but only the real
+        answer is decoded: the token is read from the plaintext's last
+        member, where the relay put it (:meth:`wrap_relay_response`).
+        A real answer that does not decode keeps its pending entry, so
+        the host can retry the leg with :meth:`rebuild_real`.
         """
         channels: Dict[str, SecureChannel] = self.trusted["peer_channels"]
         channel = channels.get(relay)
         if channel is None:
             return None
         try:
-            response = channel.open(sealed)
+            plaintext = channel.open_bytes(sealed)
         except TlsError:
             return None
         self.charge_crypto(len(sealed), operations=1)
-        token = response.get("token")
+        token = wire.last_member(plaintext, "token")
         pending: Dict[str, Dict[str, Any]] = self.trusted["pending"]
-        entry = pending.pop(token, None)
+        entry = pending.get(token)
         if entry is None:
             return None
         if not entry["real"]:
-            return None  # fake-query response: silently dropped
+            del pending[token]
+            return None  # fake-query response: dropped unread
+        try:
+            response = wire.decode(plaintext)
+        except wire.DECODE_ERRORS:
+            return None
+        if not isinstance(response, dict):
+            return None
+        del pending[token]
         return {
             "query": entry["query"],
             "status": response.get("status", "ok"),
@@ -311,8 +339,10 @@ class CyclosaEnclave(Enclave):
         Returns ``(handle, sealed_for_engine)``; the untrusted host
         ships the sealed bytes to the engine and later exchanges the
         handle for the sealed response via :meth:`wrap_relay_response`.
-        Returns ``None`` if the source has no attested channel or the
-        record fails authentication.
+        Returns ``None`` if the source has no attested channel, the
+        record fails authentication, or it is not a dict with a str
+        ``query`` and ``token`` (an attested peer is still outside
+        input).
 
         When the record carries a trace context and *onward_span_id*
         is given (observability on), the context is re-parented onto
@@ -331,6 +361,10 @@ class CyclosaEnclave(Enclave):
         except TlsError:
             return None
         self.charge_crypto(len(sealed), operations=1)
+        if not (isinstance(record, dict)
+                and isinstance(record.get("query"), str)
+                and isinstance(record.get("token"), str)):
+            return None
         # §V-C: "Once a proxy receives a query forwarding request, it
         # adds this query in its local table of past queries". Real and
         # fake queries are treated identically — the relay cannot tell.
@@ -372,13 +406,22 @@ class CyclosaEnclave(Enclave):
     def wrap_relay_response(self, handle: int, sealed_engine_response: bytes
                             ) -> Optional[Tuple[str, bytes]]:
         """Relay step: decrypt the engine's answer and re-seal it for the
-        original requester. Returns ``(requester_address, sealed)``."""
+        original requester. Returns ``(requester_address, sealed)``.
+
+        The relay forwards the page without reading it (§V-C): it opens
+        the engine record to bytes, appends the requester's ``token`` as
+        the page's last member and re-seals the bytes. For the engine's
+        ``{"hits", "status"}`` page that is byte for byte the encoding of
+        ``{"hits", "status", "token"}``, since ``token`` sorts last.
+        Whether the page decodes is for the client enclave to find out
+        (:meth:`open_relay_response`).
+        """
         forward = self.trusted["forwards"].pop(handle, None)
         engine: Optional[SecureChannel] = self.trusted["engine_channel"]
         if forward is None or engine is None:
             return None
         try:
-            engine_response = engine.open(sealed_engine_response)
+            page = engine.open_bytes(sealed_engine_response)
         except TlsError:
             return None
         self.charge_crypto(len(sealed_engine_response), operations=1)
@@ -386,11 +429,8 @@ class CyclosaEnclave(Enclave):
         channel = channels.get(forward["src"])
         if channel is None:
             return None
-        response = {
-            "token": forward["token"],
-            "status": engine_response.get("status", "ok"),
-            "hits": engine_response.get("hits", []),
-        }
-        sealed = channel.seal(response, rng=self._rng)
+        sealed = channel.seal_bytes(
+            wire.append_member(page, "token", forward["token"]),
+            rng=self._rng)
         self.charge_crypto(len(sealed), operations=1)
         return forward["src"], sealed

@@ -515,9 +515,10 @@ class CyclosaNode(NetNode):
                 # The real leg answered, but unusably: typically a
                 # concurrent search timed out on the same relay and
                 # blacklisted it, dropping the secure channel while
-                # this response was in flight. Unlike a timeout the
-                # relay is not blacklisted, but the leg is dead (the
-                # transport cancelled its timeout), so retry.
+                # this response was in flight, or the page did not
+                # decode. Unlike a timeout the relay is not
+                # blacklisted, but the leg is dead (the transport
+                # cancelled its timeout), so retry.
                 if OBS.enabled:
                     OBS.registry.counter(
                         "cyclosa_core_real_responses_filtered_total",

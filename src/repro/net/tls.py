@@ -27,7 +27,9 @@ The *credential* is pluggable:
 
 Once established, a :class:`SecureChannel` seals every application
 payload with a per-direction AEAD key; sequence numbers provide replay
-detection (the mitigation discussed in §VI-b).
+detection (the mitigation discussed in §VI-b). A record that
+authenticates but does not decode raises :class:`TlsError` like a
+forged one, so every caller that drops bad records drops it too.
 """
 
 from __future__ import annotations
@@ -141,6 +143,12 @@ class SecureChannel:
     associated data) because the simulated network reorders messages;
     the receiver accepts each sequence number at most once — a replayed
     record (the proxy-side attack §VI-b discusses) is rejected.
+
+    :meth:`seal_bytes` and :meth:`open_bytes` do the record layer on
+    plaintext bytes: the 8-byte sequence header and the AEAD.
+    :meth:`seal` and :meth:`open` wrap them in :func:`wire.encode` and
+    :func:`wire.decode`, for callers that hold objects. A relay enclave
+    uses the byte pair to pass an engine page on without parsing it.
     """
 
     peer: str
@@ -151,16 +159,22 @@ class SecureChannel:
         self._send_seq = 0
         self._seen_seqs: set = set()
 
-    def seal(self, payload: Any, rng=None) -> bytes:
-        """Encrypt one application payload (any wire-encodable object)."""
+    def seal_bytes(self, plaintext: bytes, rng=None) -> bytes:
+        """Encrypt one record's plaintext bytes under the next sequence
+        number."""
         seq = self._send_seq
         self._send_seq += 1
         header = seq.to_bytes(8, "big")
-        return header + aead_seal(self.send_key, wire.encode(payload),
+        return header + aead_seal(self.send_key, plaintext,
                                   associated_data=header, rng=rng)
 
-    def open(self, sealed: bytes) -> Any:
-        """Decrypt one record; raises on tampering or replay."""
+    def seal(self, payload: Any, rng=None) -> bytes:
+        """Encrypt one application payload (any wire-encodable object)."""
+        return self.seal_bytes(wire.encode(payload), rng=rng)
+
+    def open_bytes(self, sealed: bytes) -> bytes:
+        """Decrypt one record to its plaintext bytes; raises
+        :class:`TlsError` on tampering or replay."""
         if not isinstance(sealed, (bytes, bytearray)):
             raise TlsError("record is not bytes")
         if len(sealed) < 8:
@@ -175,7 +189,17 @@ class SecureChannel:
         except AeadError as exc:
             raise TlsError("record failed authentication") from exc
         self._seen_seqs.add(seq)
-        return wire.decode(plaintext)
+        return plaintext
+
+    def open(self, sealed: bytes) -> Any:
+        """Decrypt and decode one record; raises :class:`TlsError` on
+        tampering, replay, or an authenticated plaintext that does not
+        decode (a peer's bad record must not crash its receiver)."""
+        plaintext = self.open_bytes(sealed)
+        try:
+            return wire.decode(plaintext)
+        except wire.DECODE_ERRORS as exc:
+            raise TlsError("record does not decode") from exc
 
 
 def _directional_keys(shared: bytes, initiator: bool):

@@ -176,6 +176,7 @@ class TestTorNetwork:
         b"not json",
         b"\xff\xfe",
         b'"a string"',
+        b'{"__bytes__": 5}',
         wire.encode({"backward_key": bytes(32)}),
         wire.encode({"type": "exit", "engine": "engine", "query": "q"}),
         wire.encode({"type": "exit", "engine": "engine", "query": "q",
@@ -186,9 +187,10 @@ class TestTorNetwork:
                      "backward_key": bytes(32)}),
         wire.encode({"type": "forward", "onion": b"inner",
                      "backward_key": bytes(32)}),
-    ], ids=["not-json", "not-utf8", "json-string", "no-type",
-            "no-backward-key", "short-backward-key", "str-backward-key",
-            "exit-without-engine", "forward-without-next"])
+    ], ids=["not-json", "not-utf8", "json-string", "int-bytes-tag",
+            "no-type", "no-backward-key", "short-backward-key",
+            "str-backward-key", "exit-without-engine",
+            "forward-without-next"])
     def test_relay_drops_a_malformed_layer(self, stack, layer):
         sim, engine_node, relays, client = stack
         onion = relays[0].identity.public.encrypt(layer, rng=client.rng)

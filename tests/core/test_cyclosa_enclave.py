@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core.enclave import CyclosaEnclave
+from repro.core.enclave import (RECORD_ENVELOPE_BYTES, CyclosaEnclave,
+                                _padded_record)
+from repro.net import wire
 from repro.net.tls import SecureChannel, _directional_keys
 from repro.sgx.enclave import EnclaveHost
 from repro.sgx.errors import EnclaveIsolationError
@@ -15,6 +18,18 @@ def paired_channels(secret: bytes, peer_a: str, peer_b: str):
     send_b, recv_b = _directional_keys(secret, initiator=False)
     return (SecureChannel(peer=peer_b, send_key=send_a, recv_key=recv_a),
             SecureChannel(peer=peer_a, send_key=send_b, recv_key=recv_b))
+
+
+def record_calls(monkeypatch, module, name, calls):
+    """Append the arguments of every call of ``module.name`` to
+    *calls*."""
+    original = getattr(module, name)
+
+    def recorded(*args):
+        calls.append((name, args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
 
 
 @pytest.fixture
@@ -199,6 +214,61 @@ class TestRelayPath:
         assert response["token"] == "t42"
         assert response["hits"][0]["url"] == "u1"
 
+    def test_unwrap_record_that_does_not_decode_dropped(self, wired):
+        enclave, client_end, _ = wired
+        sealed = client_end.seal_bytes(b"not json")
+        assert enclave.unwrap_forward("client", sealed) is None
+        assert enclave.table_size() == 0
+
+    @pytest.mark.parametrize("record", [
+        "q", ["q"], {"query": "q", "meta": {}}, {"token": "t", "meta": {}},
+        {"token": 5, "query": "q"}, {"token": "t", "query": ["q"]},
+    ])
+    def test_unwrap_malformed_record_dropped(self, wired, record):
+        enclave, client_end, _ = wired
+        sealed = client_end.seal(record)
+        assert enclave.unwrap_forward("client", sealed) is None
+        assert enclave.table_size() == 0
+
+    def test_wrap_relay_response_neither_encodes_nor_decodes(
+            self, wired, monkeypatch):
+        """The relay passes the engine's page on as bytes."""
+        enclave, client_end, engine_end = wired
+        sealed = client_end.seal({"token": "t42", "query": "q", "meta": {}})
+        handle, _ = enclave.unwrap_forward("client", sealed)
+        reply = engine_end.seal({"status": "ok", "hits": [
+            {"doc_id": 1, "url": "u1", "score": 0.5, "title": ["flu"]}]})
+        calls = []
+        record_calls(monkeypatch, wire, "encode", calls)
+        record_calls(monkeypatch, wire, "decode", calls)
+        assert enclave.wrap_relay_response(handle, reply) is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("page", [
+        {"status": "ok", "hits": [
+            {"doc_id": 7, "url": "https://web.example/7", "score": 2.5,
+             "title": ["santé", "grippe"]},
+            {"doc_id": 3, "url": "https://web.example/3",
+             "score": 0.1 + 0.2, "title": ['"token":"t9"', "\\"]}]},
+        {"status": "captcha", "hits": []},
+    ], ids=["ok", "captcha"])
+    def test_sealed_answer_equals_sealing_the_decoded_page(self, wired, rng,
+                                                          page):
+        """Byte identity with the construction the relay used when it
+        decoded the page: seal ``{"token", "status", "hits"}`` under the
+        same sequence number and RNG state."""
+        enclave, client_end, engine_end = wired
+        sealed = client_end.seal({"token": "t42", "query": "q", "meta": {}})
+        handle, _ = enclave.unwrap_forward("client", sealed)
+        reply = engine_end.seal(page)
+        state = rng.getstate()
+        _, answer = enclave.wrap_relay_response(handle, reply)
+        _, twin = paired_channels(b"p" * 32, "client", "relay")
+        rng.setstate(state)
+        reference = twin.seal({"token": "t42", "status": page["status"],
+                               "hits": page["hits"]}, rng=rng)
+        assert answer == reference
+
     def test_wrap_with_unknown_handle_dropped(self, wired):
         enclave, _, engine_end = wired
         reply = engine_end.seal({"status": "ok", "hits": []})
@@ -244,6 +314,41 @@ class TestResponseFiltering:
             {"token": fake_token, "status": "ok", "hits": [{"url": "x"}]})
         assert enclave.open_relay_response(fake_relay, response) is None
 
+    def test_real_answer_that_does_not_decode_keeps_its_leg(self, enclave):
+        """An unusable real answer is retried, not lost: its pending
+        entry stays for :meth:`rebuild_real`."""
+        local, remote = paired_channels(b"r" * 32, "me", "r1")
+        enclave.install_peer_channel("r1", local)
+        enclave.install_peer_channel("r2", paired_channels(
+            b"s" * 32, "me", "r2")[0])
+        _, _, token = enclave.build_protected_batch("real query", 0, ["r1"])
+        for page in (b"not json", b'{"hits":[', b"[1,2]"):
+            answer = remote.seal_bytes(
+                wire.append_member(page, "token", token))
+            assert enclave.open_relay_response("r1", answer) is None
+        new_token, _ = enclave.rebuild_real(token, "r2")
+        assert new_token != token
+
+    def test_fake_answer_is_dropped_unread(self, enclave, monkeypatch):
+        enclave.seed_table([f"fake {i}" for i in range(5)])
+        ends = {}
+        for name in ("r1", "r2"):
+            local, remote = paired_channels(
+                name.encode().ljust(32, b"x"), "me", name)
+            enclave.install_peer_channel(name, local)
+            ends[name] = remote
+        batch, real_relay, _ = enclave.build_protected_batch(
+            "real", 1, ["r1", "r2"])
+        fake_relay = "r2" if real_relay == "r1" else "r1"
+        fake_token = ends[fake_relay].open(
+            next(s for r, s in batch if r == fake_relay))["token"]
+        answer = ends[fake_relay].seal_bytes(
+            wire.append_member(b"not json", "token", fake_token))
+        decoded = []
+        record_calls(monkeypatch, wire, "decode", decoded)
+        assert enclave.open_relay_response(fake_relay, answer) is None
+        assert decoded == []
+
     def test_unknown_token_dropped(self, enclave):
         local, remote = paired_channels(b"r" * 32, "me", "r1")
         enclave.install_peer_channel("r1", local)
@@ -252,3 +357,33 @@ class TestResponseFiltering:
 
     def test_response_from_unknown_relay_dropped(self, enclave):
         assert enclave.open_relay_response("ghost", b"bytes") is None
+
+
+def _two_encode_padding(record):
+    """The padding as first built: encode to measure, then encode the
+    padded record again."""
+    base = len(wire.encode({**record, "pad": ""}))
+    target = ((base // RECORD_ENVELOPE_BYTES) + 1) * RECORD_ENVELOPE_BYTES
+    return wire.encode({**record, "pad": "0" * (target - base)})
+
+
+class TestPaddedRecord:
+    @given(token=st.from_regex(r"t[0-9]{8}", fullmatch=True),
+           query=st.text(max_size=300),
+           user=st.one_of(st.none(), st.text(max_size=20)),
+           is_fake=st.booleans(),
+           traceparent=st.one_of(st.none(), st.text(max_size=60)))
+    def test_one_encode_equals_two(self, token, query, user, is_fake,
+                                   traceparent):
+        record = {"token": token, "query": query,
+                  "meta": {"true_user": user, "is_fake": is_fake}}
+        if traceparent is not None:
+            record["tp"] = traceparent
+        padded = _padded_record(record)
+        assert padded == _two_encode_padding(record)
+        assert len(padded) % RECORD_ENVELOPE_BYTES == 0
+
+    def test_query_that_spells_an_empty_pad(self):
+        record = {"token": "t00000001", "query": '"pad":""',
+                  "meta": {"true_user": '"pad":""', "is_fake": False}}
+        assert _padded_record(record) == _two_encode_padding(record)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.client import CyclosaNetwork
 from repro.core.config import CyclosaConfig
+from repro.net import wire
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,49 @@ class TestRelayAccounting:
         assert node.stats.queries_issued > 0
         total_relayed = sum(n.stats.relayed for n in deployment.nodes)
         assert total_relayed > 0
+
+
+def _search_recording(monkeypatch, name):
+    """Run one seeded search at k = 3 to its last leg, recording what
+    every call of ``wire.<name>`` returns."""
+    deployment = CyclosaNetwork.create(num_nodes=8, seed=3)
+    original = getattr(wire, name)
+    returned = []
+
+    def recorded(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(wire, name, recorded)
+    results = []
+    deployment.nodes[0].search("cheap flights paris", k_override=3,
+                               on_result=results.append)
+    deployment.run(600.0)
+    assert [(result["status"], result["k"]) for result in results] == [
+        ("ok", 3)]
+    return returned
+
+
+class TestRelayAnswers:
+    """The relays pass each engine page on unread, and the client
+    enclave decodes only the real one of the k + 1 answers."""
+
+    def test_one_search_decodes_one_page(self, monkeypatch):
+        decoded = _search_recording(monkeypatch, "decode")
+        pages = [value for value in decoded
+                 if isinstance(value, dict) and "hits" in value]
+        assert len(pages) == 1
+        assert sorted(pages[0]) == ["hits", "status", "token"]
+
+    def test_every_answer_is_its_canonical_encoding(self, monkeypatch):
+        """Each relay answer's plaintext re-encodes to itself, so it is
+        the encoding of ``{"hits", "status", "token"}`` byte for byte."""
+        answers = _search_recording(monkeypatch, "append_member")
+        assert len(answers) == 4
+        for plaintext in answers:
+            assert sorted(wire.decode(plaintext)) == [
+                "hits", "status", "token"]
+            assert wire.encode(wire.decode(plaintext)) == plaintext
 
 
 class TestDeploymentApi:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.crypto.keys import IdentityKeyPair
+from repro.net import wire
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.transport import Network, NetNode
@@ -198,6 +199,29 @@ class TestRecordLayer:
         for record in ({"query": "flu"}, "a string record", None):
             with pytest.raises(TlsError):
                 b.open(record)
+
+    def test_seal_is_seal_bytes_of_the_encoding(self):
+        a, _ = self._pair()
+        twin, _ = self._pair()
+        payload = {"hits": [], "status": "ok"}
+        assert a.seal(payload, rng=random.Random(1)) == twin.seal_bytes(
+            wire.encode(payload), rng=random.Random(1))
+
+    def test_open_bytes_returns_the_plaintext(self, rng):
+        a, b = self._pair()
+        record = a.seal_bytes(b"raw page", rng=rng)
+        assert b.open_bytes(record) == b"raw page"
+        with pytest.raises(TlsError):  # the sequence number is spent
+            b.open_bytes(record)
+
+    @pytest.mark.parametrize("plaintext", [
+        b"not json", b'{"query": "flu"', b"\xff\xfe", b"",
+        b'{"__bytes__": 5}', b'{"__bytes__": "zz"}'])
+    def test_authenticated_record_that_does_not_decode_rejected(
+            self, rng, plaintext):
+        a, b = self._pair()
+        with pytest.raises(TlsError, match="does not decode"):
+            b.open(a.seal_bytes(plaintext, rng=rng))
 
     def test_directional_keys_are_asymmetric(self):
         send_a, recv_a = _directional_keys(b"s" * 32, initiator=True)

@@ -172,3 +172,77 @@ class TestReferenceCodec:
         }
         assert hashlib.sha256(wire.encode(payload)).hexdigest() == (
             "6f4bc083aec5a26a32c87db4f385655b63c828c5888944c1bc0608ee41470d6d")
+
+
+# Engine pages as the relay passes them on: 0-20 hits whose titles mix
+# ASCII terms, non-ASCII text and strings that look like a token member.
+page_titles = st.lists(st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=10),
+    st.text(max_size=10),
+    st.sampled_from(['"token":"t1"', ',"token":"', "\\", '"}', "santé"])),
+    max_size=6)
+
+page_hits = st.fixed_dictionaries({
+    "doc_id": st.integers(min_value=0, max_value=10**6),
+    "url": st.text(max_size=30),
+    "score": st.floats(allow_nan=False, allow_infinity=False),
+    "title": page_titles,
+})
+
+pages = st.fixed_dictionaries({
+    "hits": st.lists(page_hits, max_size=20),
+    "status": st.sampled_from(["ok", "captcha"]),
+})
+
+tokens = st.one_of(st.from_regex(r"t[0-9]{8}", fullmatch=True),
+                   st.text(max_size=12))
+
+non_strings = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.text(max_size=4), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2))
+
+
+class TestLastMember:
+    """``append_member`` and ``last_member`` add and read an object's
+    last member without parsing the rest of it."""
+
+    @given(pages, tokens)
+    def test_append_equals_encoding_with_the_member(self, page, token):
+        appended = wire.append_member(wire.encode(page), "token", token)
+        assert appended == wire.encode({**page, "token": token})
+        assert wire.last_member(appended, "token") == token
+
+    def test_append_to_the_empty_object(self):
+        assert wire.append_member(b"{}", "token", "t1") == (
+            wire.encode({"token": "t1"}))
+
+    @given(pages)
+    def test_another_last_key_reads_none(self, page):
+        assert wire.last_member(wire.encode(page), "token") is None
+
+    @given(pages, tokens, st.text(min_size=1, max_size=6))
+    def test_a_later_key_reads_none(self, page, token, value):
+        data = wire.encode({**page, "token": token, "zz": value})
+        assert wire.last_member(data, "token") is None
+
+    @given(pages, non_strings)
+    def test_a_non_string_value_reads_none(self, page, value):
+        data = wire.encode({**page, "token": value})
+        assert wire.last_member(data, "token") is None
+
+    @given(pages, tokens)
+    def test_a_nested_member_reads_none(self, page, token):
+        data = wire.encode({**page, "wrap": {"token": token}})
+        assert wire.last_member(data, "token") is None
+
+    @pytest.mark.parametrize("data", [
+        b"", b"}", b"not json", b'"token":"t1"}', b'{"token":"t1',
+        b'{"token":"t1"]}', b'{"token":"\xff"}'])
+    def test_bytes_that_are_no_object_read_none(self, data):
+        assert wire.last_member(data, "token") is None
+
+    def test_a_key_that_ends_in_the_key_reads_none(self):
+        data = wire.encode({"status": "ok", 'x"token': "t1"})
+        assert b'"token":"t1"}' in data
+        assert wire.last_member(data, "token") is None

@@ -162,6 +162,21 @@ class TestUnusableSealedRecords:
         assert replies == ["timeout"]
         assert len(engine_node.tap) == 0
 
+    def test_record_that_does_not_decode(self, setup):
+        """An authenticated record whose plaintext is not an encoding
+        is dropped like a forged one."""
+        rng, sim, net, engine_node = setup
+        client = TlsClient(net, "client", rng)
+        client.tls.establish("engine", on_ready=lambda ch: None)
+        sim.run()
+        replies = []
+        client.request("engine", client.tls.channel("engine").seal_bytes(
+            b"not json", rng=rng), replies.append, kind="searchtls",
+            timeout=2.0, on_timeout=lambda: replies.append("timeout"))
+        sim.run()
+        assert replies == ["timeout"]
+        assert len(engine_node.tap) == 0
+
     def test_unsealed_payload(self, setup):
         rng, sim, net, engine_node = setup
         client = TlsClient(net, "client", rng)

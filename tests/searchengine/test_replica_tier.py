@@ -320,3 +320,15 @@ class TestMalformedShardReplies:
         assert page["status"] == "ok"
         assert page["hits"]
         assert all(hit["doc_id"] % 2 == 0 for hit in page["hits"])
+
+    def test_reply_that_does_not_decode_degrades_to_the_surviving_shard(
+            self, corpus):
+        sim, net, nodes = build_tier(corpus, 2)
+        rogue = nodes[1]
+        rogue._serve_shard = lambda ctx: ctx.respond(
+            rogue.tls.channel(ctx.request.src).seal_bytes(
+                b"not json", rng=rogue.rng))
+        (page,) = fire(sim, net, "engine", [QUERIES[0]])
+        assert page["status"] == "ok"
+        assert page["hits"]
+        assert all(hit["doc_id"] % 2 == 0 for hit in page["hits"])
