@@ -19,21 +19,24 @@ The encoding of an object is canonical: members in sorted key order, no
 whitespace, and every ``"`` inside a string written ``\\"`` (non-ASCII
 as ``\\uXXXX``). That lets :func:`append_member` and :func:`last_member`
 add and read an object's last member without parsing the rest, which is
-how a relay forwards an engine page it never reads.
+how a relay forwards an engine page it never reads, and lets
+:func:`splice_rows` build an encoding from encodings made earlier, which
+is how an engine replica answers a sibling from cached partials.
 """
 
 from __future__ import annotations
 
 import json
 from json.decoder import scanstring
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 _BYTES_TAG = "__bytes__"
 
 #: What :func:`decode` raises on bytes that are not an encoding: invalid
-#: UTF-8 or JSON (``ValueError``), or a bytes tag that does not hold a
-#: hex string (``ValueError`` or ``TypeError``).
-DECODE_ERRORS = (TypeError, ValueError)
+#: UTF-8 or JSON (``ValueError``), a bytes tag that does not hold a hex
+#: string (``ValueError`` or ``TypeError``), or arrays and objects nested
+#: deeper than the interpreter's recursion limit (``RecursionError``).
+DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
 def _tag_bytes(value: Any) -> Any:
@@ -80,6 +83,21 @@ def append_member(data: bytes, key: str, value: Any) -> bytes:
     if data == b"{}":
         return b"{" + member + b"}"
     return b"".join((data[:-1], b",", member, b"}"))
+
+
+def splice_rows(key: str, rows: Iterable[Iterable[bytes]]) -> bytes:
+    """``encode({key: [[v, ...], ...]})`` from *rows* of ``encode(v)``,
+    without re-encoding any ``v``.
+
+    Exact because a canonical encoding does not depend on where a value
+    sits: a list is written as ``[``, its items' encodings joined by
+    ``,`` and ``]``, and a one-member object as ``{``, its key's
+    encoding, ``:``, its value's encoding and ``}``, with no whitespace
+    anywhere. The caller vouches that every fragment is an encoding.
+    """
+    return b"".join((
+        b"{", _ENCODER.encode(key).encode("utf-8"), b":[",
+        b",".join(b"[" + b",".join(row) + b"]" for row in rows), b"]}"))
 
 
 def last_member(data: bytes, key: str) -> Optional[str]:

@@ -4,17 +4,22 @@ Two caches use this class (see :mod:`repro.searchengine.node`):
 
 - the per-replica **response cache** — final result pages keyed by
   query text, so a repeated query skips ranking and merging entirely;
+  each entry also keeps the page's encoded body once a sealed answer
+  has needed it, so a repeated sealed query is not re-encoded either;
 - the per-shard **partial cache** — partial top-k lists keyed by the
   ranked term tuple, so sibling scatter-gather requests for a repeated
-  query cost a dictionary lookup instead of a postings walk.
+  query cost a dictionary lookup instead of a postings walk; each
+  entry also keeps the encoding of its wire-hit list once a sibling
+  has asked for it, which later shard replies splice in.
 
 Privacy invariant (enforced by
 :func:`repro.obs.audit.audit_cache_indistinguishability`): a cache hit
 must be *indistinguishable from a miss to the adversary wiretap*. The
 cache therefore never changes what goes on the wire or when — message
 kinds, sealed sizes and response timing (drawn from the seeded latency
-model) are identical either way. Only the wall-clock ranking CPU is
-saved. That is why this class is a plain memo with statistics: all the
+model) are identical either way, and a kept encoding is byte for byte
+the one a miss would make. Only the wall-clock ranking and encoding
+CPU is saved. That is why this class is a plain memo with statistics: all the
 wire behaviour lives in the node, which consults the cache strictly
 *after* the message flow for the query has been decided.
 """

@@ -259,8 +259,12 @@ class SearchEngine:
     def search_batch(self, queries: Sequence[str],
                      topk: int | None = None) -> List[List[SearchHit]]:
         """One result list per query, with duplicate queries ranked
-        once — the term-lookup amortisation behind replica batching.
-        Equivalent to ``[self.search(q, topk) for q in queries]``."""
+        once. Equivalent to ``[self.search(q, topk) for q in queries]``.
+        Replicas do not call it: a replica dedupes a batch's queries in
+        :meth:`SearchEngineNode._serve_jobs
+        <repro.searchengine.node.SearchEngineNode._serve_jobs>`. Outside
+        the tests, only the benchmark's layer table (``bench/layers.py``)
+        names it."""
         memo: Dict[str, List[SearchHit]] = {}
         results: List[List[SearchHit]] = []
         for query in queries:

@@ -50,14 +50,26 @@ replica-crash cell exercises exactly this).
 Two caches and a batch window cut the ranking CPU without touching the
 wire (*privacy invariant*: a cache hit is indistinguishable from a miss
 to a wiretap — message kinds, sealed sizes and the seeded response
-timing are identical either way; only wall-clock ranking work is
-skipped):
+timing are identical either way; only wall-clock ranking and encoding
+work is skipped):
 
-- *response_cache* — final result pages per query at the coordinator;
-- *partial_cache* — per-shard partial top-k keys per term tuple;
+- *response_cache* — final result pages per query at the coordinator,
+  each with the ``{"hits", "status"}`` body a sealed answer carries,
+  encoded for the first sealed job that reads the page;
+- *partial_cache* — per-shard partial top-k keys per term tuple, each
+  with the encoding of its ``d/u/s/t`` wire-hit list, made the first
+  time a sibling asks for it; a shard reply splices these fragments
+  (:func:`~repro.net.wire.splice_rows`) instead of re-encoding them;
 - *batch_window* > 0 queues admitted queries on the simulated clock
   and serves each flush together: duplicates are ranked once and the
-  whole batch shares one scatter-gather round per sibling.
+  whole batch shares one scatter-gather round per sibling, whose
+  request is encoded once.
+
+A coordinator keeps each sibling's reply as the plaintext its channel
+authenticated and decodes the replies only when a query of the batch
+misses the response cache, so a batch of cached queries reads none.
+Only the cluster's replicas are served partials: a shard request from
+any other address is dropped.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import IdentityKeyPair
+from repro.net import wire
 from repro.net.latency import LatencyModel, LogNormalLatency
 from repro.net.tls import SecureChannelManager, SignatureAuthenticator, TlsError
 from repro.net.transport import Network, NetNode, RequestContext
@@ -97,11 +110,22 @@ class _PendingQuery:
 
 @dataclass
 class _ScatterState:
-    """Book-keeping of one scatter-gather round."""
+    """Book-keeping of one scatter-gather round: the authenticated
+    plaintext of each sibling's reply, decoded only if a page needs it."""
 
     pending: int
-    partials: Dict[str, Any] = field(default_factory=dict)
+    replies: Dict[str, bytes] = field(default_factory=dict)
     done: bool = False
+
+
+@dataclass
+class _Encoded:
+    """A cache entry: a value (a page's hits, or a shard partial's keys)
+    and the encoding of what a reply sends of it, made when a reply
+    first needs it."""
+
+    value: Any
+    encoding: Optional[bytes] = None
 
 
 def _search_request(record: Any) -> Optional[Tuple[str, Dict[str, Any]]]:
@@ -279,8 +303,9 @@ class SearchEngineNode(NetNode):
                     self._emit_serve_span(traceparent, query,
                                           status="captcha", hits=0,
                                           delay=0.005)
-                self._respond_after_delay(ctx, response, sealed_for,
-                                          delay=0.005)
+                self._respond_after_delay(
+                    ctx, response if sealed_for is None
+                    else wire.encode(response), sealed_for, delay=0.005)
                 return
         # Honest-but-curious: log *then* serve faithfully (§III).
         self.tap.record(
@@ -333,9 +358,10 @@ class SearchEngineNode(NetNode):
             if state.done or state.pending > 0:
                 return
             state.done = True
-            self._finish_jobs(jobs, unique, plans, state.partials)
+            self._finish_jobs(jobs, unique, plans, state.replies)
 
-        request = {"q": plans, "k": topk}
+        if self.siblings:
+            request = wire.encode({"q": plans, "k": topk})
         for sibling in self.siblings:
             channel = self.tls.channel(sibling)
             if channel is None:
@@ -345,12 +371,9 @@ class SearchEngineNode(NetNode):
             def on_reply(payload: Any, channel=channel,
                          sibling=sibling) -> None:
                 try:
-                    record = channel.open(payload)
+                    state.replies[sibling] = channel.open_bytes(payload)
                 except TlsError:
-                    record = None
-                partials = _shard_partials(record, plans)
-                if partials is not None:  # else degrade as if silent
-                    state.partials[sibling] = partials
+                    pass  # degrade as if silent
                 state.pending -= 1
                 conclude()
 
@@ -363,13 +386,15 @@ class SearchEngineNode(NetNode):
                 state.pending -= 1
                 conclude()
 
-            self.request(sibling, channel.seal(request, rng=self.rng),
+            self.request(sibling, channel.seal_bytes(request, rng=self.rng),
                          on_reply, timeout=self.shard_timeout,
                          on_timeout=on_timeout, kind=SHARD_KIND)
         conclude()  # no sibling, or none with a channel
 
     def _serve_shard(self, ctx: RequestContext) -> None:
         """Answer a sibling coordinator's sealed partial top-k request."""
+        if ctx.request.src not in self.siblings:
+            return  # partials are for the cluster's replicas only
         channel = self.tls.channel(ctx.request.src)
         if channel is None:
             return
@@ -380,26 +405,24 @@ class SearchEngineNode(NetNode):
         if not _is_shard_request(record):
             return  # malformed: the coordinator degrades without it
         topk = record["k"]
-        partials = [
-            [self._encode_hits(self._partial_rank(terms, topk))
-             for terms in term_lists]
+        reply = wire.splice_rows("p", [
+            [self._partial_fragment(terms, topk) for terms in term_lists]
             for term_lists in record["q"]
-        ]
+        ])
         if OBS.enabled:
             OBS.registry.counter(
                 "cyclosa_engine_shard_requests_total",
                 "sibling partial top-k requests served",
                 replica=self.address).inc()
-        ctx.respond(channel.seal({"p": partials}, rng=self.rng))
+        ctx.respond(channel.seal_bytes(reply, rng=self.rng))
 
-    def _partial_rank(self, terms: Sequence[str],
-                      topk: int) -> List[RankKey]:
-        """This replica's shard partial keys for *terms*, through the
-        partial cache when one is configured."""
+    def _partial(self, terms: Sequence[str], topk: int) -> _Encoded:
+        """This replica's shard partial for *terms*: its keys, through
+        the partial cache when one is configured."""
         if self.partial_cache is None:
-            return self.engine.rank_terms(terms, topk)
+            return _Encoded(self.engine.rank_terms(terms, topk))
         key = (tuple(terms), topk)
-        found, keys = self.partial_cache.get(key)
+        found, partial = self.partial_cache.get(key)
         if OBS.enabled:
             OBS.registry.counter(
                 "cyclosa_engine_shard_lookups_total",
@@ -407,9 +430,18 @@ class SearchEngineNode(NetNode):
                 replica=self.address,
                 result="hit" if found else "miss").inc()
         if not found:
-            keys = self.engine.rank_terms(terms, topk)
-            self.partial_cache.put(key, keys)
-        return keys
+            partial = _Encoded(self.engine.rank_terms(terms, topk))
+            self.partial_cache.put(key, partial)
+        return partial
+
+    def _partial_fragment(self, terms: Sequence[str], topk: int) -> bytes:
+        """The encoded wire-hit list of this shard's partial for
+        *terms*, as a shard reply carries it; encoded once per partial
+        cache entry."""
+        partial = self._partial(terms, topk)
+        if partial.encoding is None:
+            partial.encoding = wire.encode(self._encode_hits(partial.value))
+        return partial.encoding
 
     def _encode_hits(self, keys: Sequence[RankKey]) -> List[Dict[str, Any]]:
         """This shard's partial keys as wire hits: doc id, url, score
@@ -433,7 +465,7 @@ class SearchEngineNode(NetNode):
         sent: Dict[int, Dict[str, Any]] = {}
         subquery_partials = []
         for sub_index, terms in enumerate(plan):
-            shard_partials = [self._partial_rank(terms, topk)]
+            shard_partials = [self._partial(terms, topk).value]
             for partial in partials:
                 keys = []
                 for hit in partial[sub_index]:
@@ -453,14 +485,29 @@ class SearchEngineNode(NetNode):
                          "title": list(title)})
         return page
 
+    def _sibling_partials(self, replies: Dict[str, bytes],
+                          plans: List[List[List[str]]]) -> List[Any]:
+        """The partials of each sibling, in cluster order, whose reply
+        decodes and answers *plans*. Silent or malformed siblings are
+        missing: the page degrades to the surviving shards."""
+        answered = []
+        for sibling in self.siblings:
+            if sibling not in replies:
+                continue
+            try:
+                record = wire.decode(replies[sibling])
+            except wire.DECODE_ERRORS:
+                continue
+            partials = _shard_partials(record, plans)
+            if partials is not None:
+                answered.append(partials)
+        return answered
+
     def _finish_jobs(self, jobs: List[_PendingQuery], unique: List[str],
                      plans: List[List[List[str]]],
-                     sibling_partials: Dict[str, Any]) -> None:
-        # Silent or malformed siblings are missing: the page degrades
-        # to the surviving shards.
-        answered = [sibling_partials[sibling] for sibling in self.siblings
-                    if sibling in sibling_partials]
-        pages: Dict[str, List[Dict[str, Any]]] = {}
+                     replies: Dict[str, bytes]) -> None:
+        answered = None  # the sibling partials, read at the first miss
+        pages: Dict[str, _Encoded] = {}
         for plan_index, query in enumerate(unique):
             if self.response_cache is not None:
                 found, page = self.response_cache.get(query)
@@ -473,14 +520,24 @@ class SearchEngineNode(NetNode):
                 if found:
                     pages[query] = page
                     continue
-            page = self._result_page(
+            if answered is None:
+                answered = self._sibling_partials(replies, plans)
+            page = _Encoded(self._result_page(
                 plans[plan_index],
-                [partials[plan_index] for partials in answered])
+                [partials[plan_index] for partials in answered]))
             if self.response_cache is not None:
                 self.response_cache.put(query, page)
             pages[query] = page
         for job in jobs:
-            response = {"status": "ok", "hits": list(pages[job.query])}
+            page = pages[job.query]
+            hits = page.value
+            if job.sealed_for is None:
+                response: Any = {"status": "ok", "hits": list(hits)}
+            else:
+                if page.encoding is None:
+                    page.encoding = wire.encode({"hits": hits,
+                                                 "status": "ok"})
+                response = page.encoding
             delay = self.processing.sample(self.rng)
             if OBS.enabled:
                 OBS.registry.histogram(
@@ -491,15 +548,17 @@ class SearchEngineNode(NetNode):
                     "identity": job.identity})
                 OBS.tracer.end_span(span, end_time=span.start + delay)
                 self._emit_serve_span(job.traceparent, job.query, status="ok",
-                                      hits=len(response["hits"]), delay=delay)
+                                      hits=len(hits), delay=delay)
             self._respond_after_delay(job.ctx, response, job.sealed_for,
                                       delay=delay)
 
-    def _respond_after_delay(self, ctx: RequestContext, response: Dict[str, Any],
+    def _respond_after_delay(self, ctx: RequestContext, response: Any,
                              sealed_for, delay: float) -> None:
+        """Answer *ctx* after *delay* with *response*; when *sealed_for*
+        is a channel, *response* is the plaintext encoding to seal on it."""
         def respond() -> None:
             if sealed_for is not None:
-                ctx.respond(sealed_for.seal(response, rng=self.rng))
+                ctx.respond(sealed_for.seal_bytes(response, rng=self.rng))
             else:
                 ctx.respond(response)
 

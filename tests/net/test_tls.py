@@ -216,7 +216,8 @@ class TestRecordLayer:
 
     @pytest.mark.parametrize("plaintext", [
         b"not json", b'{"query": "flu"', b"\xff\xfe", b"",
-        b'{"__bytes__": 5}', b'{"__bytes__": "zz"}'])
+        b'{"__bytes__": 5}', b'{"__bytes__": "zz"}',
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="deep-nesting")])
     def test_authenticated_record_that_does_not_decode_rejected(
             self, rng, plaintext):
         a, b = self._pair()

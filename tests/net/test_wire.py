@@ -203,6 +203,44 @@ non_strings = st.one_of(
     st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2))
 
 
+# Shard partials as a sibling sends them: hit lists whose urls and
+# titles may hold a quote, a backslash or non-ASCII text.
+quoted_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", 'say"hi"', "back\\slash", "sant\u00e9",
+                     "\u4e2d\u6587", '\\"']))
+
+shard_hits = st.fixed_dictionaries({
+    "d": st.integers(min_value=0, max_value=10**6),
+    "u": quoted_text,
+    "s": st.floats(allow_nan=False, allow_infinity=False),
+    "t": st.lists(quoted_text, max_size=6),
+})
+
+
+class TestSpliceRows:
+    """``splice_rows`` builds an object's encoding from the encodings
+    of the values in its rows, byte for byte."""
+
+    @given(st.text(max_size=6),
+           st.lists(st.lists(st.lists(shard_hits, max_size=4), max_size=3),
+                    max_size=3))
+    def test_splice_equals_the_encoding(self, key, partials):
+        rows = [[wire.encode(hits) for hits in per_query]
+                for per_query in partials]
+        assert wire.splice_rows(key, rows) == wire.encode({key: partials})
+
+
+class TestDecodeErrors:
+    @pytest.mark.parametrize("data", [
+        b"[" * 100000 + b"]" * 100000,
+        b'{"a":' * 100000 + b"1" + b"}" * 100000,
+    ], ids=["arrays", "objects"])
+    def test_deep_nesting_raises_a_decode_error(self, data):
+        with pytest.raises(wire.DECODE_ERRORS):
+            wire.decode(data)
+
+
 class TestLastMember:
     """``append_member`` and ``last_member`` add and read an object's
     last member without parsing the rest of it."""

@@ -162,20 +162,33 @@ class TestUnusableSealedRecords:
         assert replies == ["timeout"]
         assert len(engine_node.tap) == 0
 
-    def test_record_that_does_not_decode(self, setup):
-        """An authenticated record whose plaintext is not an encoding
-        is dropped like a forged one."""
+    @staticmethod
+    def _send_plaintext(setup, plaintext):
+        """Seal *plaintext* as it is on a fresh client's channel, send
+        it as a search and return the replies."""
         rng, sim, net, engine_node = setup
         client = TlsClient(net, "client", rng)
         client.tls.establish("engine", on_ready=lambda ch: None)
         sim.run()
         replies = []
         client.request("engine", client.tls.channel("engine").seal_bytes(
-            b"not json", rng=rng), replies.append, kind="searchtls",
+            plaintext, rng=rng), replies.append, kind="searchtls",
             timeout=2.0, on_timeout=lambda: replies.append("timeout"))
         sim.run()
-        assert replies == ["timeout"]
-        assert len(engine_node.tap) == 0
+        return replies
+
+    def test_record_that_does_not_decode(self, setup):
+        """An authenticated record whose plaintext is not an encoding
+        is dropped like a forged one."""
+        assert self._send_plaintext(setup, b"not json") == ["timeout"]
+        assert len(setup[3].tap) == 0
+
+    def test_record_nested_too_deep_to_decode(self, setup):
+        """JSON nested past the recursion limit is dropped too, where
+        its ``RecursionError`` used to leave ``Simulator.run``."""
+        nested = b"[" * 100000 + b"]" * 100000
+        assert self._send_plaintext(setup, nested) == ["timeout"]
+        assert len(setup[3].tap) == 0
 
     def test_unsealed_payload(self, setup):
         rng, sim, net, engine_node = setup

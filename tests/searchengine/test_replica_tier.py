@@ -7,6 +7,7 @@ sealed sibling channels, batching, caching and the degrade path when a
 sibling goes silent.
 """
 
+import dataclasses
 import itertools
 import random
 from unittest.mock import patch
@@ -14,13 +15,14 @@ from unittest.mock import patch
 import pytest
 
 from repro.crypto.keys import IdentityKeyPair
+from repro.net import wire
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.tls import SecureChannelManager, SignatureAuthenticator
 from repro.net.transport import Network, NetNode
 from repro.perf import workload_queries
 from repro.searchengine.cache import ResultCache
-from repro.searchengine.corpus import build_corpus
+from repro.searchengine.corpus import Corpus, build_corpus
 from repro.searchengine.engine import SearchEngine, SearchHit, query_plan
 from repro.searchengine.node import SearchEngineNode
 from repro.searchengine.sharding import build_shard_engines, replica_addresses
@@ -40,6 +42,18 @@ WIRE_QUERIES = (QUERIES + ["vaccine OR mortgage OR laptop"]
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus(docs_per_topic=12, seed=1)
+
+
+@pytest.fixture(scope="module")
+def quoted_corpus(corpus):
+    """The corpus with a ``"``, a ``\\`` and non-ASCII text in every
+    url and title, all of which the canonical encoding escapes."""
+    return Corpus([
+        dataclasses.replace(
+            document, url=f'{document.url}?q="sant\u00e9"\\x',
+            tokens=("sant\u00e9", 'say"hi"', "back\\slash", "\u4e2d\u6587")
+            + document.tokens)
+        for document in corpus.documents])
 
 
 def build_tier(corpus, num_replicas, batch_window=0.0, cache_size=None,
@@ -97,6 +111,60 @@ def fire(sim, net, target, queries, start=0.0, spacing=0.0):
     sim.run()
     assert len(replies) == len(queries), "a search never completed"
     return [replies[index] for index in range(len(queries))]
+
+
+def tls_peer(sim, net, address, target, rng):
+    """A node at *address* with an established channel to *target*."""
+    peer = NetNode(net, address)
+    peer.tls = SecureChannelManager(peer, SignatureAuthenticator(
+        IdentityKeyPair.generate(bits=512, rng=rng)), rng)
+    peer.tls.establish(target, on_ready=lambda channel: None)
+    sim.run()
+    return peer
+
+
+def sealed_client(sim, net, target):
+    """A fresh client with an established channel to *target*, as
+    ``send(queries, start=0.0, spacing=0.0)``: it sends sealed
+    ``searchtls`` requests and returns each reply's plaintext bytes in
+    send order."""
+    rng = random.Random(5)
+    client = tls_peer(sim, net, f"client-{next(CLIENT_NUMBERS)}", target,
+                      rng)
+    channel = client.tls.channel(target)
+
+    def send(queries, start=0.0, spacing=0.0):
+        replies = {}
+
+        def request(index, query):
+            client.request(
+                target, channel.seal({"query": query, "meta": {}}, rng=rng),
+                lambda payload, index=index: replies.__setitem__(
+                    index, channel.open_bytes(payload)),
+                timeout=60.0, kind="searchtls")
+
+        for index, query in enumerate(queries):
+            sim.post(start + index * spacing,
+                     lambda i=index, q=query: request(i, q))
+        sim.run()
+        assert len(replies) == len(queries), "a search never completed"
+        return [replies[index] for index in range(len(queries))]
+
+    return send
+
+
+def send_shard(sim, peer, record, rng):
+    """Seal *record* on *peer*'s channel to ``engine1``, send it as a
+    shard request and return what came back: the reply's plaintext
+    bytes, or ``"timeout"``."""
+    replies = []
+    channel = peer.tls.channel("engine1")
+    peer.request("engine1", channel.seal(record, rng=rng),
+                 lambda payload: replies.append(channel.open_bytes(payload)),
+                 timeout=5.0, kind="shard",
+                 on_timeout=lambda: replies.append("timeout"))
+    sim.run()
+    return replies
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +299,95 @@ class TestCaching:
         assert nodes[1].partial_cache.hits >= 1
 
 
+class TestEncodedOnce:
+    """The guard: a cached tier encodes each page body and each shard
+    partial's wire-hit list once, reads no sibling reply for a batch
+    that the response cache answers whole, and sends the bytes that
+    encoding each reply whole would."""
+
+    def test_each_body_and_fragment_is_encoded_once(self, corpus):
+        sim, net, nodes = build_tier(corpus, 3, batch_window=0.3,
+                                     cache_size=64)
+        send = sealed_client(sim, net, "engine")
+        encoded, hit_lists, replies_read = [], [], []
+        encode, decode = wire.encode, wire.decode
+        encode_hits = SearchEngineNode._encode_hits
+
+        def encode_spy(value):
+            encoded.append(value)
+            return encode(value)
+
+        def decode_spy(data):
+            value = decode(data)
+            if isinstance(value, dict) and "p" in value:
+                replies_read.append(value)
+            return value
+
+        def encode_hits_spy(self, keys):
+            hit_lists.append(self.address)
+            return encode_hits(self, keys)
+
+        # Each list lands in one batch window: all misses, all hits,
+        # then one hit and one miss.
+        batches = [QUERIES, QUERIES + QUERIES, QUERIES[:1] + WIRE_QUERIES[3:4]]
+        read, bodies = [], []
+        with patch.object(wire, "encode", encode_spy), \
+                patch.object(wire, "decode", decode_spy), \
+                patch.object(SearchEngineNode, "_encode_hits",
+                             encode_hits_spy):
+            for batch in batches:
+                before = len(replies_read)
+                bodies.append(send(batch, spacing=0.01))
+                read.append(len(replies_read) - before)
+        queries = set(QUERIES + WIRE_QUERIES[3:4])
+        term_tuples = {tuple(terms) for query in queries
+                       for terms in query_plan(query, "native")}
+        # One reply per sibling, read only by the batches that missed.
+        assert read == [2, 0, 2]
+        assert len([value for value in encoded if isinstance(value, dict)
+                    and "hits" in value]) == len(queries)
+        assert sorted(hit_lists) == sorted(
+            ["engine1", "engine2"] * len(term_tuples))
+        assert len([value for value in encoded
+                    if isinstance(value, list)]) == len(hit_lists)
+        for batch, replies in zip(batches, bodies):
+            for query, body in zip(batch, replies):
+                found, page = nodes[0].response_cache.get(query)
+                assert found
+                assert body == page.encoding == encode(
+                    {"hits": page.value, "status": "ok"})
+
+    @pytest.mark.parametrize("documents", ["corpus", "quoted_corpus"])
+    def test_replies_equal_the_encoding_of_the_whole(self, request,
+                                                     documents):
+        sim, net, nodes = build_tier(request.getfixturevalue(documents), 2,
+                                     cache_size=64)
+        engine = nodes[1].engine
+        plans = [query_plan(query, "native") for query in WIRE_QUERIES]
+        partials = [
+            [[{"d": doc_id, "u": engine.document(doc_id).url, "s": -negated,
+               "t": list(engine.document(doc_id).title_terms)}
+              for negated, doc_id in engine.rank_terms(terms, 10)]
+             for terms in plan]
+            for plan in plans]
+        rng = random.Random(9)
+        # The second reply is spliced from cached fragments.
+        for _ in range(2):
+            assert send_shard(sim, nodes[0], {"q": plans, "k": 10}, rng) == [
+                wire.encode({"p": partials})]
+        send = sealed_client(sim, net, "engine")
+        replies = send(WIRE_QUERIES + WIRE_QUERIES, spacing=1.0)
+        for query, body in zip(WIRE_QUERIES + WIRE_QUERIES, replies):
+            found, page = nodes[0].response_cache.get(query)
+            assert found
+            assert body == page.encoding == wire.encode(
+                {"hits": page.value, "status": "ok"})
+        if documents == "quoted_corpus":
+            escaped = b"".join(replies)
+            assert all(part in escaped
+                       for part in (b'\\"', b"\\\\", b"\\u00e9"))
+
+
 class TestDegrade:
     def test_silent_sibling_degrades_instead_of_hanging(self, corpus,
                                                         reference_pages):
@@ -263,31 +420,16 @@ class TestMalformedShardRequests:
 
     @pytest.fixture
     def sibling(self, corpus):
-        """A cached 2-replica tier and a peer with an established
-        channel to ``engine1``, sending shard requests by hand."""
+        """A cached 2-replica tier whose replica ``engine``, a cluster
+        member, sends shard requests by hand to ``engine1`` over their
+        warm-up channel."""
         sim, net, nodes = build_tier(corpus, 2, cache_size=64)
         rng = random.Random(9)
-        peer = NetNode(net, "rogue-sibling")
-        peer.tls = SecureChannelManager(peer, SignatureAuthenticator(
-            IdentityKeyPair.generate(bits=512, rng=rng)), rng)
-        peer.tls.establish("engine1", on_ready=lambda channel: None)
-        sim.run()
-
-        def send(record):
-            replies = []
-            channel = peer.tls.channel("engine1")
-            peer.request("engine1", channel.seal(record, rng=rng),
-                         lambda payload: replies.append(channel.open(payload)),
-                         timeout=5.0, kind="shard",
-                         on_timeout=lambda: replies.append("timeout"))
-            sim.run()
-            return replies
-
-        return send
+        return lambda record: send_shard(sim, nodes[0], record, rng)
 
     def test_well_formed_request_is_answered(self, sibling):
         (reply,) = sibling({"q": [PLAN], "k": 3})
-        assert len(reply["p"][0][0]) == 3
+        assert len(wire.decode(reply)["p"][0][0]) == 3
 
     @pytest.mark.parametrize("record", [
         {"q": [PLAN], "k": "10"},
@@ -298,6 +440,18 @@ class TestMalformedShardRequests:
     ], ids=["str-k", "missing-k", "int-q", "nested-term", "negative-k"])
     def test_malformed_request_is_dropped(self, sibling, record):
         assert sibling(record) == ["timeout"]
+
+    def test_request_from_outside_the_cluster_is_dropped(self, corpus):
+        """A peer outside the cluster gets no partials, even with an
+        established channel and a well-formed request. Its request is
+        no search, so the query log stays empty."""
+        sim, net, nodes = build_tier(corpus, 2, cache_size=64)
+        rng = random.Random(9)
+        outsider = tls_peer(sim, net, "outsider", "engine1", rng)
+        assert outsider.tls.channel("engine1") is not None
+        assert send_shard(sim, outsider, {"q": [PLAN], "k": 50},
+                          rng) == ["timeout"]
+        assert [len(node.tap) for node in nodes] == [0, 0]
 
 
 class TestMalformedShardReplies:
